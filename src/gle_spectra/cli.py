@@ -3,21 +3,19 @@
 Subcommands: kernel, transform, spectrum, msd, equipartition, fit-exponent,
 simulate.  Artifacts are CSV (one header row, 17-significant-digit values)
 or JSON; errors leave as a machine-readable envelope on stderr with exit
-code 1 (computational) or 2 (usage).  The environment variable
-GLE_SPECTRA_THREADS caps the thread pool used for grid sweeps.
+code 1 (computational) or 2 (usage).
 """
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import json
-import os
+import math
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, GleError
-from .kernels import GleParams, parse_kernel_spec, validate_kernel
+from .kernels import GleParams, kernel_eval, parse_kernel_spec, validate_kernel
 from .moments import (
     POSITION_INTEGRAL,
     VELOCITY_INTEGRAL,
@@ -39,30 +37,11 @@ from .simulate import (
     spectral_sample,
 )
 from .spectra import SpectralDensityCtx, r11, r12, r22
-from .transforms import transform
+from .transforms import available_routes, kcos_ksin_grid, transform
 
 
 def _fmt(x):
-    return f"{x:.17g}"
-
-
-def max_threads():
-    raw = os.environ.get("GLE_SPECTRA_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = os.cpu_count() or 1
-    return cap
-
-
-def _sweep(fn, values):
-    n = max_threads()
-    if n <= 1 or len(values) < 4:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, values))
+    return x if isinstance(x, str) else f"{x:.17g}"
 
 
 @dataclass
@@ -130,6 +109,8 @@ def parse_config(text):
             val = float(doc[key])
         except (TypeError, ValueError):
             raise ConfigError(key, "must be a number")
+        if not math.isfinite(val):
+            raise ConfigError(key, "must be finite")
         if not check(val):
             raise ConfigError(key, msg)
         fields[attr] = val
@@ -170,10 +151,13 @@ def _parse_grid(text):
         if len(parts) != 4:
             raise ValueError("grid spec must be log:<a>:<b>:<n>")
         a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
-        if not (0 < a < b and n >= 2):
-            raise ValueError("grid spec needs 0 < a < b and n >= 2")
+        if not (0 < a < b < math.inf and n >= 2):
+            raise ValueError("grid spec needs 0 < a < b < inf and n >= 2")
         return np.geomspace(a, b, n)
-    return np.array([float(v) for v in text.split(",")])
+    grid = np.array([float(v) for v in text.split(",")])
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values must be finite")
+    return grid
 
 
 def _emit(lines, path):
@@ -185,10 +169,15 @@ def _emit(lines, path):
         sys.stdout.write(text)
 
 
+def _emit_csv(header, columns, path):
+    """One header row, then one row per index of the columns."""
+    _emit([header, *(",".join(map(_fmt, row)) for row in zip(*columns))], path)
+
+
 def _cmd_kernel(args):
     kernel = parse_kernel_spec(args.kernel)
+    grid = _parse_grid(args.t_grid)
     if args.validate:
-        grid = _parse_grid(args.t_grid)
         report = validate_kernel(kernel, grid)
         out = {
             "kernel": args.kernel,
@@ -197,26 +186,24 @@ def _cmd_kernel(args):
         }
         _emit([json.dumps(out, indent=2, sort_keys=True)], args.output)
         return 0
-    grid = _parse_grid(args.t_grid)
-    from .kernels import kernel_eval
-
-    lines = ["t,k"]
-    vals = kernel_eval(kernel, grid)
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(grid, vals)]
-    _emit(lines, args.output)
+    _emit_csv("t,k", (grid, kernel_eval(kernel, grid)), args.output)
     return 0
 
 
 def _cmd_transform(args):
     kernel = parse_kernel_spec(args.kernel)
     omegas = _parse_grid(args.omega)
-    pairs = _sweep(lambda w: transform(kernel, w, route=args.route), omegas)
-    lines = ["omega,kcos,ksin,route"]
-    lines += [
-        f"{_fmt(w)},{_fmt(p.kcos)},{_fmt(p.ksin)},{p.route}"
-        for w, p in zip(omegas, pairs)
-    ]
-    _emit(lines, args.output)
+    route = args.route or available_routes(kernel)[0]
+    kcos, ksin = np.zeros(omegas.shape), np.zeros(omegas.shape)
+    routes = np.full(omegas.shape, route, dtype=object)
+    # the origin keeps the scalar path: its value is the kernel integral
+    zero = omegas == 0.0
+    if zero.any():
+        at_zero = transform(kernel, 0.0, route=args.route)
+        kcos[zero], routes[zero] = at_zero.kcos, at_zero.route
+    if not zero.all():
+        kcos[~zero], ksin[~zero] = kcos_ksin_grid(kernel, omegas[~zero], route=route)
+    _emit_csv("omega,kcos,ksin,route", (omegas, kcos, ksin, routes), args.output)
     return 0
 
 
@@ -225,19 +212,11 @@ def _cmd_spectrum(args):
     ctx = cfg.ctx()
     omegas = _parse_grid(args.grid)
     if ctx.params.trapped:
-        rows = _sweep(
-            lambda w: (r11(ctx, w), r22(ctx, w), r12(ctx, w).imag), omegas
-        )
-        lines = ["omega,r11,r22,im_r12"]
-        lines += [
-            f"{_fmt(w)},{_fmt(a)},{_fmt(b)},{_fmt(c)}"
-            for w, (a, b, c) in zip(omegas, rows)
-        ]
+        header = "omega,r11,r22,im_r12"
+        columns = (omegas, r11(ctx, omegas), r22(ctx, omegas), r12(ctx, omegas).imag)
     else:
-        vals = _sweep(lambda w: r22(ctx, w), omegas)
-        lines = ["omega,r22"]
-        lines += [f"{_fmt(w)},{_fmt(v)}" for w, v in zip(omegas, vals)]
-    _emit(lines, args.output)
+        header, columns = "omega,r22", (omegas, r22(ctx, omegas))
+    _emit_csv(header, columns, args.output)
     return 0
 
 
@@ -249,14 +228,14 @@ def _cmd_msd(args):
     times = _parse_grid(args.t_grid)
     quantity = POSITION_INTEGRAL if args.quantity == "x" else VELOCITY_INTEGRAL
     curve = compute_msd_curve(ctx, times, quantity)
-    lines = ["t,msd"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(curve.times, curve.values)]
-    _emit(lines, args.output)
+    _emit_csv("t,msd", (curve.times, curve.values), args.output)
     return 0
 
 
 def _cmd_equipartition(args):
     cfg = parse_config(_read(args.config))
+    if cfg.params.kbt == 0.0:
+        raise ConfigError("kbt", "must be > 0 for equipartition ratios")
     rep = equipartition_report(cfg.ctx())
     doc = {
         "gamma_x_ratio": rep.gamma_x_ratio,
@@ -292,6 +271,10 @@ def _cmd_fit_exponent(args):
 
 
 def _cmd_simulate(args):
+    if args.n_paths < 2:
+        raise ValueError("--n-paths must be >= 2 for ensemble statistics")
+    if args.dt > args.t_max:
+        raise ValueError("--dt must not exceed --t-max")
     cfg = parse_config(_read(args.config))
     ctx = cfg.ctx()
     if args.method == "markovian":
@@ -316,16 +299,11 @@ def _cmd_simulate(args):
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
     quantity = "x_integral" if "x" in ens.labels and ctx.params.trapped else "v_integral"
     curve = ensemble_msd(ens, quantity)
-    lines = ["t,msd,stderr"]
-    lines += [
-        f"{_fmt(t)},{_fmt(v)},{_fmt(s)}"
-        for t, v, s in zip(curve.times, curve.values, curve.stderr)
-    ]
-    _emit(lines, args.output)
+    _emit_csv("t,msd,stderr", (curve.times, curve.values, curve.stderr), args.output)
     p = ctx.params
     x_samples = ens.column("x")[:, -1] if "x" in ens.labels else None
     v_samples = ens.column("v")[:, -1]
-    var_v = float(v_samples.var(ddof=1)) if ens.n_paths > 1 else 0.0
+    var_v = float(v_samples.var(ddof=1))
     summary = {
         "method": args.method,
         "n_paths": args.n_paths,

@@ -1,93 +1,29 @@
 """Complex error-function family: Faddeeva w(z), erfc, and the Dawson integral.
 
-w(z) = exp(-z^2) erfc(-iz).  Arguments in the lower half-plane are routed to
-the upper half-plane through w(-z) = 2 exp(-z^2) - w(z).  For Im z >= 0 three
-regimes are used:
-
-* |z| <= 3: the MacLaurin series of w itself, sum (iz)^n / Gamma(n/2 + 1),
-  accumulated in extended precision;
-* Im z > 12: the Laplace continued fraction;
-* otherwise: the pole-corrected trapezoidal discretization of the Hilbert
-  transform w(z) = (i/pi) Int exp(-t^2)/(z - t) dt, which is accurate to
-  machine precision uniformly in this band (the continued fraction is not
-  trustworthy near the real axis, and the series loses digits beyond |z| ~ 4).
+Thin wrappers over ``scipy.special.wofz``, ``erfc`` and ``dawsn`` (S. G.
+Johnson's Faddeeva package) that keep this package's contract: scalars in
+give scalars out, non-finite arguments raise ValueError, and arguments at
+which the exp(-z^2) factor of the result overflows double precision raise
+UnrepresentableError instead of returning inf or nan.
 
 All entry points accept scalars or ndarrays and are elementwise.
 """
 
 import numpy as np
+from scipy import special
 
 from .errors import UnrepresentableError
 
 SQRT_PI = 1.7724538509055160273
 
-_SERIES_RADIUS = 3.0
-_CF_IMAG_MIN = 12.0
-_CF_LEVELS = 60
 _EXP_ARG_MAX = 700.0  # exp overflows near 709.78
 
-# Gamma(n/2 + 1) in extended precision via the recurrence G(x+1) = x G(x).
-_NMAX = 160
-_GAMMA_HALF = np.empty(_NMAX, dtype=np.longdouble)
-_GAMMA_HALF[0] = np.longdouble(1.0)
-_GAMMA_HALF[1] = np.longdouble("0.886226925452758013649083741671")  # Gamma(3/2)
-for _n in range(2, _NMAX):
-    _GAMMA_HALF[_n] = np.longdouble(0.5 * _n) * _GAMMA_HALF[_n - 2]
 
-# Trapezoidal grids for the Hilbert representation; two offsets so that the
-# grid whose pole-correction denominator is well conditioned can be chosen
-# per point.
-_TRAP_H = 0.4
-_TRAP_N = 42
-_TRAP_T0 = _TRAP_H * np.arange(-_TRAP_N, _TRAP_N + 1)
-_TRAP_T1 = _TRAP_H * (np.arange(-_TRAP_N, _TRAP_N + 1) + 0.5)
-_TRAP_E0 = np.exp(-_TRAP_T0 ** 2)
-_TRAP_E1 = np.exp(-_TRAP_T1 ** 2)
-
-
-def _w_series(z):
-    iz = np.clongdouble(1j) * z.astype(np.clongdouble)
-    out = np.zeros(z.shape, dtype=np.clongdouble)
-    power = np.ones(z.shape, dtype=np.clongdouble)
-    for n in range(_NMAX):
-        term = power / _GAMMA_HALF[n]
-        out += term
-        if n > 8 and np.all(np.abs(term) < 1e-24 * np.abs(out)):
-            break
-        power = power * iz
-    return out.astype(complex)
-
-def _w_cf(z):
-    f = np.zeros(z.shape, dtype=complex)
-    for k in range(_CF_LEVELS, 0, -1):
-        f = (0.5 * k) / (z - f)
-    return 1j / SQRT_PI / (z - f)
-
-def _w_trapezoid(z):
-    x = z.real
-    on_integer_grid = np.abs(x - _TRAP_H * np.round(x / _TRAP_H)) > 0.25 * _TRAP_H
-    nodes = np.where(on_integer_grid[..., None], _TRAP_T0, _TRAP_T1)
-    weights = np.where(on_integer_grid[..., None], _TRAP_E0, _TRAP_E1)
-    s = np.sum(weights / (z[..., None] - nodes), axis=-1)
-    phase = np.exp(-2j * np.pi * z / _TRAP_H)
-    denom = np.where(on_integer_grid, 1.0 - phase, 1.0 + phase)
-    return (1j * _TRAP_H / np.pi) * s + 2.0 * np.exp(-z * z) / denom
-
-
-def _w_upper(z):
-    """w on Im z >= 0 by regime dispatch."""
-    out = np.empty(z.shape, dtype=complex)
-    r = np.abs(z)
-    m_series = r <= _SERIES_RADIUS
-    m_cf = (~m_series) & (z.imag > _CF_IMAG_MIN)
-    m_trap = ~(m_series | m_cf)
-    if m_series.any():
-        out[m_series] = _w_series(z[m_series])
-    if m_cf.any():
-        out[m_cf] = _w_cf(z[m_cf])
-    if m_trap.any():
-        out[m_trap] = _w_trapezoid(z[m_trap])
-    return out
+def _finite(z, dtype, name):
+    z = np.asarray(z, dtype=dtype)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{name} requires finite arguments")
+    return z
 
 
 def faddeeva(z):
@@ -101,49 +37,30 @@ def faddeeva(z):
         If z lies in the lower half-plane and the reflection term exp(-z^2)
         overflows double precision.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("faddeeva requires finite arguments")
-    lower = z.imag < 0
-    out = np.empty(z.shape, dtype=complex)
-    if (~lower).any():
-        out[~lower] = _w_upper(z[~lower])
-    if lower.any():
-        zl = z[lower]
-        if np.any((zl.imag ** 2 - zl.real ** 2) > _EXP_ARG_MAX):
-            raise UnrepresentableError(
-                "faddeeva unrepresentable: exp(-z^2) overflows in the lower half-plane"
-            )
-        out[lower] = 2.0 * np.exp(-zl * zl) - _w_upper(-zl)
-    return complex(out[0]) if scalar else out
+    z = _finite(z, complex, "faddeeva")
+    if np.any((z.imag < 0) & (z.imag ** 2 - z.real ** 2 > _EXP_ARG_MAX)):
+        raise UnrepresentableError(
+            "faddeeva unrepresentable: exp(-z^2) overflows in the lower half-plane"
+        )
+    w = special.wofz(z)
+    return complex(w) if z.ndim == 0 else w
 
 
 def dawson(x):
     """Dawson integral exp(-x^2) * Int_0^x exp(t^2) dt for real x, elementwise."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    vals = 0.5 * SQRT_PI * np.imag(_w_upper(np.atleast_1d(x).astype(complex)))
-    return float(vals[0]) if scalar else vals
+    x = _finite(x, float, "dawson")
+    d = special.dawsn(x)
+    return float(d) if x.ndim == 0 else d
 
 
 def erfc_complex(z):
-    """Complementary error function erfc(z) = exp(-z^2) w(iz) for complex z.
+    """Complementary error function erfc(z) for complex z, elementwise.
 
-    Arguments with negative real part are reflected through
-    erfc(z) = 2 - erfc(-z).  Overflow of exp(-z^2) raises UnrepresentableError.
+    Overflow of exp(-z^2) (on the reflected argument for Re z < 0, where
+    erfc(z) = 2 - erfc(-z)) raises UnrepresentableError.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("erfc_complex requires finite arguments")
-    flip = z.real < 0
-    zz = np.where(flip, -z, z)
-    expo = zz.imag ** 2 - zz.real ** 2
-    if np.any(expo > _EXP_ARG_MAX):
+    z = _finite(z, complex, "erfc_complex")
+    if np.any(z.imag ** 2 - z.real ** 2 > _EXP_ARG_MAX):
         raise UnrepresentableError("erfc unrepresentable: exp(-z^2) overflows")
-    vals = np.exp(-zz * zz) * _w_upper(1j * zz)
-    vals = np.where(flip, 2.0 - vals, vals)
-    return complex(vals[0]) if scalar else vals
+    vals = special.erfc(z)
+    return complex(vals) if z.ndim == 0 else vals

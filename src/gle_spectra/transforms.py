@@ -70,10 +70,10 @@ def _measure_nodes(kernel):
 def _cm_pair(kernel, w):
     """Measure route for completely monotone kernels; w > 0 array."""
     x, mw = _measure_nodes(kernel)
-    denom = x * x + np.multiply.outer(w * w, np.ones_like(x))
-    kcos = (x / denom) @ mw
-    ksin = ((1.0 / denom) @ mw) * w
-    return kcos, ksin
+    # one frequencies x nodes matrix, inverted in place, serves both sums
+    inv = np.add.outer(w * w, x * x)
+    np.reciprocal(inv, out=inv)
+    return inv @ (x * mw), (inv @ mw) * w
 
 
 def _phi_pair(kernel, w):

@@ -1,14 +1,19 @@
 import json
+from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from gle_spectra import parse_kernel_spec, r11, r12, r22, transform
 from gle_spectra.cli import main, parse_config
 from gle_spectra.errors import ConfigError
 
 TRAPPED_DOC = '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"powerlaw:0.5"}'
+CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
+# a leading minus needs the --opt=value form, or argparse reads it as a flag
+SIGNED_GRID = "-2,-0.5,0,0.5,2"
 
 
 def run_cli(*argv):
@@ -192,3 +197,106 @@ def test_seventeen_digit_format(cfg_file, capsys):
     kcos = line.split(",")[1]
     assert float(kcos) == pytest.approx(1.2533141373155003 / np.sqrt(3.0), rel=1e-15)
     assert len(kcos.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def read_rows(capsys):
+    lines = capsys.readouterr().out.strip().splitlines()
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("route", [None, "numeric"])
+def test_transform_grid_matches_pointwise(route, capsys):
+    # one array call for the nonzero frequencies, the scalar path at the origin
+    extra = ["--route", route] if route else []
+    assert main(["transform", "--kernel", "rouse:1", f"--omega={SIGNED_GRID}", *extra]) == 0
+    header, rows = read_rows(capsys)
+    assert header == ["omega", "kcos", "ksin", "route"]
+    kernel = parse_kernel_spec("rouse:1")
+    assert [float(r[0]) for r in rows] == [float(v) for v in SIGNED_GRID.split(",")]
+    for w, kc, ks, label in rows:
+        want = transform(kernel, float(w), route=route)
+        assert label == want.route
+        assert float(kc) == pytest.approx(want.kcos, rel=1e-13)
+        assert float(ks) == pytest.approx(want.ksin, rel=1e-13, abs=0.0)
+    # Ksin is odd, the origin row is (Int K, 0) on the closed-form label
+    assert float(rows[0][2]) == -float(rows[4][2]) < 0
+    assert rows[2][1:] == ["1", "0", "closed_form"]
+
+
+def test_spectrum_grid_matches_pointwise(capsys):
+    trapped = str(CONFIGS / "trapped_rouse.json")
+    assert main(["spectrum", "--config", trapped, f"--grid={SIGNED_GRID}"]) == 0
+    header, rows = read_rows(capsys)
+    assert header == ["omega", "r11", "r22", "im_r12"]
+    ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text()).ctx()
+    for w, a, b, c in rows:
+        w = float(w)
+        assert float(a) == pytest.approx(r11(ctx, w), rel=1e-13)
+        assert float(b) == pytest.approx(r22(ctx, w), rel=1e-13, abs=0.0)
+        assert float(c) == pytest.approx(r12(ctx, w).imag, rel=1e-13, abs=0.0)
+
+    free = str(CONFIGS / "free_rouse.json")
+    assert main(["spectrum", "--config", free, f"--grid={SIGNED_GRID}"]) == 0
+    header, rows = read_rows(capsys)
+    assert header == ["omega", "r22"]
+    ctx = parse_config((CONFIGS / "free_rouse.json").read_text()).ctx()
+    for w, v in rows:
+        assert float(v) == pytest.approx(r22(ctx, float(w)), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--grid", "nan,1"],
+        ["spectrum", "--grid", "log:0.1:inf:5"],
+        ["transform", "--kernel", "rouse:1", "--omega", "0,1,inf"],
+        ["transform", "--kernel", "rouse:1", "--omega", "log:1:nan:5"],
+    ],
+)
+def test_nonfinite_grid_usage_exit(argv, cfg_file, capsys):
+    if argv[0] == "spectrum":
+        argv = [*argv, "--config", cfg_file]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("key", ["m", "lambda", "beta", "gamma", "kbt"])
+def test_nonfinite_config_rejected(key, tmp_path, capsys):
+    doc = json.loads(TRAPPED_DOC)
+    doc[key] = "inf"
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(doc))
+    assert ei.value.field == key
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["equipartition", "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+
+
+def test_equipartition_zero_temperature_rejected(tmp_path, capsys):
+    doc = json.loads(TRAPPED_DOC)
+    doc["kbt"] = 0
+    cfg = tmp_path / "cold.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["equipartition", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and err["message"].startswith("kbt:")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--n-paths", "0"],
+        ["--n-paths", "1"],
+        ["--dt", "5", "--t-max", "1"],
+        ["--method", "spectral", "--dt", "5", "--t-max", "1"],
+    ],
+)
+def test_simulate_without_statistics_rejected(extra, capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--n-paths", "8",
+            "--t-max", "1", *extra]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"

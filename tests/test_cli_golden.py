@@ -91,18 +91,3 @@ def test_msd_tolerance(tmp_path):
     )
     csv_close(got, (GOLDEN / "msd_trapped_rouse.csv").read_text(), rel=1e-7)
 
-
-def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("GLE_SPECTRA_THREADS", "4")
-    threaded = run_to_file(
-        tmp_path,
-        "spectrum", "--config", str(CONFIGS / "trapped_powerlaw.json"),
-        "--grid", "log:0.01:100:9",
-    )
-    monkeypatch.setenv("GLE_SPECTRA_THREADS", "1")
-    serial = run_to_file(
-        tmp_path,
-        "spectrum", "--config", str(CONFIGS / "trapped_powerlaw.json"),
-        "--grid", "log:0.01:100:9",
-    )
-    assert threaded == serial
