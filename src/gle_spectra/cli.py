@@ -10,6 +10,7 @@ import argparse
 from dataclasses import dataclass
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -36,7 +37,7 @@ from .simulate import (
     simulate_paths,
     spectral_sample,
 )
-from .spectra import SpectralDensityCtx, r11, r12, r22
+from .spectra import SpectralDensityCtx, r11, r22
 from .transforms import available_routes, kcos_ksin_grid, transform
 
 
@@ -213,7 +214,11 @@ def _cmd_spectrum(args):
     omegas = _parse_grid(args.grid)
     if ctx.params.trapped:
         header = "omega,r11,r22,im_r12"
-        columns = (omegas, r11(ctx, omegas), r22(ctx, omegas), r12(ctx, omegas).imag)
+        dens = r11(ctx, omegas)
+        # r22 = w^2 r11 and Im r12 = w r11, exactly 0 at the origin
+        r22_col = np.where(omegas == 0.0, 0.0, omegas * omegas * dens)
+        r12_col = np.where(omegas == 0.0, 0.0, omegas * dens)
+        columns = (omegas, dens, r22_col, r12_col)
     else:
         header, columns = "omega,r22", (omegas, r22(ctx, omegas))
     _emit_csv(header, columns, args.output)
@@ -329,8 +334,35 @@ def _read(path):
         return fh.read()
 
 
+class UsageError(Exception):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors leave through the JSON envelope."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# argparse reads a value with a leading minus as an option unless it is a
+# single number, so "--omega -2,0,2" is joined into "--omega=-2,0,2"
+_GRID_OPTIONS = ("--omega", "--grid", "--t-grid")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_grids(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _GRID_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gle-spectra",
         description="Stationary generalized Langevin dynamics: transforms, "
         "spectra, MSD growth laws, equipartition checks, Monte Carlo.",
@@ -390,11 +422,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(
+            _attach_signed_grids(sys.argv[1:] if argv is None else argv)
+        )
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:  # bad request or inputs
+    except (UsageError, ConfigError, ValueError, OSError) as exc:  # bad request or inputs
         _emit_error(exc)
         return 2
     except GleError as exc:  # computational failure

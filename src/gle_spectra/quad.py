@@ -91,7 +91,7 @@ def _kronrod(f, a, b):
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
     if not np.all(np.isfinite(y)):
-        raise ToleranceNotMet(f"integrand not finite inside ({a!r}, {b!r})")
+        raise ToleranceNotMet(f"integrand not finite inside ({float(a)}, {float(b)})")
     wk = np.concatenate((_WGK[:7], _WGK[::-1]))
     resk = h * float(np.dot(wk, y))
     yg = y[1::2]  # the 7 embedded Gauss nodes
@@ -171,7 +171,7 @@ def _adapt(f, a, b, cfg):
     exc = DivergentTail if grew else ToleranceNotMet
     raise exc(
         f"tolerance not met after {cfg.max_subdivisions} subdivisions "
-        f"(value={total_val!r}, err={total_err!r})",
+        f"(value={float(total_val)}, err={float(total_err)})",
         value=total_val,
         error=total_err,
     )
@@ -233,7 +233,7 @@ def _integrate_by_cells(f, a, cfg, left_exponent):
     if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(head + est)):
         return head + est, head_err + cell_err + acc_err
     raise ToleranceNotMet(
-        f"tolerance not met in cell sum (value={head + est!r}, err={acc_err!r})",
+        f"tolerance not met in cell sum (value={float(head + est)}, err={float(acc_err)})",
         value=head + est,
         error=acc_err,
     )
@@ -357,7 +357,7 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         else:
             raise ToleranceNotMet(
                 "tolerance not met in oscillatory sum "
-                f"(value={sign * (head + est)!r}, err={acc_err!r})",
+                f"(value={float(sign * (head + est))}, err={float(acc_err)})",
                 value=sign * (head + est),
                 error=acc_err,
             )

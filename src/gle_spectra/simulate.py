@@ -14,7 +14,9 @@ rates and nonnegative-least-squares weights.
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
 from the spectral densities: independent Gaussian amplitudes on frequency
 cells, weighted by the rank-one factorization of the 2x2 cross-spectral
-matrix (1, i w)^T r11 (1, -i w).
+matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid: the cells of
+equal width are summed there by a chirp-z transform, the others directly,
+in blocks of paths and times, so memory does not grow with cells x times.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import linalg
 from scipy.optimize import nnls
 
@@ -32,6 +35,9 @@ from .spectra import r11
 
 SCHEME_EXACT = "exact_ou_exponential"
 SCHEME_EULER = "euler_maruyama"
+
+# Work arrays of one block of paths or of time steps stay near this many bytes.
+_BLOCK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -294,11 +300,13 @@ def simulate_paths(
         stop = min(start + chunk_size, n_paths)
         block = stop - start
         states = np.empty((block, dim))
-        noise = np.empty((block, n_steps, n_noise))
-        for j in range(block):
-            rng = _path_rng(seed, start + j)
+        rngs = [_path_rng(seed, start + j) for j in range(block)]
+        for j, rng in enumerate(rngs):
             states[j] = l0 @ rng.standard_normal(dim)
-            noise[j] = rng.standard_normal((n_steps, n_noise))
+        # each path's noise is drawn a block of steps at a time; the split
+        # draws are the same numbers as one draw of all the steps
+        steps_per_block = max(1, _BLOCK_BYTES // (8 * block * n_noise))
+        noise = np.empty((block, min(steps_per_block, n_steps), n_noise))
 
         def record(pos):
             for c, idx in enumerate(obs_idx):
@@ -309,11 +317,15 @@ def simulate_paths(
 
         record(0)
         save_pos = 1
-        for step in range(n_steps):
-            states = states @ prop.T + noise[:, step, :] @ lstep.T
-            if save_pos < saved.size and step + 1 == saved[save_pos]:
-                record(save_pos)
-                save_pos += 1
+        for lo in range(0, n_steps, steps_per_block):
+            hi = min(lo + steps_per_block, n_steps)
+            for j, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[j, : hi - lo])
+            for step in range(lo, hi):
+                states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
+                if save_pos < saved.size and step + 1 == saved[save_pos]:
+                    record(save_pos)
+                    save_pos += 1
     return Ensemble(
         times=saved * dt,
         data=out,
@@ -360,13 +372,26 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     2x2 cross-spectral structure including Cov(x, v) = 0.
 
     The grid must resolve the requested horizon: max cell width <= pi/t_max.
+    ``t_grid`` must be a non-empty arithmetic progression (to rounding);
+    other time grids raise SamplingGridError.
+
+    The amplitudes come from one Philox stream keyed by ``seed``: the real
+    parts of every path and cell (path-major), then the imaginary parts.
+    They are drawn and summed in blocks of paths.  The trailing run of
+    equal-width cells is summed over the uniform time grid by a chirp-z
+    transform; the K_d cells before it by direct products, a block of times
+    at a time.  With K cells and N times the cost is
+    O(n_paths (K + N) log(K + N) + n_paths K_d N) and the memory
+    O(block K + n_paths N), the block sizes set by a fixed byte budget.
     """
     edges = np.asarray(omega_grid, dtype=float)
     if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0) or edges[0] < 0:
         raise SamplingGridError("omega grid must be increasing, positive cell edges")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t.ndim != 1 or t.size == 0 or _uniform_step(t) is None:
+        raise SamplingGridError("time grid must be a non-empty arithmetic progression")
     widths = np.diff(edges)
-    t_span = float(np.max(np.abs(t))) if t.size else 0.0
+    t_span = float(np.max(np.abs(t)))
     if t_span > 0 and widths.max() > math.pi / t_span:
         raise SamplingGridError(
             f"omega grid too coarse for t_max={t_span:g}: "
@@ -374,22 +399,129 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
         )
     mids = 0.5 * (edges[1:] + edges[:-1])
     dens = r11(ctx, mids)
-    sigma = np.sqrt(ctx.params.kbt / (2.0 * math.pi) * dens * widths)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = rng.standard_normal((n_paths, mids.size))
-    eta = rng.standard_normal((n_paths, mids.size))
-    ph = np.outer(mids, t)
-    cos_t, sin_t = np.cos(ph), np.sin(ph)
-    sqrt2 = math.sqrt(2.0)
-    x = sqrt2 * ((xi * sigma) @ cos_t + (eta * sigma) @ sin_t)
-    v = sqrt2 * ((eta * (sigma * mids)) @ cos_t - (xi * (sigma * mids)) @ sin_t)
+    # sqrt(2) folds the real part of the complex amplitude sum into sigma
+    sigma = np.sqrt(ctx.params.kbt / math.pi * dens * widths)
+    k0 = _equal_width_start(mids, widths)
+    chirp = _ChirpZ(mids[k0:], sigma[k0:], t) if k0 < mids.size else None
+
+    data = np.zeros((n_paths, t.size, 2))
+    x, v = data[:, :, 0], data[:, :, 1]
+    block = max(1, _BLOCK_BYTES // (16 * mids.size + (chirp.bytes_per_path if chirp else 0)))
+    # the direct cells gather many draw blocks, so that each of their
+    # trigonometric rows serves many paths
+    big_block = max(block, _BLOCK_BYTES // (16 * max(k0, 1)))
+    amps = np.empty((min(big_block, n_paths), 2 * k0))
+    xi_rng = np.random.Generator(np.random.Philox(key=seed))
+    eta_rng = np.random.Generator(np.random.Philox(key=seed))
+    xi = np.empty((min(block, n_paths), mids.size))
+    eta = np.empty_like(xi)
+    for start in range(0, n_paths, block):  # move eta_rng past every xi
+        eta_rng.standard_normal(out=eta[: min(block, n_paths - start)])
+    for outer in range(0, n_paths, big_block):
+        paths = slice(outer, min(outer + big_block, n_paths))
+        for start in range(paths.start, paths.stop, block):
+            stop = min(start + block, paths.stop)
+            rows = slice(0, stop - start)
+            xi_rng.standard_normal(out=xi[rows])
+            eta_rng.standard_normal(out=eta[rows])
+            amps[start - outer : stop - outer, :k0] = sigma[:k0] * xi[rows, :k0]
+            amps[start - outer : stop - outer, k0:] = sigma[:k0] * eta[rows, :k0]
+            if chirp is not None:
+                x[start:stop], v[start:stop] = chirp(xi[rows, k0:], eta[rows, k0:])
+        if k0:
+            _add_direct_sums(amps[: paths.stop - outer], mids[:k0], t, x[paths], v[paths])
     return Ensemble(
         times=t,
-        data=np.stack([x, v], axis=-1),
+        data=data,
         labels=("x", "v"),
         seed=seed,
         scheme="spectral",
     )
+
+
+def _uniform_step(values):
+    """Step of ``values`` as an arithmetic progression, or None if it is not
+    one to rounding.  A single value has step 0."""
+    if values.size < 2:
+        return 0.0
+    step = (values[-1] - values[0]) / (values.size - 1)
+    line = values[0] + step * np.arange(values.size)
+    if np.abs(values - line).max() > 16 * np.finfo(float).eps * np.abs(values).max():
+        return None
+    return step
+
+
+def _equal_width_start(mids, widths):
+    """First cell of the trailing run whose midpoints step uniformly, or
+    ``mids.size`` when that run has fewer than two cells."""
+    uneven = np.flatnonzero(np.abs(widths - widths[-1]) > 1e-9 * widths[-1])
+    start = uneven[-1] + 1 if uneven.size else 0
+    if mids.size - start < 2 or _uniform_step(mids[start:]) is None:
+        return mids.size
+    return start
+
+
+class _ChirpZ:
+    """x and v sums of the amplitudes a_k = sigma_k (xi_k - i eta_k) over
+    cells with uniform midpoints w_k = w_0 + k dw, at times t_j = t_0 + j dt:
+
+        x_j = Re sum_k a_k exp(i w_k t_j),   v_j = -Im sum_k w_k a_k exp(i w_k t_j).
+
+    Bluestein's identity kj = (k^2 + j^2 - (j - k)^2)/2 turns each sum into
+    a convolution with the chirp exp(-i theta m^2/2), theta = dw dt, done by
+    FFT (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17:86,
+    1969).  dw comes from the end points: one rounded cell width times k
+    would drift from the midpoints by k ulps.
+    """
+
+    def __init__(self, omega, sigma, t):
+        n, n_t = omega.size, t.size
+        d_omega = (omega[-1] - omega[0]) / (n - 1)
+        half_theta = 0.5 * d_omega * _uniform_step(t)
+        k, j, lags = np.arange(n), np.arange(n_t), np.arange(1 - n, n_t)
+        self.size = sp_fft.next_fast_len(n + n_t - 1)
+        chirp = np.zeros(self.size, dtype=complex)
+        chirp[lags] = np.exp(-1j * half_theta * lags * lags)
+        self.chirp_fft = sp_fft.fft(chirp)
+        pre = sigma * np.exp(1j * (k * d_omega * t[0] + half_theta * k * k))
+        self.weights = (pre, pre * omega)
+        self.post = np.exp(1j * (omega[0] * t + half_theta * j * j))
+        # a path's padded x and v rows, two real temporaries, its sums
+        self.bytes_per_path = 16 * (2 * self.size + n + 2 * n_t)
+
+    def __call__(self, xi, eta):
+        rows, n = xi.shape
+        spec = np.zeros((2 * rows, self.size), dtype=complex)
+        for half, w in zip((spec[:rows, :n], spec[rows:, :n]), self.weights):
+            half.real = xi * w.real + eta * w.imag
+            half.imag = xi * w.imag - eta * w.real
+        spec = sp_fft.fft(spec, overwrite_x=True)
+        spec *= self.chirp_fft
+        sums = sp_fft.ifft(spec, overwrite_x=True)[:, : self.post.size] * self.post
+        return sums[:rows].real, -sums[rows:].imag
+
+
+def _add_direct_sums(amps, mids, t, x, v):
+    """Add the sums of the cells ``mids`` to x and v.  ``amps`` holds A and B,
+    the scaled real and imaginary amplitudes, side by side; one product
+
+        [A B] @ [cos(w t)  -w sin(w t); sin(w t)  w cos(w t)]
+
+    gives x in its left and v in its right half.  The trigonometric rows are
+    computed once per block of times."""
+    c = mids.size
+    step = max(1, _BLOCK_BYTES // (8 * (5 * c + 2 * amps.shape[0])))
+    for lo in range(0, t.size, step):
+        ph = np.outer(mids, t[lo : lo + step])
+        cols = ph.shape[1]
+        trig = np.empty((2 * c, 2 * cols))
+        np.cos(ph, out=trig[:c, :cols])
+        np.sin(ph, out=trig[c:, :cols])
+        np.multiply(trig[c:, :cols], -mids[:, None], out=trig[:c, cols:])
+        np.multiply(trig[:c, :cols], mids[:, None], out=trig[c:, cols:])
+        sums = amps @ trig
+        x[:, lo : lo + cols] += sums[:, :cols]
+        v[:, lo : lo + cols] += sums[:, cols:]
 
 
 def default_spectral_grid(ctx, t_max=0.0, omega_min=1e-6, omega_max=None, n_log=2400):

@@ -6,13 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from gle_spectra import parse_kernel_spec, r11, r12, r22, transform
+from gle_spectra import kcos_ksin_grid, parse_kernel_spec, r11, r12, r22, transform
 from gle_spectra.cli import main, parse_config
 from gle_spectra.errors import ConfigError
 
 TRAPPED_DOC = '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"powerlaw:0.5"}'
 CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
-# a leading minus needs the --opt=value form, or argparse reads it as a flag
 SIGNED_GRID = "-2,-0.5,0,0.5,2"
 
 
@@ -300,3 +299,62 @@ def test_simulate_without_statistics_rejected(extra, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_trapped_spectrum_evaluates_transforms_once(monkeypatch, capsys):
+    import gle_spectra.spectra as spectra
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kcos_ksin_grid(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "kcos_ksin_grid", counted)
+    assert main(["spectrum", "--config", str(CONFIGS / "trapped_rouse.json"),
+                 f"--grid={SIGNED_GRID}"]) == 0
+    assert len(calls) == 1 and calls[0].size == 4  # the origin takes no transform
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--kernel", "rouse:1", "--omega"],
+        ["spectrum", "--config", str(CONFIGS / "trapped_rouse.json"), "--grid"],
+        ["kernel", "--kernel", "rouse:1", "--t-grid"],
+    ],
+)
+def test_signed_grid_after_option(argv, capsys):
+    *head, option = argv
+    assert main([*head, f"{option}={SIGNED_GRID}"]) == 0
+    joined = capsys.readouterr().out
+    assert main([*head, option, SIGNED_GRID]) == 0
+    assert capsys.readouterr().out == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--kernel", "rouse:1"],
+        ["transform", "--kernel", "rouse:1", "--omega", "1", "--bogus"],
+        ["simulate", "--config", "cfg.json", "--n-paths", "many"],
+        ["spectrum", "--grid", "1,2"],
+    ],
+)
+def test_usage_errors_leave_through_envelope(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def test_usage_error_envelope_from_command_line():
+    code, out, err = run_cli("transform", "--kernel", "rouse:1", "--omega")
+    assert code == 2 and out == ""
+    assert "expected one argument" in json.loads(err)["error"]["message"]
+
+
+def test_help_stays_plain_text():
+    code, out, err = run_cli("transform", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: gle-spectra transform")

@@ -112,3 +112,25 @@ def test_interval_additivity(rng):
         left, _ = integrate_adaptive(f, a, b)
         right, _ = integrate_adaptive(f, b, c)
         assert whole == pytest.approx(left + right, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_adaptive(lambda x: np.full_like(x, np.nan), np.float64(0), np.float64(1)),
+        lambda: integrate_to_infinity(
+            lambda u: np.cos(u) / (1.0 + u) ** 0.3,
+            0.0,
+            QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=50,
+                       oscillation_mode="split_at_zeros"),
+        ),
+        lambda: integrate_oscillatory(
+            lambda t: 1.0 / (1.0 + t) ** 0.05, 1.0, "sin", 0.0,
+            QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=50),
+        ),
+    ],
+)
+def test_error_messages_print_plain_floats(call):
+    with pytest.raises((ToleranceNotMet, DivergentTail)) as ei:
+        call()
+    assert "np.float64" not in str(ei.value)

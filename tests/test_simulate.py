@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gle_spectra import simulate
 from gle_spectra import (
     BernsteinMeasure,
     GleParams,
@@ -17,6 +21,7 @@ from gle_spectra import (
     msd_x,
     parse_kernel_spec,
     prony_fit,
+    r11,
     simulate_paths,
     spectral_sample,
     var_v0,
@@ -236,3 +241,68 @@ def test_spectral_sampler_free_particle_rejected():
     ctx = free_ctx("rouse:1")
     with pytest.raises(TransformDomainError):
         spectral_sample(ctx, default_spectral_grid(ctx), [0.0], 5, seed=0)
+
+
+def test_simulate_time_blocks_bitwise(monkeypatch):
+    # noise drawn a few steps at a time is the same stream as one draw
+    sde = _one_atom_sde()
+    whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4, chunk_size=5)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 5 * 4)  # 3 steps of 5 paths x 4 noises
+    split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4, chunk_size=5)
+    assert np.array_equal(whole.data, split.data)
+
+
+def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
+    """The cells x times cos/sin synthesis on the same Philox draws."""
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    sigma = np.sqrt(ctx.params.kbt / (2.0 * math.pi) * r11(ctx, mids) * np.diff(edges))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xi = rng.standard_normal((n_paths, mids.size))
+    eta = rng.standard_normal((n_paths, mids.size))
+    cos_t, sin_t = np.cos(np.outer(mids, t)), np.sin(np.outer(mids, t))
+    x = math.sqrt(2.0) * ((xi * sigma) @ cos_t + (eta * sigma) @ sin_t)
+    v = math.sqrt(2.0) * ((eta * sigma * mids) @ cos_t - (xi * sigma * mids) @ sin_t)
+    return x, v
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
+    # 59 log cells summed directly, 100 equal-width cells by chirp-z; the
+    # small budget splits the 9 paths and the 200 times into several blocks
+    if block_bytes:
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
+    ctx = trapped_ctx("powerlaw:0.5")
+    edges = np.concatenate([np.geomspace(1e-3, 1.0, 60), np.arange(1.05, 6.025, 0.05)])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    assert simulate._equal_width_start(mids, np.diff(edges)) == 59
+    t = 3.0 + 0.1 * np.arange(200)
+    ens = spectral_sample(ctx, edges, t, 9, seed=17)
+    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 9, seed=17)
+    for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_spectral_sampler_needs_uniform_times():
+    ctx = trapped_ctx("rouse:1")
+    with pytest.raises(SamplingGridError):
+        spectral_sample(ctx, default_spectral_grid(ctx, t_max=3.0), [0.0, 1.0, 3.0], 4, seed=0)
+
+
+def test_spectral_sampler_memory_bounded():
+    # the cells x times cos/sin matrices of a dense synthesis trace 875 MiB here
+    ctx = trapped_ctx("rouse:1")
+    grid = default_spectral_grid(ctx, t_max=200.0)
+    t = np.arange(0.0, 200.0 + 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        spectral_sample(ctx, grid, t, 500, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal costs about as much import time as the whole CLI
+    code = "import sys, gle_spectra.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
