@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import KernelDomainError, NoBernsteinRepresentation
+from .errors import KernelDomainError, NoBernsteinRepresentation, UnrepresentableError
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ class BernsteinMeasure:
 def _log_panels(x_lo, x_hi, per_decade):
     """Gauss-Legendre nodes/weights for Int f(x) dx over log-spaced panels."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(per_decade)
-    n_panels = max(1, int(math.ceil(2.0 * math.log10(x_hi / x_lo))))  # half-decades
+    decades = math.log10(x_hi) - math.log10(x_lo)
+    n_panels = max(1, int(math.ceil(2.0 * decades)))  # half-decades
     edges = np.geomspace(x_lo, x_hi, n_panels + 1)
     s_edges = np.log(edges)
     xs, ws = [], []
@@ -141,6 +142,17 @@ def _log_panels(x_lo, x_hi, per_decade):
         xs.append(x)
         ws.append(half * gl_w * x)  # dx = x ds
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def _cutoff(decades, kernel, alpha):
+    """The measure cutoff 10**decades; UnrepresentableError naming alpha where
+    it is not a normal double."""
+    if abs(decades) > 307:
+        raise UnrepresentableError(
+            f"{kernel.spec()}: Laplace-measure cutoff 1e{decades:+d} for alpha = {alpha:g} "
+            "is not a normal double"
+        )
+    return 10.0 ** decades
 
 
 class MemoryKernel:
@@ -196,8 +208,8 @@ class PowerLaw(MemoryKernel):
         # density x^(a-1)/Gamma(a); cutoffs chosen so both the missing mass
         # below x_lo (~ x_lo^a) and the x^(a-2) tail beyond x_hi fall below
         # 1e-12 of typical kernel values
-        lo = 10.0 ** (-math.ceil(14.0 / a))
-        hi = 10.0 ** math.ceil(14.0 / (1.0 - a))
+        lo = _cutoff(-math.ceil(14.0 / a), self, a)
+        hi = _cutoff(math.ceil(14.0 / (1.0 - a)), self, a)
         return BernsteinMeasure(
             density=_powerlaw_density(a), x_lo=lo, x_hi=hi, measure_of="kernel"
         )
@@ -338,7 +350,7 @@ class Cauchy(MemoryKernel):
 
     def bernstein(self):
         # bottom cutoff keeps the missing x^(alpha-1) mass below 1e-12
-        lo = 10.0 ** (-math.ceil(14.0 / min(self.alpha, 1.0)))
+        lo = _cutoff(-math.ceil(14.0 / min(self.alpha, 1.0)), self, self.alpha)
         return BernsteinMeasure(
             density=_cauchy_density(self.alpha, self.scale),
             x_lo=lo,

@@ -1,10 +1,16 @@
 """Adaptive quadrature for improper, endpoint-singular and oscillatory integrals.
 
-The workhorse is a globally adaptive Gauss-Kronrod 7/15 rule.  Semi-infinite
-ranges are folded onto (0, 1) with the rational substitution w = a + u/(1-u).
-Improper Fourier-type integrals with a slowly decaying envelope are summed over
-half-periods of the oscillator and accelerated by iterated averaging of the
-alternating partial sums.
+The workhorse is a globally adaptive Gauss-Kronrod 7/15 rule with QUADPACK's
+error estimate, run on a batch of segments at once: each round bisects the
+worst interval of every segment that has not met its tolerance and evaluates
+all the new halves with one call of the integrand.  Every segment keeps its
+own tolerance, subdivision budget and subdivision sequence, so a batch gives
+the values its segments give one by one.  The panels of a geometric
+partition, the half-periods of an oscillator and the period cells are such
+batches.  Semi-infinite ranges are folded onto (0, 1) with the rational
+substitution w = a + u/(1-u).  Improper Fourier-type integrals with a slowly
+decaying envelope are summed over half-periods of the oscillator and
+accelerated by iterated averaging of the alternating partial sums.
 """
 
 from dataclasses import dataclass
@@ -13,7 +19,12 @@ import math
 
 import numpy as np
 
-from .errors import DivergentTail, OscillationPreconditionError, ToleranceNotMet
+from .errors import (
+    DivergentTail,
+    OscillationPreconditionError,
+    ToleranceNotMet,
+    UnrepresentableError,
+)
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half).
 _XGK = np.array([
@@ -44,6 +55,15 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate((-_XGK[:7], _XGK[::-1][:8]))  # 15 ascending abscissae
+_WK15 = np.concatenate((_WGK[:7], _WGK[::-1]))  # Kronrod weights on _NODES
+_WG15 = np.zeros(15)  # Gauss weights on _NODES, zero on the Kronrod-only nodes
+_WG15[1::2] = np.concatenate((_WG[:3], _WG[::-1]))
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+# cells handed to the engine per batch: the fewest the oscillatory sum
+# accelerates
+_CELL_BATCH = 12
 
 
 @dataclass(frozen=True)
@@ -82,31 +102,38 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-def _kronrod(f, a, b):
-    """One G7/K15 application on [a, b]; returns (value, error, resabs)."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    x = c + h * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
-    if not np.all(np.isfinite(y)):
-        raise ToleranceNotMet(f"integrand not finite inside ({float(a)}, {float(b)})")
-    wk = np.concatenate((_WGK[:7], _WGK[::-1]))
-    resk = h * float(np.dot(wk, y))
-    yg = y[1::2]  # the 7 embedded Gauss nodes
-    wg = np.concatenate((_WG[:3], _WG[::-1]))
-    resg = h * float(np.dot(wg, yg))
-    resabs = h * float(np.dot(wk, np.abs(y)))
-    mean = resk / (b - a)
-    resasc = h * float(np.dot(wk, np.abs(y - mean)))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    eps = np.finfo(float).eps
-    if resabs > np.finfo(float).tiny / (50.0 * eps):
-        err = max(err, 50.0 * eps * resabs)
-    return resk, err, resabs
+def _kronrod_batch(f, lo, hi):
+    """G7/K15 on the k intervals [lo[i], hi[i]] with one call of f.
+
+    f maps the (k, 15) array of nodes to integrand values of that shape.
+    Returns (values, errors), arrays of length k; the error is QUADPACK's
+    resasc/resabs estimate.
+    """
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+    y = f(x)
+    if not np.isfinite(y).all():
+        i = int(np.argmin(np.isfinite(y).all(axis=1)))
+        raise ToleranceNotMet(f"integrand not finite inside ({float(lo[i])}, {float(hi[i])})")
+    resk = h * (y @ _WK15)
+    resg = h * (y @ _WG15)
+    resabs = h * (np.abs(y) @ _WK15)
+    mean = resk / (hi - lo)
+    resasc = h * (np.abs(y - mean[:, None]) @ _WK15)
+    err = np.abs(resk - resg)
+    spread = resasc != 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=spread)
+    err = np.where(spread, resasc * np.minimum(1.0, ratio) ** 1.5, err)
+    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    return resk, np.maximum(err, floor)
+
+
+def _values(f, x):
+    """f on the nodes x in one call, as a float array of x's shape."""
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape != (x.size,):
+        y = np.broadcast_to(y, (x.size,))
+    return y.reshape(x.shape)
 
 
 def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -120,7 +147,8 @@ def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     left_exponent : float, optional
         Hint that f(w) ~ (w - a)**p with p in (-1, 0) near the left endpoint.
         The engine then substitutes w = a + u**(1/(1+p)), which removes the
-        singularity exactly for a pure power.
+        singularity exactly for a pure power.  Where a + u**(1/(1+p)) rounds
+        to a at a node, UnrepresentableError is raised.
 
     Returns
     -------
@@ -128,53 +156,136 @@ def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    if left_exponent is not None and -1.0 < left_exponent < 0.0:
-        p = 1.0 / (1.0 + left_exponent)
-        top = (b - a) ** (1.0 + left_exponent)
-
-        def g(u):
-            s = u ** p
-            return f(a + s) * p * s / u
-
-        return _adapt(g, 0.0, top, cfg)
-    return _adapt(f, a, b, cfg)
+    vals, errs = _adapt(f, [(a, b, left_exponent)], cfg)
+    return vals[0], errs[0]
 
 
-def _adapt(f, a, b, cfg):
-    val, err, _ = _kronrod(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err = val, err
-    history = []
-    for _ in range(cfg.max_subdivisions):
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-            return total_val, total_err
-        neg_err, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at roundoff width
-            heapq.heappush(heap, (0.0, lo, hi, v, e))
-            total_err = sum(item[4] for item in heap)
-            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-                return total_val, total_err
+def _adapt(f, segments, cfg):
+    """Globally adaptive G7/K15 on a batch of segments, one call of f a round.
+
+    ``segments`` lists (a, b, left_exponent) with a < b; a left exponent in
+    (-1, 0) selects integrate_adaptive's endpoint substitution for that
+    segment.  Each segment has its own interval heap, tolerance,
+    ``cfg.max_subdivisions`` budget, roundoff-width branch and DivergentTail
+    history.  A round bisects the worst interval of every open segment and
+    evaluates all the new halves together, so each segment is subdivided as it
+    would be alone.  Returns (values, errors), lists in segment order; the
+    first segment that fails raises.
+    """
+    n = len(segments)
+    origin = np.array([float(a) for a, _, _ in segments])
+    power = np.zeros(n)  # 0 marks a segment without substitution
+    lo, hi = np.empty(n), np.empty(n)
+    for i, (a, b, exponent) in enumerate(segments):
+        if exponent is not None and -1.0 < exponent < 0.0:
+            power[i] = 1.0 / (1.0 + exponent)
+            lo[i], hi[i] = 0.0, (b - a) ** (1.0 + exponent)
+        else:
+            lo[i], hi[i] = a, b
+
+    def integrand(x, rows):
+        # f at the nodes x of intervals of segments `rows`, substituting
+        # w = a + u**p on the segments that have a power p
+        sub = power[rows] > 0.0
+        if not sub.any():
+            return _values(f, x)
+        p, a, u = power[rows[sub], None], origin[rows[sub], None], x[sub]
+        s = u ** p
+        w = x.copy()
+        w[sub] = a + s
+        lost = (w[sub] == a).any(axis=1)
+        if lost.any():
+            k = rows[sub][lost][0]
+            raise UnrepresentableError(
+                f"endpoint substitution underflows for left exponent "
+                f"{segments[k][2]:g}: a + u**{power[k]:g} rounds to a = {origin[k]:g}"
+            )
+        y = _values(f, w).copy()
+        y[sub] = y[sub] * p * s / u
+        return y
+
+    rows = np.arange(n)
+    val, err = _kronrod_batch(lambda x: integrand(x, rows), lo, hi)
+    total_val, total_err = val.tolist(), err.tolist()
+    heaps = [
+        [(-e, a, b, v, e)]
+        for a, b, v, e in zip(lo.tolist(), hi.tolist(), total_val, total_err)
+    ]
+    history = [[] for _ in range(n)]
+    rounds = 0
+    active = list(range(n))
+    while active:
+        still, split = [], []
+        for i in active:
+            if total_err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val[i])):
+                continue
+            if rounds == cfg.max_subdivisions:
+                raise _budget_error(cfg, total_val[i], total_err[i], history[i])
+            still.append(i)
+            _, a, b, v, e = heapq.heappop(heaps[i])
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:  # interval at roundoff width
+                heapq.heappush(heaps[i], (0.0, a, b, v, e))
+                total_err[i] = sum(item[4] for item in heaps[i])
+                continue
+            split.append((i, a, mid, b, v, e))
+        rounds += 1
+        active = still
+        if not split:
             continue
-        v1, e1, _ = _kronrod(f, lo, mid)
-        v2, e2, _ = _kronrod(f, mid, hi)
-        total_val += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        history.append(total_val)
-    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        return total_val, total_err
+        k = len(split)
+        rows = np.array([s[0] for s in split] * 2)
+        los = np.array([s[1] for s in split] + [s[2] for s in split])
+        his = np.array([s[2] for s in split] + [s[3] for s in split])
+        vals, errs = _kronrod_batch(lambda x: integrand(x, rows), los, his)
+        vals, errs = vals.tolist(), errs.tolist()
+        for j, (i, a, mid, b, v, e) in enumerate(split):
+            v1, v2, e1, e2 = vals[j], vals[j + k], errs[j], errs[j + k]
+            total_val[i] += (v1 + v2) - v
+            total_err[i] += (e1 + e2) - e
+            heapq.heappush(heaps[i], (-e1, a, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, mid, b, v2, e2))
+            history[i].append(total_val[i])
+    return total_val, total_err
+
+
+def _budget_error(cfg, value, error, history):
+    """The error of a segment that used up its subdivisions: DivergentTail
+    when its value only grew over the last 16 of them, else ToleranceNotMet."""
     grew = len(history) > 16 and all(
         history[i + 1] >= history[i] for i in range(len(history) - 16, len(history) - 1)
     )
     exc = DivergentTail if grew else ToleranceNotMet
-    raise exc(
+    return exc(
         f"tolerance not met after {cfg.max_subdivisions} subdivisions "
-        f"(value={float(total_val)}, err={float(total_err)})",
-        value=total_val,
-        error=total_err,
+        f"(value={float(value)}, err={float(error)})",
+        value=value,
+        error=error,
     )
+
+
+def _cells(f, head, lo, width, cfg, max_cells):
+    """Integrals of f over the head segments, then over the cells
+    [lo, lo + width), [lo + width, lo + 2 width), ... up to max_cells.
+
+    Yields the head's (value, error) first, then each cell's.  The head and
+    the first _CELL_BATCH cells go to the engine as one batch, later cells
+    _CELL_BATCH at a time, so each adaptive round is one call of f; cells past
+    the prefix a caller accepts are computed and dropped.
+    """
+    segments, done = list(head), 0
+    while head is not None or done < max_cells:
+        k = min(_CELL_BATCH, max_cells - done)
+        for _ in range(k):
+            segments.append((lo, lo + width, None))
+            lo += width
+        vals, errs = _adapt(f, segments, cfg)
+        if head is not None:
+            yield sum(vals[:len(head)]), sum(errs[:len(head)])
+            vals, errs = vals[len(head):], errs[len(head):]
+            head = None
+        yield from zip(vals, errs)
+        segments, done = [], done + k
 
 
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -210,20 +321,19 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
         raise
 
 
+
+
 def _integrate_by_cells(f, a, cfg, left_exponent):
     """Cell-sum with Levin-u acceleration on a period-cell series."""
     period = cfg.oscillation_period
-    head, head_err = integrate_adaptive(
-        f, a, a + period, cfg, left_exponent=left_exponent
-    )
+    sums = _cells(f, [(a, a + period, left_exponent)], a + period, period, cfg,
+                  cfg.max_oscillation_cells)
+    head, head_err = next(sums)
     cells = []
     cell_err = 0.0
-    lo = a + period
-    for _ in range(cfg.max_oscillation_cells):
-        v, e = integrate_adaptive(f, lo, lo + period, cfg)
+    for v, e in sums:
         cells.append(v)
         cell_err += e
-        lo += period
         if len(cells) < 8:
             continue
         est, acc_err = _levin_u(cells)
@@ -296,7 +406,10 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     f is the (non-oscillatory) envelope and must eventually decrease to zero;
     the integral is summed over half-periods of the oscillator and the
     alternating partial sums are accelerated by iterated averaging, so only
-    conditional convergence is required.
+    conditional convergence is required.  The head up to the first zero of
+    the oscillator is a geometric partition refined toward a; the head and
+    the first 12 half-periods are one batch for the adaptive engine, and
+    later half-periods come 12 at a time.
 
     Returns (value, error_estimate).
     """
@@ -325,25 +438,20 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         max_subdivisions=max(60, cfg.max_subdivisions // 10),
     )
 
-    def piece(lo, hi, hint=None):
-        val, err = integrate_adaptive(
-            lambda t: f(t) * osc(wfreq * t), lo, hi, cell_cfg, left_exponent=hint
-        )
-        return val, err
+    def g(t):
+        return f(t) * osc(wfreq * t)
 
-    head, head_err = _head_integral(f, osc, wfreq, a, z, left_exponent, cell_cfg)
+    sums = _cells(g, _geometric_segments(a, z, 8, left_exponent), z, half, cell_cfg,
+                  cfg.max_oscillation_cells)
+    head, head_err = next(sums)
     cells = []
     cell_errs = 0.0
     total = None
     total_err = None
-    lo = z
-    for _ in range(cfg.max_oscillation_cells):
-        hi = lo + half
-        v, e = piece(lo, hi)
+    for v, e in sums:
         cells.append(v)
         cell_errs += e
-        lo = hi
-        if len(cells) < 12:
+        if len(cells) < _CELL_BATCH:
             continue
         est, acc_err = _accelerate(cells)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(head + est))
@@ -370,27 +478,23 @@ def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None, levels=10
     The partition refines toward the left endpoint over ``levels`` orders of
     magnitude, so integrands whose mass sits many decades inside the interval
     (or at a singular left endpoint) are not missed by the first Kronrod pass.
+    All panels are one batch for the adaptive engine; the left exponent
+    applies to the first.
     """
+    vals, errs = _adapt(f, _geometric_segments(a, b, levels, left_exponent), cfg)
+    return sum(vals), sum(errs)
+
+
+def _geometric_segments(a, b, levels, left_exponent):
+    """Engine segments for the panels of [a, b] refined toward a over
+    ``levels`` decades; the left exponent goes with the first panel."""
     width = b - a
     cuts = [a + width * 10.0 ** (-k) for k in range(levels, 0, -1)]
     pts = [a] + [c for c in cuts if c > a] + [b]
-    total_val = 0.0
-    total_err = 0.0
-    for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:])):
-        val, err = integrate_adaptive(
-            f, lo, hi, cfg, left_exponent=left_exponent if i == 0 else None
-        )
-        total_val += val
-        total_err += err
-    return total_val, total_err
-
-
-def _head_integral(f, osc, wfreq, a, z, hint, cfg):
-    """Integral of f * osc over [a, z): the cell up to the first oscillator
-    zero, which can span many orders of magnitude at small frequency."""
-    return integrate_geometric(
-        lambda t: f(t) * osc(wfreq * t), a, z, cfg, left_exponent=hint, levels=8
-    )
+    return [
+        (lo, hi, left_exponent if i == 0 else None)
+        for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:]))
+    ]
 
 
 def _accelerate(cells):

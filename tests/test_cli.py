@@ -358,3 +358,47 @@ def test_help_stays_plain_text():
     code, out, err = run_cli("transform", "--help")
     assert code == 0 and err == ""
     assert out.startswith("usage: gle-spectra transform")
+
+
+def _trapped_config(tmp_path, kernel):
+    doc = json.loads(TRAPPED_DOC)
+    doc["kernel"] = kernel
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "kernel,named",
+    [("powerlaw:0.001", "left exponent -0.999"), ("cauchy:1e-3,1", "left exponent -0.998")],
+)
+def test_equipartition_substitution_underflow_is_typed(kernel, named, tmp_path, capsys):
+    # w = u**(1/(1+p)) rounds to the singular origin at the first Kronrod nodes
+    assert main(["equipartition", "--config", _trapped_config(tmp_path, kernel)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "UnrepresentableError" and named in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command,kernel,alpha",
+    [
+        ("transform", "cauchy:0.01,1", "0.01"),
+        ("transform", "cauchy:0.044,1", "0.044"),
+        ("cm_measure", "powerlaw:0.01", "0.01"),
+        ("cm_measure", "powerlaw:0.96", "0.96"),
+        ("equipartition", "cauchy:0.01,1", "0.01"),
+        ("equipartition", "cauchy:0.044,1", "0.044"),
+    ],
+)
+def test_unrepresentable_measure_cutoff_is_typed(command, kernel, alpha, tmp_path, capsys):
+    # the Laplace-measure cutoff 10**-ceil(14/alpha), or 10**ceil(14/(1-alpha))
+    # for the power law, is not a normal double for these alphas
+    argv = {
+        "transform": ["transform", "--kernel", kernel, "--omega", "1"],
+        "cm_measure": ["transform", "--kernel", kernel, "--omega", "1", "--route", "cm_measure"],
+        "equipartition": ["equipartition", "--config", _trapped_config(tmp_path, kernel)],
+    }[command]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "UnrepresentableError"
+    assert f"alpha = {alpha} " in err["message"]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from gle_spectra import (
     var_v0,
     var_x0,
 )
+from gle_spectra import moments
+from gle_spectra.cli import parse_config
 from conftest import free_ctx, trapped_ctx
+
+CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
 
 
 def test_var_x0_equipartition_value():
@@ -180,3 +185,21 @@ def test_exponent_monotone_in_alpha():
         fitted.append(fit.exponent)
         assert fit.exponent == pytest.approx(2.0 - alpha, abs=0.05)
     assert fitted[0] > fitted[1] > fitted[2]
+
+
+@pytest.mark.parametrize("fn,budget", [(msd_x, 20), (msd_v, 15)])
+def test_msd_r11_call_budget(fn, budget, monkeypatch):
+    # each adaptive round over all panels and oscillation cells is one r11
+    # call, so an MSD point costs a handful of calls, not one per interval
+    ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text()).ctx()
+    calls = []
+    r11_alone = moments.r11
+
+    def counted(c, w):
+        calls.append(np.size(w))
+        return r11_alone(c, w)
+
+    monkeypatch.setattr(moments, "r11", counted)
+    moments._r11_integral.cache_clear()
+    fn(ctx, 100.0)
+    assert 0 < len(calls) <= budget

@@ -7,10 +7,13 @@ from gle_spectra import (
     DivergentTail,
     QuadConfig,
     ToleranceNotMet,
+    UnrepresentableError,
     integrate_adaptive,
+    integrate_geometric,
     integrate_oscillatory,
     integrate_to_infinity,
 )
+from gle_spectra.quad import _adapt
 
 OSC_CFG = QuadConfig(oscillation_mode="split_at_zeros")
 
@@ -134,3 +137,72 @@ def test_error_messages_print_plain_floats(call):
     with pytest.raises((ToleranceNotMet, DivergentTail)) as ei:
         call()
     assert "np.float64" not in str(ei.value)
+
+
+def test_substitution_underflow_is_unrepresentable():
+    # u**1000 underflows at the first Kronrod nodes, so w = 0 + u**1000 would
+    # hit the singular endpoint
+    seen = []
+
+    def f(x):
+        seen.append(x.min())
+        return x ** -0.999
+
+    with pytest.raises(UnrepresentableError, match="-0.999"):
+        integrate_adaptive(f, 0.0, 1.0, left_exponent=-0.999)
+    assert seen == []
+
+
+def test_geometric_equals_panels_integrated_alone():
+    f = lambda x: x ** -0.7 * np.exp(-x) * np.cos(3.0 * x)
+    a, b = 0.0, 5.0
+    pts = [a] + [a + (b - a) * 10.0 ** -k for k in range(10, 0, -1)] + [b]
+    alone = [
+        integrate_adaptive(f, lo, hi, left_exponent=-0.7 if i == 0 else None)
+        for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:]))
+    ]
+    val, err = integrate_geometric(f, a, b, left_exponent=-0.7)
+    assert val == pytest.approx(sum(v for v, _ in alone), rel=1e-14)
+    assert err == pytest.approx(sum(e for _, e in alone), rel=1e-6)
+
+
+def test_segment_budget_is_its_own():
+    # the smooth segment converges at once; the rough one exhausts its four
+    # subdivisions and raises with its own estimate, as it does alone
+    f = lambda x: np.where(x < 1.0, 1.0 + x, np.exp(np.sin(40.0 * x)) * np.abs(x - 1.0) ** -0.49)
+    cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=4)
+    with pytest.raises(ToleranceNotMet) as alone:
+        integrate_adaptive(f, 1.0, 2.0, cfg)
+    with pytest.raises(ToleranceNotMet) as batch:
+        _adapt(f, [(0.0, 1.0, None), (1.0, 2.0, None)], cfg)
+    assert batch.value.value == alone.value.value
+    assert batch.value.error == alone.value.error
+
+
+def test_segment_divergent_tail_in_batch():
+    cfg = QuadConfig(max_subdivisions=50)
+    with pytest.raises(DivergentTail):
+        _adapt(lambda x: 1.0 / x, [(1.0, 2.0, None), (0.0, 1.0, None)], cfg)
+
+
+def test_nan_names_its_segment():
+    f = lambda x: np.where(x > 2.0, np.nan, 1.0)
+    with pytest.raises(ToleranceNotMet) as ei:
+        _adapt(f, [(0.0, 1.0, None), (1.0, 2.0, None), (2.0, 3.0, None)], QuadConfig())
+    lo, hi = map(float, str(ei.value).split("(")[1].rstrip(")").split(","))
+    assert 2.0 <= lo < hi <= 3.0
+
+
+def test_oscillatory_head_and_first_cells_share_one_call():
+    sizes = []
+
+    def env(t):
+        sizes.append(t.size)
+        return np.exp(-t)
+
+    val, _ = integrate_oscillatory(env, 1.0, "cos", 0.0)
+    assert val == pytest.approx(0.5, rel=1e-10)
+    # sizes[0] is the envelope-decay probe; the head over [0, pi/2) is nine
+    # geometric panels, then come twelve half-periods, fifteen nodes each.
+    # Every segment meets its tolerance on that first pass.
+    assert sizes == [5, (9 + 12) * 15]
