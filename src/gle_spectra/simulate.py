@@ -14,9 +14,11 @@ rates and nonnegative-least-squares weights.
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
 from the spectral densities: independent Gaussian amplitudes on frequency
 cells, weighted by the rank-one factorization of the 2x2 cross-spectral
-matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid: the cells of
-equal width are summed there by a chirp-z transform, the others directly,
-in blocks of paths and times, so memory does not grow with cells x times.
+matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid: every cell
+is summed there by one chirp-z transform per block of paths, the cells of
+equal width from the nodes of its frequency grid and the others spread onto
+those nodes by local interpolation, so memory does not grow with
+cells x times.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ import warnings
 import numpy as np
 from scipy import fft as sp_fft
 from scipy import linalg
+from scipy import sparse
 from scipy.optimize import nnls
 
 from .errors import PronyAccuracyError, SamplingGridError, SdeError
@@ -375,14 +378,15 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     ``t_grid`` must be a non-empty arithmetic progression (to rounding);
     other time grids raise SamplingGridError.
 
-    The amplitudes come from one Philox stream keyed by ``seed``: the real
-    parts of every path and cell (path-major), then the imaginary parts.
-    They are drawn and summed in blocks of paths.  The trailing run of
-    equal-width cells is summed over the uniform time grid by a chirp-z
-    transform; the K_d cells before it by direct products, a block of times
-    at a time.  With K cells and N times the cost is
-    O(n_paths (K + N) log(K + N) + n_paths K_d N) and the memory
-    O(block K + n_paths N), the block sizes set by a fixed byte budget.
+    The amplitudes come from two Philox streams: the real parts of every path
+    and cell (path-major) from the one keyed by ``seed``, the imaginary parts
+    from the same key jumped by 2^128 draws.  They are drawn and summed in
+    blocks of paths, every cell by one chirp-z transform over a uniform
+    frequency grid (see ``_ChirpZ``): the K_u trailing cells of equal width
+    sit on its nodes, the K_d cells before them are spread onto q nodes each.
+    With N times the cost is O(n_paths ((K_u + N) log(K_u + N) + K_d q)) and
+    the memory O(block K + n_paths N), the block size set by a fixed byte
+    budget.
     """
     edges = np.asarray(omega_grid, dtype=float)
     if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0) or edges[0] < 0:
@@ -401,35 +405,19 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     dens = r11(ctx, mids)
     # sqrt(2) folds the real part of the complex amplitude sum into sigma
     sigma = np.sqrt(ctx.params.kbt / math.pi * dens * widths)
-    k0 = _equal_width_start(mids, widths)
-    chirp = _ChirpZ(mids[k0:], sigma[k0:], t) if k0 < mids.size else None
+    chirp = _ChirpZ(mids, sigma, t, _equal_width_start(mids, widths))
 
     data = np.zeros((n_paths, t.size, 2))
-    x, v = data[:, :, 0], data[:, :, 1]
-    block = max(1, _BLOCK_BYTES // (16 * mids.size + (chirp.bytes_per_path if chirp else 0)))
-    # the direct cells gather many draw blocks, so that each of their
-    # trigonometric rows serves many paths
-    big_block = max(block, _BLOCK_BYTES // (16 * max(k0, 1)))
-    amps = np.empty((min(big_block, n_paths), 2 * k0))
+    block = max(1, _BLOCK_BYTES // (16 * mids.size + chirp.bytes_per_path))
     xi_rng = np.random.Generator(np.random.Philox(key=seed))
-    eta_rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = np.empty((min(block, n_paths), mids.size))
-    eta = np.empty_like(xi)
-    for start in range(0, n_paths, block):  # move eta_rng past every xi
-        eta_rng.standard_normal(out=eta[: min(block, n_paths - start)])
-    for outer in range(0, n_paths, big_block):
-        paths = slice(outer, min(outer + big_block, n_paths))
-        for start in range(paths.start, paths.stop, block):
-            stop = min(start + block, paths.stop)
-            rows = slice(0, stop - start)
-            xi_rng.standard_normal(out=xi[rows])
-            eta_rng.standard_normal(out=eta[rows])
-            amps[start - outer : stop - outer, :k0] = sigma[:k0] * xi[rows, :k0]
-            amps[start - outer : stop - outer, k0:] = sigma[:k0] * eta[rows, :k0]
-            if chirp is not None:
-                x[start:stop], v[start:stop] = chirp(xi[rows, k0:], eta[rows, k0:])
-        if k0:
-            _add_direct_sums(amps[: paths.stop - outer], mids[:k0], t, x[paths], v[paths])
+    eta_rng = np.random.Generator(np.random.Philox(key=seed).jumped())
+    draws = np.empty((2 * min(block, n_paths), mids.size))
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        rows = stop - start
+        xi_rng.standard_normal(out=draws[:rows])
+        eta_rng.standard_normal(out=draws[rows : 2 * rows])
+        data[start:stop, :, 0], data[start:stop, :, 1] = chirp(draws[: 2 * rows])
     return Ensemble(
         times=t,
         data=data,
@@ -461,79 +449,133 @@ def _equal_width_start(mids, widths):
     return start
 
 
+def _node_count(theta):
+    """Smallest even q whose Lagrange remainder bound for exp(i w t) on q
+    nodes h apart, theta^q/q! max prod_j |u - j| (theta = h t_span, u in the
+    middle gap), is at most 2^-53."""
+    q, bound = 2, theta * theta / 8.0
+    while bound > 2.0**-53:
+        bound *= theta * theta * (q + 1) / (4.0 * (q + 2))
+        q += 2
+    return q
+
+
 class _ChirpZ:
     """x and v sums of the amplitudes a_k = sigma_k (xi_k - i eta_k) over
-    cells with uniform midpoints w_k = w_0 + k dw, at times t_j = t_0 + j dt:
+    cells w_k at times t_j = t_0 + j dt:
 
         x_j = Re sum_k a_k exp(i w_k t_j),   v_j = -Im sum_k w_k a_k exp(i w_k t_j).
 
-    Bluestein's identity kj = (k^2 + j^2 - (j - k)^2)/2 turns each sum into
-    a convolution with the chirp exp(-i theta m^2/2), theta = dw dt, done by
-    FFT (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17:86,
-    1969).  dw comes from the end points: one rounded cell width times k
-    would drift from the midpoints by k ulps.
+    Every cell is moved onto one frequency grid nu_m = nu_0 + m h.  The
+    trailing cells of equal width (from ``k0`` on) sit on every s-th node,
+    s = ceil(step t_span / (pi/4)), unless step t_span < pi/8; then, as
+    without such a tail, h = pi/(4 t_span).  Each other cell is spread onto
+    the q nodes around it by Lagrange interpolation of exp(i w t) in w, q from
+    ``_node_count(h t_span)``, as in the type-3 non-uniform FFT of Lee &
+    Greengard (J. Comput. Phys. 206:1, 2005); its v weight carries the cell's
+    own w_k.  The grid extends below the cells as far as their windows need.
+
+    Bluestein's identity mj = (m^2 + j^2 - (j - m)^2)/2 turns the grid sums
+    into a convolution with the chirp exp(-i theta m^2/2), theta = h dt, done
+    by FFT (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17:86,
+    1969).  The tail step comes from its end points: one rounded cell width
+    times k would drift from the midpoints by k ulps.
     """
 
-    def __init__(self, omega, sigma, t):
+    def __init__(self, omega, sigma, t, k0):
         n, n_t = omega.size, t.size
-        d_omega = (omega[-1] - omega[0]) / (n - 1)
-        half_theta = 0.5 * d_omega * _uniform_step(t)
-        k, j, lags = np.arange(n), np.arange(n_t), np.arange(1 - n, n_t)
-        self.size = sp_fft.next_fast_len(n + n_t - 1)
+        t_span = float(np.max(np.abs(t)))
+        step = (omega[-1] - omega[k0]) / (n - 1 - k0) if k0 < n else 0.0
+        stride = 1
+        if step * t_span >= 0.125 * math.pi:
+            # h t_span lands in [pi/8, pi/4]: with cell widths <= pi/t_span
+            # the grid has at most 8 nodes per cell.  The slack keeps a
+            # rounding excess over pi/4 from doubling the grid
+            stride = max(1, math.ceil(step * t_span / (0.25 * math.pi) - 1e-9))
+            h, anchor = step / stride, omega[k0]
+        else:
+            # every cell spread: no equal-width tail, one too fine to carry the
+            # grid, or t = 0, where exp(i w t) = 1 and two nodes hold every cell
+            k0 = n
+            h = 0.25 * math.pi / t_span if t_span > 0 else omega[-1] - omega[0]
+            anchor = omega[0]
+        q = _node_count(h * t_span)
+        # cell k's window: nodes first_k .. first_k + q - 1 counted from the
+        # anchor, with the cell in its middle gap
+        u = (omega[:k0] - anchor) / h
+        first = np.floor(u).astype(int) - (q // 2 - 1)
+        lo = min(0, first.min(initial=0))
+        n_low = first.max() + q - lo if k0 else 0
+        n_nodes = max(n_low, stride * (n - 1 - k0) - lo + 1)
+        gap = (u - first)[:, None] - np.arange(q)
+        # modified Lagrange form prod_i (u - i) b_j / (u - j), exact on a node
+        bary = np.array(
+            [(-1.0) ** (q - 1 - j) / (math.factorial(j) * math.factorial(q - 1 - j)) for j in range(q)]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lagrange = np.prod(gap, axis=1, keepdims=True) * bary / gap
+        lagrange[gap == 0.0] = 1.0
+        spread = sparse.csr_array(
+            ((sigma[:k0, None] * lagrange).ravel(), ((first - lo)[:, None] + np.arange(q)).ravel(),
+             q * np.arange(k0 + 1)),
+            shape=(k0, n_low),
+        )
+        # low nodes x spread cells: x weights (sigma) over v weights (sigma w_k)
+        self.weights = sparse.vstack([spread.T, (spread * omega[:k0, None]).T], format="csr")
+
+        nu_0 = anchor + lo * h
+        half_theta = 0.5 * h * _uniform_step(t)
+        m, j, lags = np.arange(n_nodes), np.arange(n_t), np.arange(1 - n_nodes, n_t)
+        self.size = sp_fft.next_fast_len(n_nodes + n_t - 1)
         chirp = np.zeros(self.size, dtype=complex)
         chirp[lags] = np.exp(-1j * half_theta * lags * lags)
         self.chirp_fft = sp_fft.fft(chirp)
-        pre = sigma * np.exp(1j * (k * d_omega * t[0] + half_theta * k * k))
-        self.weights = (pre, pre * omega)
-        self.post = np.exp(1j * (omega[0] * t + half_theta * j * j))
+        self.pre = np.exp(1j * (m * h * t[0] + half_theta * m * m))
+        self.post = np.exp(1j * (nu_0 * t + half_theta * j * j))
+        self.k0, self.tail_nodes = k0, slice(-lo, -lo + stride * (n - k0), stride)
+        pre = sigma[k0:] * self.pre[self.tail_nodes]
+        self.tail_weights = (pre, pre * omega[k0:])
         # a path's padded x and v rows, two real temporaries, its sums
         self.bytes_per_path = 16 * (2 * self.size + n + 2 * n_t)
 
-    def __call__(self, xi, eta):
-        rows, n = xi.shape
+    def __call__(self, draws):
+        """x and v rows of the paths whose xi rows ``draws`` stacks over
+        their eta rows."""
+        rows, k0 = draws.shape[0] // 2, self.k0
+        xi, eta = draws[:rows, k0:], draws[rows:, k0:]
         spec = np.zeros((2 * rows, self.size), dtype=complex)
-        for half, w in zip((spec[:rows, :n], spec[rows:, :n]), self.weights):
-            half.real = xi * w.real + eta * w.imag
-            half.imag = xi * w.imag - eta * w.real
+        halves = (spec[:rows], spec[rows:])
+        for half, w in zip(halves, self.tail_weights):
+            tail = half[:, self.tail_nodes]
+            tail.real = xi * w.real + eta * w.imag
+            tail.imag = xi * w.imag - eta * w.real
+        # the spread cells: x over v nodes, each with the xi beside the eta paths
+        low = self.weights @ np.ascontiguousarray(draws[:, :k0].T)
+        n_low = low.shape[0] // 2
+        for half, sums in zip(halves, (low[:n_low], low[n_low:])):
+            half[:, :n_low] += (sums[:, :rows] - 1j * sums[:, rows:]).T * self.pre[:n_low]
         spec = sp_fft.fft(spec, overwrite_x=True)
         spec *= self.chirp_fft
         sums = sp_fft.ifft(spec, overwrite_x=True)[:, : self.post.size] * self.post
         return sums[:rows].real, -sums[rows:].imag
 
 
-def _add_direct_sums(amps, mids, t, x, v):
-    """Add the sums of the cells ``mids`` to x and v.  ``amps`` holds A and B,
-    the scaled real and imaginary amplitudes, side by side; one product
-
-        [A B] @ [cos(w t)  -w sin(w t); sin(w t)  w cos(w t)]
-
-    gives x in its left and v in its right half.  The trigonometric rows are
-    computed once per block of times."""
-    c = mids.size
-    step = max(1, _BLOCK_BYTES // (8 * (5 * c + 2 * amps.shape[0])))
-    for lo in range(0, t.size, step):
-        ph = np.outer(mids, t[lo : lo + step])
-        cols = ph.shape[1]
-        trig = np.empty((2 * c, 2 * cols))
-        np.cos(ph, out=trig[:c, :cols])
-        np.sin(ph, out=trig[c:, :cols])
-        np.multiply(trig[c:, :cols], -mids[:, None], out=trig[:c, cols:])
-        np.multiply(trig[:c, :cols], mids[:, None], out=trig[c:, cols:])
-        sums = amps @ trig
-        x[:, lo : lo + cols] += sums[:, :cols]
-        v[:, lo : lo + cols] += sums[:, cols:]
-
-
 def default_spectral_grid(ctx, t_max=0.0, omega_min=1e-6, omega_max=None, n_log=2400):
     """Frequency cell edges adequate for var/cov estimation up to t_max.
 
     Log-spaced cells resolve the near-origin region; above omega = 1 the
-    spacing is capped by the horizon's resolution requirement.
+    spacing is capped by the horizon's resolution requirement.  Past
+    t_max of about 547 the widest log cells would exceed the sampler's
+    pi/t_max bound, so the log cells end before the first of them and the
+    capped step continues from there.
     """
     p = ctx.params
     if omega_max is None:
         omega_max = max(50.0, 10.0 * math.sqrt(p.gamma / p.m) if p.gamma > 0 else 50.0)
     low = np.geomspace(omega_min, 1.0, n_log)
     step = min(0.05, math.pi / (4.0 * t_max)) if t_max > 0 else 0.05
-    high = np.arange(1.0 + step, omega_max + step, step)
+    if t_max > 0:
+        wide = np.flatnonzero(np.diff(low) > math.pi / t_max)
+        low = low[: wide[0] + 1] if wide.size else low
+    high = np.arange(low[-1] + step, omega_max + step, step)
     return np.concatenate([low, high])

@@ -70,10 +70,15 @@ def _measure_nodes(kernel):
 def _cm_pair(kernel, w):
     """Measure route for completely monotone kernels; w > 0 array."""
     x, mw = _measure_nodes(kernel)
-    # one frequencies x nodes matrix, inverted in place, serves both sums
-    inv = np.add.outer(w * w, x * x)
+    # x/(w^2 + x^2) = 1/(x (1 + r^2)) with r = w/x: no square of a node near
+    # the top of the double range.  One frequencies x nodes matrix, inverted
+    # in place, serves both sums.
+    inv = np.multiply.outer(w, 1.0 / x)
+    inv *= inv
+    inv += 1.0
+    inv *= x
     np.reciprocal(inv, out=inv)
-    return inv @ (x * mw), (inv @ mw) * w
+    return inv @ mw, (inv @ (mw / x)) * w
 
 
 def _phi_pair(kernel, w):

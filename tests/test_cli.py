@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 import subprocess
 import sys
@@ -188,6 +189,29 @@ def test_simulate_deterministic_output(tmp_path):
         ]) == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_simulate_spectral_long_horizon(capsys):
+    # the default grid's widest log cell (0.00574) exceeded pi/t_max = 0.00314
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_powerlaw.json"), "--method", "spectral",
+            "--t-max", "1000", "--dt", "1", "--n-paths", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1002
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:-1]])
+    summary = json.loads(lines[-1])
+    assert np.all(np.isfinite(rows))
+    assert np.isfinite([summary["var_x"], summary["var_v"]]).all()
+
+
+def test_cm_measure_near_alpha_one_is_finite(capsys):
+    argv = ["transform", "--kernel", "powerlaw:0.95", "--omega", "1", "--route", "cm_measure"]
+    assert main(argv) == 0
+    _, kcos, ksin, route = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    g = math.gamma(0.05)
+    assert float(kcos) == pytest.approx(g * math.sin(0.475 * math.pi), rel=1e-10)
+    assert float(ksin) == pytest.approx(g * math.cos(0.475 * math.pi), rel=1e-10)
+    assert route == "cm_measure"
 
 
 def test_seventeen_digit_format(cfg_file, capsys):

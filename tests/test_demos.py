@@ -1,4 +1,4 @@
-"""The quadrature-backed demos run to completion."""
+"""The quadrature-backed demos and the Monte Carlo demo run to completion."""
 
 import os
 from pathlib import Path
@@ -12,7 +12,12 @@ ROOT = Path(__file__).parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["02_transforms_three_routes.py", "04_msd_growth_laws.py", "05_equipartition.py"],
+    [
+        "02_transforms_three_routes.py",
+        "04_msd_growth_laws.py",
+        "05_equipartition.py",
+        "06_monte_carlo.py",
+    ],
 )
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

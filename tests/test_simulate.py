@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from gle_spectra import simulate
 from gle_spectra import (
@@ -253,12 +254,12 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
 
 
 def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
-    """The cells x times cos/sin synthesis on the same Philox draws."""
+    """The cells x times cos/sin synthesis on the same Philox draws: xi from
+    the stream keyed by the seed, eta from that key jumped by 2^128 draws."""
     mids = 0.5 * (edges[1:] + edges[:-1])
     sigma = np.sqrt(ctx.params.kbt / (2.0 * math.pi) * r11(ctx, mids) * np.diff(edges))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xi = rng.standard_normal((n_paths, mids.size))
-    eta = rng.standard_normal((n_paths, mids.size))
+    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, mids.size))
+    eta = np.random.Generator(np.random.Philox(key=seed).jumped()).standard_normal((n_paths, mids.size))
     cos_t, sin_t = np.cos(np.outer(mids, t)), np.sin(np.outer(mids, t))
     x = math.sqrt(2.0) * ((xi * sigma) @ cos_t + (eta * sigma) @ sin_t)
     v = math.sqrt(2.0) * ((eta * sigma * mids) @ cos_t - (xi * sigma * mids) @ sin_t)
@@ -267,8 +268,9 @@ def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
 def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
-    # 59 log cells summed directly, 100 equal-width cells by chirp-z; the
-    # small budget splits the 9 paths and the 200 times into several blocks
+    # 59 log cells spread onto the chirp-z grid, 100 equal-width cells on it;
+    # theta_tail = 0.05 * 22.9 = 1.15 > pi/4 puts them on every second node.
+    # The small budget splits the 9 paths into several blocks
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
     ctx = trapped_ctx("powerlaw:0.5")
@@ -282,6 +284,70 @@ def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def _exact_node_edges():
+    # the tail's midpoints step 1/16 from 1.03125; at t_span 22.9 they sit on
+    # every second node, 1/32 apart, and the log cell [0.46875, 0.53125] has
+    # its midpoint 0.5 on the node 17 below the first tail cell
+    assert (0.5 - 1.03125) / (0.0625 / 2) == -17.0
+    return np.concatenate(
+        [np.geomspace(1e-3, 0.46875, 40), np.geomspace(0.53125, 1.0, 8), 1.0 + np.arange(1, 81) / 16]
+    )
+
+
+@pytest.mark.parametrize(
+    "edges, k0",
+    [
+        (np.geomspace(1e-3, 6.0, 500), 499),  # no equal-width tail: every cell spread
+        (_exact_node_edges(), 47),
+        (np.linspace(0.05, 6.0, 120), 0),  # equal widths only: nothing spread
+        # a tail step of 1e-6 would put a million nodes under the log cells;
+        # its three cells are spread like the others
+        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), 299),
+    ],
+    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail"],
+)
+def test_spectral_sampler_grids_match_dense_sum(edges, k0):
+    ctx = trapped_ctx("powerlaw:0.5")
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    assert simulate._equal_width_start(mids, np.diff(edges)) == k0
+    t = 3.0 + 0.1 * np.arange(200)
+    chirp = simulate._ChirpZ(mids, np.ones(mids.size), t, k0)
+    assert chirp.size <= sp_fft.next_fast_len(8 * mids.size + 64 + t.size)
+    ens = spectral_sample(ctx, edges, t, 5, seed=23)
+    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 5, seed=23)
+    for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_spread_node_count():
+    # Lagrange remainder of exp(i w t) below 2^-53 on the default grids (theta
+    # = pi/4), and the two nodes that carry every cell at t = 0
+    assert simulate._node_count(math.pi / 4) == 38
+    assert simulate._node_count(0.0) == 2
+
+
+@pytest.mark.parametrize("t_max", [0.0, 100.0, 200.0, 500.0])
+def test_default_grid_unchanged_to_t_max_500(t_max):
+    ctx = trapped_ctx("rouse:1")
+    step = min(0.05, math.pi / (4.0 * t_max)) if t_max else 0.05
+    old = np.concatenate([np.geomspace(1e-6, 1.0, 2400), np.arange(1.0 + step, 50.0 + step, step)])
+    assert np.array_equal(default_spectral_grid(ctx, t_max=t_max), old)
+
+
+def test_default_grid_reaches_long_horizons():
+    # the widest log cell (0.00574) passes pi/t_max beyond t_max ~ 547; the
+    # capped step takes over where it would
+    ctx = trapped_ctx("rouse:1")
+    for t_max in (1000.0, 1e4):
+        edges = default_spectral_grid(ctx, t_max=t_max)
+        widths = np.diff(edges)
+        assert widths.max() <= math.pi / t_max
+        assert edges[0] == 1e-6 and edges[-1] >= 50.0
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        k0 = simulate._equal_width_start(mids, widths)
+        assert widths[k0:].max() == pytest.approx(math.pi / (4.0 * t_max), rel=1e-9)
+
+
 def test_spectral_sampler_needs_uniform_times():
     ctx = trapped_ctx("rouse:1")
     with pytest.raises(SamplingGridError):
@@ -289,7 +355,8 @@ def test_spectral_sampler_needs_uniform_times():
 
 
 def test_spectral_sampler_memory_bounded():
-    # the cells x times cos/sin matrices of a dense synthesis trace 875 MiB here
+    # the cells x times cos/sin matrices of a dense synthesis trace 875 MiB
+    # here, direct sums of the log cells 98 MiB, this sampler 48 MiB
     ctx = trapped_ctx("rouse:1")
     grid = default_spectral_grid(ctx, t_max=200.0)
     t = np.arange(0.0, 200.0 + 0.1, 0.1)
@@ -299,7 +366,7 @@ def test_spectral_sampler_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2**20
+    assert peak < 72 * 2**20
 
 
 def test_cli_import_skips_scipy_signal():

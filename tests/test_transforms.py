@@ -102,6 +102,18 @@ def test_route_consistency_cm(spec):
         assert a.ksin == pytest.approx(b.ksin, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.93, 0.95])
+def test_cm_measure_matches_closed_form_near_alpha_one(alpha):
+    # the measure's top node, 10**ceil(14/(1-alpha)), is 1e280 at alpha 0.95:
+    # its square overflows
+    k = PowerLaw(alpha)
+    w = np.geomspace(1e-3, 1e3, 13)
+    got = kcos_ksin_grid(k, w, route="cm_measure")
+    want = kcos_ksin_grid(k, w, route="closed_form")
+    for g, e in zip(got, want):
+        np.testing.assert_allclose(g, e, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("spec", PHI_PRESETS)
 def test_route_consistency_phi(spec):
     # at large w these cosine transforms fall below the oscillatory engine's
