@@ -37,8 +37,8 @@ from .simulate import (
     simulate_paths,
     spectral_sample,
 )
-from .spectra import SpectralDensityCtx, r11, r22
-from .transforms import available_routes, kcos_ksin_grid, transform
+from .spectra import SpectralDensityCtx, r22, trapped_densities
+from .transforms import kcos_ksin_grid, transform
 
 
 def _fmt(x):
@@ -194,7 +194,7 @@ def _cmd_kernel(args):
 def _cmd_transform(args):
     kernel = parse_kernel_spec(args.kernel)
     omegas = _parse_grid(args.omega)
-    route = args.route or available_routes(kernel)[0]
+    route = args.route or kernel.routes[0]
     kcos, ksin = np.zeros(omegas.shape), np.zeros(omegas.shape)
     routes = np.full(omegas.shape, route, dtype=object)
     # the origin keeps the scalar path: its value is the kernel integral
@@ -213,12 +213,7 @@ def _cmd_spectrum(args):
     ctx = cfg.ctx()
     omegas = _parse_grid(args.grid)
     if ctx.params.trapped:
-        header = "omega,r11,r22,im_r12"
-        dens = r11(ctx, omegas)
-        # r22 = w^2 r11 and Im r12 = w r11, exactly 0 at the origin
-        r22_col = np.where(omegas == 0.0, 0.0, omegas * omegas * dens)
-        r12_col = np.where(omegas == 0.0, 0.0, omegas * dens)
-        columns = (omegas, dens, r22_col, r12_col)
+        header, columns = "omega,r11,r22,im_r12", (omegas, *trapped_densities(ctx, omegas))
     else:
         header, columns = "omega,r22", (omegas, r22(ctx, omegas))
     _emit_csv(header, columns, args.output)
@@ -278,6 +273,9 @@ def _cmd_fit_exponent(args):
 def _cmd_simulate(args):
     if args.n_paths < 2:
         raise ValueError("--n-paths must be >= 2 for ensemble statistics")
+    for name, value in (("--dt", args.dt), ("--t-max", args.t_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0")
     if args.dt > args.t_max:
         raise ValueError("--dt must not exceed --t-max")
     cfg = parse_config(_read(args.config))

@@ -6,6 +6,8 @@ generalized Langevin equation.  Completely monotone presets (and presets of
 the form phi(t^2) with phi completely monotone) expose their representing
 measure mu with K(t) = Int exp(-t x) mu(dx), either as a finite list of atoms
 or as a density discretized by Gauss-Legendre panels on log-spaced intervals.
+Each kernel class declares the transform routes it supports, its default
+first; the routes themselves live in the transforms module.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,16 @@ import numpy as np
 from scipy import special
 
 from .errors import KernelDomainError, NoBernsteinRepresentation, UnrepresentableError
+
+# Transform routes (see the transforms module): explicit formulas, the Laplace
+# measure of a completely monotone kernel, the Faddeeva form of a phi(t^2)
+# kernel's measure, and direct oscillatory quadrature.
+ROUTE_CLOSED = "closed_form"
+ROUTE_CM = "cm_measure"
+ROUTE_PHI = "phi_t2_faddeeva"
+ROUTE_NUMERIC = "numeric"
+_CM_ROUTES = (ROUTE_CLOSED, ROUTE_CM, ROUTE_NUMERIC)
+_PHI_ROUTES = (ROUTE_PHI, ROUTE_NUMERIC)
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,19 @@ def _cutoff(decades, kernel, alpha):
 
 
 class MemoryKernel:
-    """Base class for memory kernels; subclasses are immutable presets."""
+    """Base class for memory kernels; subclasses are immutable presets.
+
+    ``routes`` lists the transform routes the kernel supports, its default
+    first.  ``closed_pair``, where a class defines it, maps an array of
+    frequencies w > 0 to the closed-form (Kcos, Ksin); a kernel with the
+    closed_form route and no closed_pair is a finite atom sum, whose closed
+    form is its measure's.  ``origin_exponent`` is p where K(t) ~ t**p with p
+    in (-1, 0) at the origin, else None.
+    """
+
+    routes = (ROUTE_NUMERIC,)
+    closed_pair = None
+    origin_exponent = None
 
     def eval(self, t):
         raise NotImplementedError
@@ -189,10 +213,22 @@ class PowerLaw(MemoryKernel):
     """K(t) = |t|^-alpha, alpha in (0, 1).  Completely monotone; K(0) = oo."""
 
     alpha: float
+    routes = _CM_ROUTES
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("powerlaw alpha must lie in (0, 1)")
+
+    @property
+    def origin_exponent(self):
+        return -self.alpha
+
+    def closed_pair(self, w):
+        """Gamma(1 - alpha) w^(alpha-1) (sin, cos)(pi alpha/2)."""
+        a = self.alpha
+        g = special.gamma(1.0 - a)
+        scale = w ** (a - 1.0)
+        return g * math.sin(0.5 * math.pi * a) * scale, g * math.cos(0.5 * math.pi * a) * scale
 
     def eval(self, t):
         at = _abs_t(t)
@@ -237,6 +273,7 @@ class GeneralizedRouse(MemoryKernel):
     """K(t) = (1/N) sum_n exp(-|t|/tau_n) over relaxation times tau_n > 0."""
 
     taus: tuple
+    routes = _CM_ROUTES
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
@@ -270,6 +307,7 @@ class ExpMixture(MemoryKernel):
     """K(t) = sum_j w_j exp(-x_j |t|) given directly by a measure's atoms."""
 
     measure: BernsteinMeasure
+    routes = _CM_ROUTES
 
     def __post_init__(self):
         if self.measure.measure_of != "kernel":
@@ -298,6 +336,7 @@ class Gaussian(MemoryKernel):
     """K(t) = exp(-scale * t^2); phi(t^2) with phi(s) = exp(-scale * s)."""
 
     scale: float
+    routes = _PHI_ROUTES
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -329,6 +368,7 @@ class Cauchy(MemoryKernel):
 
     alpha: float
     scale: float = 1.0
+    routes = _PHI_ROUTES
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -389,6 +429,14 @@ def _cauchy_density(alpha, scale):
 @dataclass(frozen=True, repr=False)
 class OnePlusTInverse(MemoryKernel):
     """K(t) = 1/(1 + |t|): completely monotone with the critical 1/t tail."""
+
+    routes = _CM_ROUTES
+
+    def closed_pair(self, w):
+        """The pair in the sine and cosine integrals Si(w), Ci(w)."""
+        si, ci = special.sici(w)
+        rest = 0.5 * math.pi - si
+        return np.sin(w) * rest - np.cos(w) * ci, np.cos(w) * rest + np.sin(w) * ci
 
     def eval(self, t):
         return 1.0 / (1.0 + _abs_t(t))

@@ -6,11 +6,13 @@ worst interval of every segment that has not met its tolerance and evaluates
 all the new halves with one call of the integrand.  Every segment keeps its
 own tolerance, subdivision budget and subdivision sequence, so a batch gives
 the values its segments give one by one.  The panels of a geometric
-partition, the half-periods of an oscillator and the period cells are such
-batches.  Semi-infinite ranges are folded onto (0, 1) with the rational
-substitution w = a + u/(1-u).  Improper Fourier-type integrals with a slowly
-decaying envelope are summed over half-periods of the oscillator and
-accelerated by iterated averaging of the alternating partial sums.
+partition and the half-periods of an oscillator are such batches.
+Semi-infinite ranges are folded onto (0, 1) with the rational substitution
+w = a + u/(1-u).  Improper Fourier-type integrals with a slowly decaying
+envelope are summed over half-periods of the oscillator and accelerated by
+iterated averaging of the alternating partial sums.  Integrands that decay
+only in oscillatory mean, such as (1 - cos u)/u^2, are split by the caller
+into an oscillatory part and an absolutely integrable rest.
 """
 
 from dataclasses import dataclass
@@ -73,30 +75,20 @@ class QuadConfig:
     ``rel_tol``/``abs_tol`` bound the admissible error as
     max(abs_tol, rel_tol*|value|).  ``max_subdivisions`` caps the number of
     interval bisections; ``max_oscillation_cells`` caps the number of
-    half-period cells summed before acceleration must have converged.
-
-    ``oscillation_mode`` = "split_at_zeros" makes integrate_to_infinity sum
-    the integrand over cells of length ``oscillation_period`` and accelerate
-    the partial sums, for integrands that decay only in oscillatory mean
-    (e.g. (1 - cos u)/u^2).
+    half-period cells integrate_oscillatory sums before acceleration must
+    have converged.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
     max_oscillation_cells: int = 400
-    oscillation_mode: str = "none"
-    oscillation_period: float = 2.0 * math.pi
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.oscillation_mode not in ("none", "split_at_zeros"):
-            raise ValueError("oscillation_mode must be 'none' or 'split_at_zeros'")
-        if self.oscillation_period <= 0:
-            raise ValueError("oscillation_period must be positive")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -291,16 +283,12 @@ def _cells(f, head, lo, width, cfg, max_cells):
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
-    The substitution w = a + u/(1-u) maps the range onto (0, 1).  With
-    cfg.oscillation_mode = "split_at_zeros" the range beyond a short head is
-    instead summed over cells of cfg.oscillation_period and the partial sums
-    are accelerated, which handles integrands decaying only in oscillatory
-    mean.  A clearly sub-integrable tail (measured decay exponent <= 1)
-    raises DivergentTail.
+    The substitution w = a + u/(1-u) maps the range onto (0, 1).  A clearly
+    sub-integrable tail (measured decay exponent <= 1) raises DivergentTail.
+    An integrand that decays only in oscillatory mean is out of reach: split
+    it, as moments.msd_x does, into an integrate_oscillatory part and an
+    absolutely integrable rest.
     """
-    if cfg.oscillation_mode == "split_at_zeros":
-        return _integrate_by_cells(f, a, cfg, left_exponent)
-
     u_cap = np.nextafter(1.0, 0.0)  # keep the mapped abscissa finite
 
     def g(u):
@@ -320,70 +308,6 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
             ) from exc
         raise
 
-
-
-
-def _integrate_by_cells(f, a, cfg, left_exponent):
-    """Cell-sum with Levin-u acceleration on a period-cell series."""
-    period = cfg.oscillation_period
-    sums = _cells(f, [(a, a + period, left_exponent)], a + period, period, cfg,
-                  cfg.max_oscillation_cells)
-    head, head_err = next(sums)
-    cells = []
-    cell_err = 0.0
-    for v, e in sums:
-        cells.append(v)
-        cell_err += e
-        if len(cells) < 8:
-            continue
-        est, acc_err = _levin_u(cells)
-        if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(head + est)):
-            return head + est, head_err + cell_err + acc_err
-    est, acc_err = _levin_u(cells)
-    if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(head + est)):
-        return head + est, head_err + cell_err + acc_err
-    raise ToleranceNotMet(
-        f"tolerance not met in cell sum (value={float(head + est)}, err={float(acc_err)})",
-        value=head + est,
-        error=acc_err,
-    )
-
-
-def _levin_u(terms):
-    """Levin u-transform of a term series; returns (sum estimate, error).
-
-    Handles both alternating and smoothly decaying positive cell series,
-    which is what period-cell splitting produces.
-    """
-    terms = np.asarray(terms, dtype=float)
-    if np.any(terms == 0.0):
-        nz = np.nonzero(terms)[0]
-        if nz.size == 0:
-            return 0.0, 0.0
-        keep = nz[-1] + 1
-        if keep < 3:
-            return float(terms.sum()), 0.0
-        terms = terms[:keep]
-    sums = np.cumsum(terms)
-    beta = 1.0
-    j = np.arange(len(terms), dtype=float)
-    omega = (beta + j) * terms
-    num = (sums / omega).tolist()
-    den = (1.0 / omega).tolist()
-    candidates = [sums[-1]]
-    n = len(terms)
-    for k in range(1, n):
-        for i in range(n - k):
-            c = (beta + i) * (beta + i + k - 1) ** (k - 2) / (beta + i + k) ** (k - 1)
-            num[i] = num[i + 1] - c * num[i]
-            den[i] = den[i + 1] - c * den[i]
-        if abs(den[0]) > 1e-300:
-            candidates.append(num[0] / den[0])
-    diffs = np.abs(np.diff(candidates))
-    if diffs.size == 0:
-        return float(candidates[0]), abs(float(terms[-1]))
-    i = int(np.argmin(diffs))
-    return float(candidates[i + 1]), float(max(diffs[i], 1e-16 * abs(candidates[i + 1])))
 
 
 def _tail_exponent(f, a):

@@ -1,18 +1,20 @@
 """Spectral densities of the stationary Langevin solution.
 
-With Kc = Kcos(w) and Ks = Ksin(w),
+With Kc = Kcos(w), Ks = Ksin(w), a = lam + beta Kc, b = gamma - m w^2 +
+beta w Ks and B = b/w = gamma/w - m w + beta Ks,
 
-    r11(w) = 2 (lam + beta Kc) / ((gamma - m w^2 + beta w Ks)^2
-                                  + w^2 (lam + beta Kc)^2),
-    r22(w) = w^2 r11(w),      r12(w) = i w r11(w),
+    r11(w) = 2 a / (b^2 + w^2 a^2),
+    r22(w) = w^2 r11(w) = 2 a / (B^2 + a^2),
+    r12(w) = i w r11(w) = 2 i a / (B b + w a^2),
 
 and the spectral measure of (x, v) is kbt/(2 pi) (r_ij) dw.  The position
 density r11 exists only in the trapped case gamma > 0; for the free particle
-the velocity density r22 remains well defined (the w^2 factor cancels
-against the denominator).
+the velocity density r22 remains well defined.  r22 and r12 are evaluated in
+their right-hand forms, with the powers of w divided into the denominator,
+so they stay finite where w^2 r11 would underflow first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -65,61 +67,83 @@ def r11(ctx, omega):
         out[zero] = 2.0 * (p.lam + p.beta * _kcos_at_zero(ctx)) / p.gamma ** 2
     if (~zero).any():
         wn = w[~zero]
-        kc, ks = _pairs(ctx, wn)
-        a = p.lam + p.beta * kc
-        b = p.gamma - p.m * wn ** 2 + p.beta * wn * ks
-        out[~zero] = 2.0 * a / (b * b + wn * wn * a * a)
+        out[~zero] = _r11_at(p, wn, *_pairs(ctx, wn))
     return float(out[0]) if scalar else out
+
+
+def _r11_at(p, w, kc, ks):
+    a = p.lam + p.beta * kc
+    b = p.gamma - p.m * w ** 2 + p.beta * w * ks
+    return 2.0 * a / (b * b + w * w * a * a)
+
+
+def _r22_r12_at(p, w, kc, ks):
+    # r22 and Im r12 in the forms of the module docstring; gamma = 0 gives
+    # the free-particle r22
+    a = p.lam + p.beta * kc
+    b = p.gamma - p.m * w ** 2 + p.beta * w * ks
+    big_b = p.gamma / w - p.m * w + p.beta * ks
+    return 2.0 * a / (big_b * big_b + a * a), 2.0 * a / (big_b * b + w * a * a)
 
 
 def r22(ctx, omega):
     """Velocity spectral density w^2 r11(w); valid for gamma >= 0.
 
-    For gamma = 0 the w^2 factor is cancelled analytically, which keeps the
-    free-particle density finite at the origin for integrable kernels.
+    The w^2 factor is cancelled analytically, which keeps the density finite
+    at large frequency and, for gamma = 0 and integrable kernels, at the
+    origin.
     """
     p = ctx.params
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
     w = np.atleast_1d(omega)
-    if p.trapped:
-        out = np.where(w == 0.0, 0.0, w * w * np.atleast_1d(_r11_nonzero_or_zero(ctx, w)))
-        return float(out[0]) if scalar else out
-    out = np.empty(w.shape)
+    out = np.zeros(w.shape)
     zero = w == 0.0
-    if zero.any():
+    if zero.any() and not p.trapped:
         if kernel_tail_class(ctx.kernel).kind != TailClass.INTEGRABLE:
             raise TransformDomainError(
                 "free-particle velocity density undefined at the origin "
                 "for non-integrable kernels"
             )
-        a0 = p.lam + p.beta * _kcos_at_zero(ctx)
-        out[zero] = 2.0 / a0
+        out[zero] = 2.0 / (p.lam + p.beta * _kcos_at_zero(ctx))
     if (~zero).any():
         wn = w[~zero]
-        kc, ks = _pairs(ctx, wn)
-        a = p.lam + p.beta * kc
-        b = p.m * wn - p.beta * ks
-        out[~zero] = 2.0 * a / (b * b + a * a)
+        out[~zero] = _r22_r12_at(p, wn, *_pairs(ctx, wn))[0]
     return float(out[0]) if scalar else out
-
-
-def _r11_nonzero_or_zero(ctx, w):
-    """r11 on a grid that may contain 0; the zero entries are masked out."""
-    out = np.zeros(w.shape)
-    nz = w != 0.0
-    if nz.any():
-        out[nz] = np.atleast_1d(r11(ctx, w[nz]))
-    return out
 
 
 def r12(ctx, omega):
     """Cross spectral density i w r11(w); purely imaginary, conjugate of r21."""
+    if not ctx.params.trapped:
+        raise TransformDomainError("cross spectral density needs gamma > 0")
     omega = np.asarray(omega, dtype=float)
     scalar = omega.ndim == 0
     w = np.atleast_1d(omega)
-    vals = 1j * w * _r11_nonzero_or_zero(ctx, w)
+    out = np.zeros(w.shape)
+    nz = w != 0.0
+    if nz.any():
+        out[nz] = _r22_r12_at(ctx.params, w[nz], *_pairs(ctx, w[nz]))[1]
+    vals = 1j * out
     return complex(vals[0]) if scalar else vals
+
+
+def trapped_densities(ctx, omega):
+    """(r11, r22, Im r12) of the trapped process on an array of frequencies,
+    from one evaluation of the kernel transforms."""
+    p = ctx.params
+    if not p.trapped:
+        raise TransformDomainError("trapped densities need gamma > 0")
+    w = np.asarray(omega, dtype=float)
+    dens, r22_col, r12_col = np.empty(w.shape), np.zeros(w.shape), np.zeros(w.shape)
+    zero = w == 0.0
+    if zero.any():
+        dens[zero] = r11(ctx, 0.0)
+    if (~zero).any():
+        wn = w[~zero]
+        kc, ks = _pairs(ctx, wn)
+        dens[~zero] = _r11_at(p, wn, kc, ks)
+        r22_col[~zero], r12_col[~zero] = _r22_r12_at(p, wn, kc, ks)
+    return dens, r22_col, r12_col
 
 
 @dataclass(frozen=True)
@@ -163,21 +187,13 @@ def near_zero_asymptote(ctx):
     if tc.kind == TailClass.INTEGRABLE:
         exponent = 0.0
         predicted = 2.0 * (p.lam + p.beta * ab.kcos_constant) / p.gamma ** 2
-        shape = lambda w: 1.0
     elif tc.kind == TailClass.CRITICAL:
         exponent = 0.0
         predicted = 2.0 * p.beta * tc.constant / p.gamma ** 2
-        shape = lambda w: abs(math.log(w))
     else:
         exponent = tc.alpha - 1.0
         predicted = 2.0 * p.beta * ab.kcos_constant / p.gamma ** 2
-        shape = lambda w: w ** exponent
-    rate = r11(ctx, _RATE_PROBE) / shape(_RATE_PROBE)
-    rate_half = r11(ctx, 0.5 * _RATE_PROBE) / shape(0.5 * _RATE_PROBE)
-    return NearZeroAsymptote(
-        kind=tc.kind,
-        exponent=exponent,
-        rate=float(rate),
-        rate_predicted=float(predicted),
-        richardson_drift=float(abs(rate_half / rate - 1.0)),
-    )
+    nz = NearZeroAsymptote(tc.kind, exponent, None, float(predicted), None)
+    rate = r11(ctx, _RATE_PROBE) / nz.shape(_RATE_PROBE)
+    rate_half = r11(ctx, 0.5 * _RATE_PROBE) / nz.shape(0.5 * _RATE_PROBE)
+    return replace(nz, rate=float(rate), richardson_drift=float(abs(rate_half / rate - 1.0)))

@@ -1,9 +1,11 @@
 """Fourier cosine/sine transforms of memory kernels.
 
-Three evaluation routes:
+Four evaluation routes; each kernel class declares in ``routes`` the ones it
+supports, its default first:
 
-* ``closed_form``: explicit formulas (atom sums, power-law via Gamma,
-  1/(1+t) via the sine/cosine integrals);
+* ``closed_form``: explicit formulas, the kernel's ``closed_pair`` (power
+  law via Gamma, 1/(1+t) via the sine/cosine integrals) or, for finite atom
+  sums, the atom sum of the measure;
 * ``cm_measure`` / ``phi_t2_faddeeva``: the Laplace-measure formulas
   Kcos +- i Ksin = Int (x +- i w)/(x^2 + w^2) mu(dx) for completely monotone
   kernels, and (sqrt(pi)/2) Int x^(-1/2) w(+-w/(2 sqrt x)) mu(dx) for
@@ -20,27 +22,18 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import special
 
 from .errorfn import SQRT_PI, dawson, faddeeva
 from .errors import NoBernsteinRepresentation, TransformDomainError
 from .kernels import (
-    Cauchy,
-    ExpMixture,
-    Gaussian,
-    GeneralizedRouse,
-    OnePlusTInverse,
-    PowerLaw,
+    ROUTE_CLOSED,
+    ROUTE_CM,
+    ROUTE_NUMERIC,
     TailClass,
     kernel_eval,
     kernel_tail_class,
 )
 from .quad import DEFAULT_QUAD, integrate_oscillatory, integrate_to_infinity
-
-ROUTE_CLOSED = "closed_form"
-ROUTE_CM = "cm_measure"
-ROUTE_PHI = "phi_t2_faddeeva"
-ROUTE_NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)
@@ -50,16 +43,6 @@ class TransformPair:
     kcos: float
     ksin: float
     route: str
-
-
-def available_routes(kernel):
-    if isinstance(kernel, (GeneralizedRouse, ExpMixture)):
-        return (ROUTE_CLOSED, ROUTE_CM, ROUTE_NUMERIC)
-    if isinstance(kernel, (PowerLaw, OnePlusTInverse)):
-        return (ROUTE_CLOSED, ROUTE_CM, ROUTE_NUMERIC)
-    if isinstance(kernel, (Gaussian, Cauchy)):
-        return (ROUTE_PHI, ROUTE_NUMERIC)
-    return (ROUTE_NUMERIC,)
 
 
 @lru_cache(maxsize=256)
@@ -92,26 +75,19 @@ def _phi_pair(kernel, w):
 
 
 def _closed_pair(kernel, w):
-    if isinstance(kernel, (GeneralizedRouse, ExpMixture)):
+    """Closed form: the kernel's own formula, else its measure's atom sum."""
+    if kernel.closed_pair is None:
         return _cm_pair(kernel, w)
-    if isinstance(kernel, PowerLaw):
-        a = kernel.alpha
-        g = special.gamma(1.0 - a)
-        scale = w ** (a - 1.0)
-        return g * math.sin(0.5 * math.pi * a) * scale, g * math.cos(0.5 * math.pi * a) * scale
-    if isinstance(kernel, OnePlusTInverse):
-        si, ci = special.sici(w)
-        rest = 0.5 * math.pi - si
-        return np.sin(w) * rest - np.cos(w) * ci, np.cos(w) * rest + np.sin(w) * ci
-    raise TransformDomainError(f"no closed form for {kernel!r}")
+    return kernel.closed_pair(w)
 
 
 def _numeric_pair(kernel, w, quad):
-    hint = -kernel.alpha if isinstance(kernel, PowerLaw) else None
     f = lambda t: kernel_eval(kernel, t)
     out = []
     for phase in ("cos", "sin"):
-        val, _ = integrate_oscillatory(f, float(w), phase, 0.0, quad, left_exponent=hint)
+        val, _ = integrate_oscillatory(
+            f, float(w), phase, 0.0, quad, left_exponent=kernel.origin_exponent
+        )
         out.append(val)
     return out[0], out[1]
 
@@ -122,26 +98,30 @@ def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
     if np.any(omegas == 0.0):
         raise TransformDomainError("transform undefined at origin for grid evaluation")
     w = np.abs(omegas)
-    route = route or available_routes(kernel)[0]
-    if route == ROUTE_CLOSED:
-        kcos, ksin = _closed_pair(kernel, w)
-    elif route == ROUTE_CM:
-        measure = kernel.bernstein()
-        if measure.measure_of != "kernel":
-            raise TransformDomainError("cm_measure route needs a completely monotone kernel")
-        kcos, ksin = _cm_pair(kernel, w)
-    elif route == ROUTE_PHI:
-        measure = kernel.bernstein()
-        if measure.measure_of != "phi":
-            raise TransformDomainError("phi_t2_faddeeva route needs a phi(t^2) kernel")
-        kcos, ksin = _phi_pair(kernel, w)
-    elif route == ROUTE_NUMERIC:
+    route = route or kernel.routes[0]
+    if route not in kernel.routes:
+        raise TransformDomainError(
+            f"{kernel!r} has no {route} route; its routes are {', '.join(kernel.routes)}"
+        )
+    if route == ROUTE_NUMERIC:
         pairs = [_numeric_pair(kernel, wi, quad) for wi in np.atleast_1d(w)]
         kcos = np.array([p[0] for p in pairs]).reshape(w.shape)
         ksin = np.array([p[1] for p in pairs]).reshape(w.shape)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    elif route == ROUTE_CLOSED:
+        kcos, ksin = _closed_pair(kernel, w)
+    elif route == ROUTE_CM:
+        kcos, ksin = _cm_pair(kernel, w)
+    else:  # phi_t2_faddeeva
+        kcos, ksin = _phi_pair(kernel, w)
     return kcos, ksin * np.sign(omegas)
+
+
+def _kernel_integral(kernel, quad):
+    """Int_0^oo K of an integrable kernel: its closed form, else quadrature."""
+    total = kernel.integral()
+    if total is None:
+        total, _ = integrate_to_infinity(lambda t: kernel_eval(kernel, t), 0.0, quad)
+    return float(total)
 
 
 def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
@@ -157,11 +137,8 @@ def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
         tc = kernel_tail_class(kernel)
         if tc.kind != TailClass.INTEGRABLE:
             raise TransformDomainError("transform undefined at origin")
-        total = kernel.integral()
-        if total is None:
-            total, _ = integrate_to_infinity(lambda t: kernel_eval(kernel, t), 0.0, quad)
-        return TransformPair(kcos=float(total), ksin=0.0, route=ROUTE_CLOSED)
-    route = route or available_routes(kernel)[0]
+        return TransformPair(kcos=_kernel_integral(kernel, quad), ksin=0.0, route=ROUTE_CLOSED)
+    route = route or kernel.routes[0]
     kcos, ksin = kcos_ksin_grid(kernel, np.array([omega]), route=route, quad=quad)
     return TransformPair(kcos=float(kcos[0]), ksin=float(ksin[0]), route=route)
 
@@ -243,11 +220,9 @@ def abelian_limits(kernel, quad=DEFAULT_QUAD):
     """
     tc = kernel_tail_class(kernel)
     if tc.kind == TailClass.INTEGRABLE:
-        total = kernel.integral()
-        if total is None:
-            total, _ = integrate_to_infinity(lambda t: kernel_eval(kernel, t), 0.0, quad)
         return AbelianAsymptote(
-            kind=tc.kind, kcos_constant=float(total), ksin_constant=0.0, sharp=("kcos",)
+            kind=tc.kind, kcos_constant=_kernel_integral(kernel, quad), ksin_constant=0.0,
+            sharp=("kcos",),
         )
     if tc.kind == TailClass.CRITICAL:
         return AbelianAsymptote(

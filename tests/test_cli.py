@@ -325,6 +325,29 @@ def test_simulate_without_statistics_rejected(extra, capsys):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("method", ["markovian", "spectral"])
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("option", ["--dt", "--t-max"])
+def test_simulate_bad_step_or_horizon_rejected(option, value, method, capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--n-paths", "8",
+            "--method", method, f"{option}={value}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": f"{option} must be finite and > 0"
+    }
+
+
+def test_spectrum_finite_at_huge_frequency(capsys):
+    assert main(["spectrum", "--config", str(CONFIGS / "trapped_rouse.json"),
+                 "--grid", "1e80,1e155,1e300"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    vals = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.isfinite(vals).all() and (vals >= 0.0).all()
+    assert vals[0, 2] == pytest.approx(2e-160, rel=1e-14)
+
+
 def test_trapped_spectrum_evaluates_transforms_once(monkeypatch, capsys):
     import gle_spectra.spectra as spectra
 

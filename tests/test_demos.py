@@ -1,4 +1,4 @@
-"""The quadrature-backed demos and the Monte Carlo demo run to completion."""
+"""Every demo runs to completion."""
 
 import os
 from pathlib import Path
@@ -13,7 +13,9 @@ ROOT = Path(__file__).parent.parent
 @pytest.mark.parametrize(
     "demo",
     [
+        "01_kernels_and_measures.py",
         "02_transforms_three_routes.py",
+        "03_spectral_densities.py",
         "04_msd_growth_laws.py",
         "05_equipartition.py",
         "06_monte_carlo.py",

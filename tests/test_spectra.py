@@ -60,6 +60,20 @@ def test_r22_free_particle():
     assert r22(ctx, 0.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("w", [1e80, 1e155, -1e155, 1e300])
+def test_r22_r12_at_large_frequency(w):
+    # rouse:1, unit couplings, gamma = 2: Kcos ~ 1/w^2 and Ksin ~ 1/w vanish
+    # against lam and m w, so r22 = 2/w^2 and Im r12 = 2/w^3 where those are
+    # normal doubles; w^2 r11 has underflowed to 0 long before
+    ctx = trapped_ctx("rouse:1")
+    v, c = r22(ctx, w), r12(ctx, w).imag
+    assert np.isfinite(v) and v >= 0.0 and np.isfinite(c) and c * w >= 0.0
+    assert v == pytest.approx(2.0 / w / w, rel=1e-14, abs=1e-300)
+    assert c == pytest.approx(2.0 / w / w / w, rel=1e-14, abs=1e-300)
+    if w == 1e80:
+        assert v == pytest.approx(2e-160, rel=1e-14) and r11(ctx, w) == 0.0
+
+
 def test_r22_free_particle_origin_guard():
     with pytest.raises(TransformDomainError):
         r22(free_ctx("powerlaw:0.5"), 0.0)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from gle_spectra import (
+    BernsteinMeasure,
+    ExpMixture,
     Gaussian,
     GeneralizedRouse,
+    MemoryKernel,
     OnePlusTInverse,
     PowerLaw,
+    TailClass,
     TransformDomainError,
     abelian_limits,
     faddeeva,
@@ -131,11 +135,77 @@ def test_route_consistency_phi(spec):
         assert a.ksin == pytest.approx(b.ksin, rel=1e-6)
 
 
+ROUTES = ("closed_form", "cm_measure", "phi_t2_faddeeva", "numeric")
+CM_ROUTES = ("closed_form", "cm_measure", "numeric")
+PHI_ROUTES = ("phi_t2_faddeeva", "numeric")
+# every preset family with the routes it must offer, its default first
+ROUTE_TABLE = [
+    *((parse_kernel_spec(spec), CM_ROUTES) for spec in CM_PRESETS),
+    (ExpMixture(BernsteinMeasure(atoms=((0.5, 1.0), (3.0, 2.0)))), CM_ROUTES),
+    *((parse_kernel_spec(spec), PHI_ROUTES) for spec in PHI_PRESETS + ("cauchy:0.25,1",)),
+]
+
+
 def test_route_mismatch_rejected():
-    with pytest.raises(TransformDomainError):
-        transform(Gaussian(1.0), 1.0, route="cm_measure")
-    with pytest.raises(TransformDomainError):
-        transform(PowerLaw(0.5), 1.0, route="phi_t2_faddeeva")
+    for kernel, routes in ROUTE_TABLE:
+        assert kernel.routes == routes, kernel
+        assert transform(kernel, 2.0).route == routes[0], kernel
+        for route in ROUTES:
+            if route in routes:
+                p = transform(kernel, 1.0, route=route)
+                assert np.isfinite([p.kcos, p.ksin]).all() and p.route == route, (kernel, route)
+            else:
+                with pytest.raises(TransformDomainError):
+                    transform(kernel, 1.0, route=route)
+
+
+# (Kcos, Ksin) of the Gamma closed form at w = 1e-3, 1, 1e3, bit for bit;
+# the default route must not build the Laplace measure, whose cutoffs are
+# not doubles at these alphas
+POWERLAW_CLOSED = {
+    0.01: (
+        ("0x1.d7d706b961e1bp+3", "0x1.02dc1e056e764p-6", "0x1.1c07bfa33a490p-16"),
+        ("0x1.d54f2c6013dc6p+9", "0x1.0178b18dc0ed6p+0", "0x1.1a81c3d6281b5p-10"),
+    ),
+    0.99: (
+        ("0x1.aa1f87891093cp+6", "0x1.8dae67f02fd99p+6", "0x1.732344295fb38p+6"),
+        ("0x1.ac6bc43d61cd3p+0", "0x1.8fd3617e85d57p+0", "0x1.75239970af698p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(POWERLAW_CLOSED))
+def test_powerlaw_closed_form_extreme_alpha(alpha):
+    kcos, ksin = kcos_ksin_grid(PowerLaw(alpha), np.array([1e-3, 1.0, 1e3]))
+    want_cos, want_sin = POWERLAW_CLOSED[alpha]
+    assert [float(v).hex() for v in kcos] == list(want_cos)
+    assert [float(v).hex() for v in ksin] == list(want_sin)
+
+
+class _Triangle(MemoryKernel):
+    """max(0, 1 - |t|): a kernel that declares nothing but its values."""
+
+    def eval(self, t):
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(t, dtype=float)))
+
+    def tail_class(self):
+        return TailClass(TailClass.INTEGRABLE)
+
+    def spec(self):
+        return "triangle"
+
+
+def test_bare_kernel_defaults_to_numeric():
+    k = _Triangle()
+    assert k.routes == ("numeric",)
+    p = transform(k, 2.0)
+    assert p.route == "numeric"
+    # Int_0^1 (1 - t) cos(2t) dt = (1 - cos 2)/4 and Int_0^1 (1 - t) sin(2t) dt = (2 - sin 2)/4
+    assert p.kcos == pytest.approx((1.0 - math.cos(2.0)) / 4.0, rel=1e-8)
+    assert p.ksin == pytest.approx((2.0 - math.sin(2.0)) / 4.0, rel=1e-8)
+    for route in ("closed_form", "cm_measure", "phi_t2_faddeeva"):
+        with pytest.raises(TransformDomainError):
+            transform(k, 2.0, route=route)
 
 
 def test_complex_extension_real_axis_consistency():
