@@ -237,11 +237,16 @@ def _cmd_equipartition(args):
     if cfg.params.kbt == 0.0:
         raise ConfigError("kbt", "must be > 0 for equipartition ratios")
     rep = equipartition_report(cfg.ctx())
+    # RFC 8259 JSON has no NaN or Infinity: a failed quadrature's value or
+    # error is written as null, and its notes say why
     doc = {
-        "gamma_x_ratio": rep.gamma_x_ratio,
-        "m_v_ratio": rep.m_v_ratio,
-        "err_x": rep.err_x,
-        "err_v": rep.err_v,
+        key: value if value is not None and math.isfinite(value) else None
+        for key, value in (
+            ("gamma_x_ratio", rep.gamma_x_ratio),
+            ("m_v_ratio", rep.m_v_ratio),
+            ("err_x", rep.err_x),
+            ("err_v", rep.err_v),
+        )
     }
     if rep.notes:
         doc["notes"] = list(rep.notes)

@@ -165,7 +165,9 @@ class EquipartitionReport:
     """Dimensionless equipartition ratios with quadrature error bars.
 
     gamma_x_ratio = gamma E[x(0)^2]/kbt (None for the free particle) and
-    m_v_ratio = m E[v(0)^2]/kbt; both equal 1 for admissible kernels.
+    m_v_ratio = m E[v(0)^2]/kbt; both equal 1 for admissible kernels.  A
+    ratio whose quadrature failed holds the failed estimate (NaN if there is
+    none) with an infinite error, and the failure is listed in notes.
     """
 
     gamma_x_ratio: float
@@ -186,13 +188,15 @@ def equipartition_report(ctx):
             gx, ex = p.gamma * vx / p.kbt, p.gamma * e / p.kbt
         except QuadratureError as exc:
             notes.append(f"var_x0: {exc}")
-            gx, ex = p.gamma * (exc.value or np.nan) * p.kbt ** -1, np.inf
+            estimate = exc.value if exc.value is not None else np.nan
+            gx, ex = p.gamma * estimate / p.kbt, np.inf
     try:
         vv, e = var_v0(ctx, with_error=True)
         mv, ev = p.m * vv / p.kbt, p.m * e / p.kbt
     except QuadratureError as exc:
         notes.append(f"var_v0: {exc}")
-        mv, ev = p.m * (exc.value or np.nan) / p.kbt, np.inf
+        estimate = exc.value if exc.value is not None else np.nan
+        mv, ev = p.m * estimate / p.kbt, np.inf
     return EquipartitionReport(
         gamma_x_ratio=gx, m_v_ratio=mv, err_x=ex, err_v=ev, notes=tuple(notes)
     )

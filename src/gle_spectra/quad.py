@@ -10,7 +10,9 @@ partition and the half-periods of an oscillator are such batches.
 Semi-infinite ranges are folded onto (0, 1) with the rational substitution
 w = a + u/(1-u).  Improper Fourier-type integrals with a slowly decaying
 envelope are summed over half-periods of the oscillator and accelerated by
-iterated averaging of the alternating partial sums.  Integrands that decay
+iterated averaging of the alternating partial sums: the engine takes 12
+half-periods a round, and the accelerated sum of all the half-periods so far
+is tested against the tolerance once per round.  Integrands that decay
 only in oscillatory mean, such as (1 - cos u)/u^2, are split by the caller
 into an oscillatory part and an absolutely integrable rest.
 """
@@ -63,9 +65,12 @@ _WG15[1::2] = np.concatenate((_WG[:3], _WG[::-1]))
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
-# cells handed to the engine per batch: the fewest the oscillatory sum
-# accelerates
+# half-period cells handed to the engine per round: the fewest the
+# oscillatory sum accelerates; the sum gives up after _MAX_CELLS of them
 _CELL_BATCH = 12
+_MAX_CELLS = 400
+# decades integrate_geometric's partition spans toward the left endpoint
+_GEOMETRIC_LEVELS = 10
 
 
 @dataclass(frozen=True)
@@ -74,15 +79,14 @@ class QuadConfig:
 
     ``rel_tol``/``abs_tol`` bound the admissible error as
     max(abs_tol, rel_tol*|value|).  ``max_subdivisions`` caps the number of
-    interval bisections; ``max_oscillation_cells`` caps the number of
-    half-period cells integrate_oscillatory sums before acceleration must
-    have converged.
+    interval bisections per segment.  integrate_oscillatory applies the
+    tolerances to its accelerated sum once per round of 12 half-period cells,
+    up to a fixed cap of 400 cells.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    max_oscillation_cells: int = 400
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -256,30 +260,6 @@ def _budget_error(cfg, value, error, history):
     )
 
 
-def _cells(f, head, lo, width, cfg, max_cells):
-    """Integrals of f over the head segments, then over the cells
-    [lo, lo + width), [lo + width, lo + 2 width), ... up to max_cells.
-
-    Yields the head's (value, error) first, then each cell's.  The head and
-    the first _CELL_BATCH cells go to the engine as one batch, later cells
-    _CELL_BATCH at a time, so each adaptive round is one call of f; cells past
-    the prefix a caller accepts are computed and dropped.
-    """
-    segments, done = list(head), 0
-    while head is not None or done < max_cells:
-        k = min(_CELL_BATCH, max_cells - done)
-        for _ in range(k):
-            segments.append((lo, lo + width, None))
-            lo += width
-        vals, errs = _adapt(f, segments, cfg)
-        if head is not None:
-            yield sum(vals[:len(head)]), sum(errs[:len(head)])
-            vals, errs = vals[len(head):], errs[len(head):]
-            head = None
-        yield from zip(vals, errs)
-        segments, done = [], done + k
-
-
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
@@ -331,9 +311,11 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     the integral is summed over half-periods of the oscillator and the
     alternating partial sums are accelerated by iterated averaging, so only
     conditional convergence is required.  The head up to the first zero of
-    the oscillator is a geometric partition refined toward a; the head and
-    the first 12 half-periods are one batch for the adaptive engine, and
-    later half-periods come 12 at a time.
+    the oscillator is a geometric partition refined toward a.  Each round
+    hands the engine the next 12 half-periods, the first round with the head,
+    and accelerates every half-period summed so far once; the sum is accepted
+    when that error meets max(abs_tol, rel_tol*|value|), and ToleranceNotMet
+    is raised once 400 half-periods have not met it.
 
     Returns (value, error_estimate).
     """
@@ -354,7 +336,7 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         z = k0 * half
     if z <= a:
         z += half
-    _check_envelope_decay(f, z, half, cfg)
+    _check_envelope_decay(f, z, half)
 
     cell_cfg = QuadConfig(
         rel_tol=min(cfg.rel_tol, 1e-10),
@@ -365,47 +347,42 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     def g(t):
         return f(t) * osc(wfreq * t)
 
-    sums = _cells(g, _geometric_segments(a, z, 8, left_exponent), z, half, cell_cfg,
-                  cfg.max_oscillation_cells)
-    head, head_err = next(sums)
-    cells = []
-    cell_errs = 0.0
-    total = None
-    total_err = None
-    for v, e in sums:
-        cells.append(v)
-        cell_errs += e
-        if len(cells) < _CELL_BATCH:
-            continue
-        est, acc_err = _accelerate(cells)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(head + est))
-        if acc_err <= tol:
-            total, total_err = est, acc_err
-            break
-    if total is None:
+    segments = _geometric_segments(a, z, 8, left_exponent)
+    n_head = len(segments)
+    cells, cell_errs, lo = [], 0.0, z
+    while True:
+        for _ in range(min(_CELL_BATCH, _MAX_CELLS - len(cells))):
+            segments.append((lo, lo + half, None))
+            lo += half
+        vals, errs = _adapt(g, segments, cell_cfg)
+        if n_head:
+            head, head_err = sum(vals[:n_head]), sum(errs[:n_head])
+            vals, errs, n_head = vals[n_head:], errs[n_head:], 0
+        cells += vals
+        cell_errs += sum(errs)
         est, acc_err = _accelerate(cells)
         if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(head + est)):
-            total, total_err = est, acc_err
-        else:
+            return sign * (head + est), acc_err + cell_errs + head_err
+        if len(cells) == _MAX_CELLS:
             raise ToleranceNotMet(
                 "tolerance not met in oscillatory sum "
                 f"(value={float(sign * (head + est))}, err={float(acc_err)})",
                 value=sign * (head + est),
                 error=acc_err,
             )
-    return sign * (head + total), total_err + cell_errs + head_err
+        segments = []
 
 
-def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None, levels=10):
+def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     """Adaptive integral over [a, b] with a geometric initial partition.
 
-    The partition refines toward the left endpoint over ``levels`` orders of
+    The partition refines toward the left endpoint over ten orders of
     magnitude, so integrands whose mass sits many decades inside the interval
     (or at a singular left endpoint) are not missed by the first Kronrod pass.
     All panels are one batch for the adaptive engine; the left exponent
     applies to the first.
     """
-    vals, errs = _adapt(f, _geometric_segments(a, b, levels, left_exponent), cfg)
+    vals, errs = _adapt(f, _geometric_segments(a, b, _GEOMETRIC_LEVELS, left_exponent), cfg)
     return sum(vals), sum(errs)
 
 
@@ -446,7 +423,7 @@ def _accelerate(cells):
     return direct + float(candidates[i + 1]), float(diffs[i])
 
 
-def _check_envelope_decay(f, z, half, cfg):
+def _check_envelope_decay(f, z, half):
     """Probe the envelope far beyond the summation range.
 
     The half-period sums converge to the improper integral only when the
@@ -455,7 +432,7 @@ def _check_envelope_decay(f, z, half, cfg):
     spectral resonance inside the early cells) is tolerated.
     """
     multipliers = (1.0, 4.0, 16.0, 64.0, 256.0)
-    span = cfg.max_oscillation_cells * half
+    span = _MAX_CELLS * half
     pts = np.array([z + m * span for m in multipliers])
     try:
         vals = np.abs(np.asarray(f(pts), dtype=float))

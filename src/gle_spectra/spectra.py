@@ -71,12 +71,16 @@ def r11(ctx, omega):
     return float(out[0]) if scalar else out
 
 
+# at a huge w, w**2 overflows to inf, which gives each density its right
+# limit, 0
+@np.errstate(over="ignore")
 def _r11_at(p, w, kc, ks):
     a = p.lam + p.beta * kc
     b = p.gamma - p.m * w ** 2 + p.beta * w * ks
     return 2.0 * a / (b * b + w * w * a * a)
 
 
+@np.errstate(over="ignore")
 def _r22_r12_at(p, w, kc, ks):
     # r22 and Im r12 in the forms of the module docstring; gamma = 0 gives
     # the free-particle r22

@@ -50,6 +50,9 @@ def _measure_nodes(kernel):
     return kernel.bernstein().nodes()
 
 
+# In the two measure routes a frequency far above the nodes overflows w/x or
+# its square to inf, which gives each term its right limit, 0.
+@np.errstate(over="ignore")
 def _cm_pair(kernel, w):
     """Measure route for completely monotone kernels; w > 0 array."""
     x, mw = _measure_nodes(kernel)
@@ -64,6 +67,7 @@ def _cm_pair(kernel, w):
     return inv @ mw, (inv @ (mw / x)) * w
 
 
+@np.errstate(over="ignore")
 def _phi_pair(kernel, w):
     """Faddeeva route for phi(t^2) kernels; w > 0 array."""
     x, mw = _measure_nodes(kernel)
@@ -92,17 +96,24 @@ def _numeric_pair(kernel, w, quad):
     return out[0], out[1]
 
 
+def _route(kernel, route):
+    """The requested route, or the kernel's default; TransformDomainError if
+    the kernel does not offer it."""
+    route = route or kernel.routes[0]
+    if route not in kernel.routes:
+        raise TransformDomainError(
+            f"{kernel!r} has no {route} route; its routes are {', '.join(kernel.routes)}"
+        )
+    return route
+
+
 def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
     """Vectorized (Kcos, Ksin) over an array of nonzero frequencies."""
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas == 0.0):
         raise TransformDomainError("transform undefined at origin for grid evaluation")
     w = np.abs(omegas)
-    route = route or kernel.routes[0]
-    if route not in kernel.routes:
-        raise TransformDomainError(
-            f"{kernel!r} has no {route} route; its routes are {', '.join(kernel.routes)}"
-        )
+    route = _route(kernel, route)
     if route == ROUTE_NUMERIC:
         pairs = [_numeric_pair(kernel, wi, quad) for wi in np.atleast_1d(w)]
         kcos = np.array([p[0] for p in pairs]).reshape(w.shape)
@@ -127,18 +138,20 @@ def _kernel_integral(kernel, quad):
 def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
     """Cosine/sine transform pair of the kernel at a single frequency.
 
-    At omega = 0 the pair (Int_0^oo K, 0) is returned for integrable kernels
-    and TransformDomainError is raised otherwise.
+    At omega = 0 the pair (Int_0^oo K, 0) is returned for integrable kernels,
+    labelled closed_form whatever route was asked for, and
+    TransformDomainError is raised otherwise.  A route the kernel does not
+    offer raises TransformDomainError at every omega.
     """
     omega = float(omega)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
+    route = _route(kernel, route)
     if omega == 0.0:
         tc = kernel_tail_class(kernel)
         if tc.kind != TailClass.INTEGRABLE:
             raise TransformDomainError("transform undefined at origin")
         return TransformPair(kcos=_kernel_integral(kernel, quad), ksin=0.0, route=ROUTE_CLOSED)
-    route = route or kernel.routes[0]
     kcos, ksin = kcos_ksin_grid(kernel, np.array([omega]), route=route, quad=quad)
     return TransformPair(kcos=float(kcos[0]), ksin=float(ksin[0]), route=route)
 

@@ -449,3 +449,34 @@ def test_unrepresentable_measure_cutoff_is_typed(command, kernel, alpha, tmp_pat
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "UnrepresentableError"
     assert f"alpha = {alpha} " in err["message"]
+
+
+@pytest.mark.parametrize("config", ["trapped_rouse.json", "free_rouse.json"])
+def test_huge_frequency_spectrum_is_quiet(config):
+    code, out, err = run_cli("spectrum", "--config", str(CONFIGS / config), "--grid", "1e155")
+    assert code == 0 and err == ""
+    assert all(float(v) == 0.0 for v in out.splitlines()[1].split(",")[1:])
+
+
+def test_transform_route_checked_at_origin(capsys):
+    argv = ["transform", "--kernel", "gaussian:1", "--omega", "0", "--route", "cm_measure"]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "TransformDomainError"
+    assert main(["transform", "--kernel", "gaussian:1", "--omega", "0"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[1].endswith(",closed_form")
+
+
+def test_equipartition_failure_is_valid_json(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "trapped_powerlaw.json").read_text())
+    doc["quad"] = {"max_subdivisions": 1}
+    cfg = tmp_path / "starved.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["equipartition", "--config", str(cfg)]) == 0
+
+    def reject(name):
+        raise ValueError(f"not RFC 8259 JSON: {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["err_x"] is None and out["err_v"] is None
+    assert [n.split(":")[0] for n in out["notes"]] == ["var_x0", "var_v0"]

@@ -13,6 +13,7 @@ from gle_spectra import (
     integrate_oscillatory,
     integrate_to_infinity,
 )
+from gle_spectra import quad
 from gle_spectra.quad import _adapt
 
 
@@ -204,3 +205,34 @@ def test_oscillatory_head_and_first_cells_share_one_call():
     # geometric panels, then come twelve half-periods, fifteen nodes each.
     # Every segment meets its tolerance on that first pass.
     assert sizes == [5, (9 + 12) * 15]
+
+
+@pytest.fixture
+def accelerated(monkeypatch):
+    """Lengths of the cell lists quad._accelerate is called on."""
+    seen = []
+    accelerate = quad._accelerate
+
+    def counted(cells):
+        seen.append(len(cells))
+        return accelerate(cells)
+
+    monkeypatch.setattr(quad, "_accelerate", counted)
+    return seen
+
+
+def test_oscillatory_accelerates_once_per_batch(accelerated):
+    # t^-1/2 cos t needs several rounds; the averaging table is built once per
+    # round, over every half-period summed so far
+    integrate_oscillatory(lambda t: t ** -0.5, 1.0, "cos", 0.0, left_exponent=-0.5)
+    assert len(accelerated) > 1
+    assert accelerated == [12 * (i + 1) for i in range(len(accelerated))]
+
+
+def test_oscillatory_cell_cap(accelerated):
+    # cos^2 t/(1 + t)^2 has positive half-period cells falling off like 1/k^2,
+    # which averaging does not speed up: the sum gives up at 400 cells
+    with pytest.raises(ToleranceNotMet, match="oscillatory sum") as ei:
+        integrate_oscillatory(lambda t: np.cos(t) / (1.0 + t) ** 2, 1.0, "cos", 0.0)
+    assert accelerated[-2:] == [396, 400]
+    assert np.isfinite(ei.value.value) and np.isfinite(ei.value.error)

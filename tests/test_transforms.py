@@ -275,3 +275,18 @@ def test_abelian_convergence_at_small_frequency(spec):
         assert p.kcos == pytest.approx(kc_pred, rel=1e-2)
     if "ksin" in ab.sharp:
         assert p.ksin == pytest.approx(ks_pred, rel=1e-2)
+
+
+def test_numeric_ksin_matches_faddeeva_route():
+    k = parse_kernel_spec("cauchy:1.44,1.79")
+    numeric = transform(k, 8.7, route="numeric")
+    closed = transform(k, 8.7, route="phi_t2_faddeeva")
+    assert numeric.ksin == pytest.approx(closed.ksin, rel=1e-9)
+
+
+def test_route_checked_at_origin():
+    k = parse_kernel_spec("gaussian:1")
+    with pytest.raises(TransformDomainError, match="cm_measure"):
+        transform(k, 0.0, route="cm_measure")
+    p = transform(k, 0.0, route="phi_t2_faddeeva")
+    assert p.route == "closed_form" and p.kcos == pytest.approx(math.sqrt(math.pi) / 2.0)
