@@ -426,6 +426,14 @@ def _cauchy_density(alpha, scale):
     return _CauchyDensity(alpha, scale)
 
 
+# Above _AUX_SWITCH the asymptotic series of the auxiliary functions,
+# f(w) ~ sum (-1)^k (2k)!/w^(2k+1) and g(w) ~ sum (-1)^k (2k+1)!/w^(2k+2),
+# summed to k = 19 (the smallest term at w = 40), are exact to a few ulp.
+_AUX_SWITCH = 40.0
+_AUX_F = np.array([(-1) ** k * math.factorial(2 * k) for k in range(20)], dtype=float)
+_AUX_G = np.array([(-1) ** k * math.factorial(2 * k + 1) for k in range(20)], dtype=float)
+
+
 @dataclass(frozen=True, repr=False)
 class OnePlusTInverse(MemoryKernel):
     """K(t) = 1/(1 + |t|): completely monotone with the critical 1/t tail."""
@@ -433,10 +441,25 @@ class OnePlusTInverse(MemoryKernel):
     routes = _CM_ROUTES
 
     def closed_pair(self, w):
-        """The pair in the sine and cosine integrals Si(w), Ci(w)."""
-        si, ci = special.sici(w)
+        """The auxiliary functions g(w), f(w) of the sine and cosine integrals.
+
+        Below _AUX_SWITCH they come from Si(w) and Ci(w); above it, where
+        those lose the pair to cancellation, from their asymptotic series in
+        r = 1/w, whose powers underflow to the right limit rather than
+        overflow.
+        """
+        w = np.asarray(w, dtype=float)
+        kcos, ksin = np.empty(w.shape), np.empty(w.shape)
+        near = w < _AUX_SWITCH
+        si, ci = special.sici(w[near])
         rest = 0.5 * math.pi - si
-        return np.sin(w) * rest - np.cos(w) * ci, np.cos(w) * rest + np.sin(w) * ci
+        sin, cos = np.sin(w[near]), np.cos(w[near])
+        kcos[near], ksin[near] = sin * rest - cos * ci, cos * rest + sin * ci
+        r = 1.0 / w[~near]
+        r2 = r * r
+        kcos[~near] = r * (r * np.polynomial.polynomial.polyval(r2, _AUX_G))
+        ksin[~near] = r * np.polynomial.polynomial.polyval(r2, _AUX_F)
+        return kcos, ksin
 
     def eval(self, t):
         return 1.0 / (1.0 + _abs_t(t))

@@ -83,56 +83,84 @@ def var_v0(ctx, with_error=False):
     return (scale * q, scale * e) if with_error else scale * q
 
 
-def _cos_transform_r11(ctx, t):
-    """Int_0^oo cos(t w) r11(w) dw by half-period summation."""
-    val, _ = integrate_oscillatory(
-        lambda w: r11(ctx, w), float(t), "cos", 0.0, ctx.quad,
+def _position_integral(ctx, times):
+    """(values, errors) of E|Int_0^t x ds|^2 at the positive times: one
+    engine run per part for the whole curve, a row per time."""
+    hint = _origin_hint(ctx)
+    u0 = 0.5 * math.pi
+    edge = np.full(times.shape, u0)
+
+    def r11_over_u2(u):
+        # r11 at the frequency u/t of the node's own time, over u^2
+        return r11(ctx, u / times[u.rows]) / (u * u)
+
+    def one_minus_cos_over_u2(u):
+        return 2.0 * np.sin(0.5 * u) ** 2 / (u * u) * r11(ctx, u / times[u.rows])
+
+    head, e_head = integrate_geometric(
+        one_minus_cos_over_u2, np.zeros(times.shape), edge, ctx.quad, left_exponent=hint
+    )
+    flat, e_flat = integrate_to_infinity(r11_over_u2, edge, ctx.quad)
+    osc, e_osc = integrate_oscillatory(
+        r11_over_u2, np.ones(times.shape), "cos", edge, ctx.quad
+    )
+    scale = 2.0 * ctx.params.kbt * times / math.pi
+    return scale * (head + flat - osc), scale * (e_head + e_flat + e_osc)
+
+
+def _velocity_integral(ctx, times):
+    """(values, errors) of E|Int_0^t v ds|^2 at the positive times: one
+    oscillatory engine run for the whole curve, a row per time."""
+    vx, e_vx = var_x0(ctx, with_error=True)
+    c, e_c = integrate_oscillatory(
+        lambda w: r11(ctx, w), times, "cos", 0.0, ctx.quad,
         left_exponent=_origin_hint(ctx),
     )
-    return val
+    scale = ctx.params.kbt / math.pi
+    return 2.0 * (vx - scale * c), 2.0 * (e_vx + scale * e_c)
+
+
+_FREE_PARTICLE = {
+    POSITION_INTEGRAL: "position integral undefined for free particle",
+    VELOCITY_INTEGRAL: (
+        "velocity-integral saturation needs gamma > 0; "
+        "use ensemble estimates for the free particle"
+    ),
+}
+_MSD = {POSITION_INTEGRAL: _position_integral, VELOCITY_INTEGRAL: _velocity_integral}
+
+
+def _msd(ctx, t, quantity):
+    """(t, values, errors) of the MSD of ``quantity`` at the times t, as
+    arrays of t's shape."""
+    if not ctx.params.trapped:
+        raise TransformDomainError(_FREE_PARTICLE[quantity])
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError("t must be >= 0")
+    values, errors = np.zeros(t.shape), np.zeros(t.shape)
+    positive = t > 0.0
+    if positive.any():
+        values[positive], errors[positive] = _MSD[quantity](ctx, t[positive])
+    return t, values, errors
 
 
 def msd_x(ctx, t):
-    """E|Int_0^t x(s) ds|^2 for the trapped process (gamma > 0)."""
-    if not ctx.params.trapped:
-        raise TransformDomainError("position integral undefined for free particle")
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    hint = _origin_hint(ctx)
-    u0 = 0.5 * math.pi
+    """E|Int_0^t x(s) ds|^2 for the trapped process (gamma > 0).
 
-    def one_minus_cos_over_u2(u):
-        return 2.0 * np.sin(0.5 * u) ** 2 / (u * u)
-
-    head, _ = integrate_geometric(
-        lambda u: one_minus_cos_over_u2(u) * r11(ctx, u / t),
-        0.0, u0, ctx.quad, left_exponent=hint,
-    )
-    flat, _ = integrate_to_infinity(lambda u: r11(ctx, u / t) / (u * u), u0, ctx.quad)
-    osc, _ = integrate_oscillatory(
-        lambda u: r11(ctx, u / t) / (u * u), 1.0, "cos", u0, ctx.quad
-    )
-    return (2.0 * ctx.params.kbt * t / math.pi) * (head + flat - osc)
+    An array of times is evaluated as one curve; a scalar gives a float.
+    """
+    t, values, _ = _msd(ctx, t, POSITION_INTEGRAL)
+    return float(values) if t.ndim == 0 else values
 
 
 def msd_v(ctx, t):
-    """E|Int_0^t v(s) ds|^2; saturates at 2 E[x(0)^2] as t grows."""
-    if not ctx.params.trapped:
-        raise TransformDomainError(
-            "velocity-integral saturation needs gamma > 0; "
-            "use ensemble estimates for the free particle"
-        )
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    vx = var_x0(ctx)
-    c = _cos_transform_r11(ctx, t)
-    return 2.0 * (vx - (ctx.params.kbt / math.pi) * c)
+    """E|Int_0^t v(s) ds|^2; saturates at 2 E[x(0)^2] as t grows.
+
+    An array of times is evaluated as one curve; a scalar gives a float.
+    """
+    t, values, _ = _msd(ctx, t, VELOCITY_INTEGRAL)
+    return float(values) if t.ndim == 0 else values
 
 
 def cross_cov(ctx, t, diagnostic=False):
@@ -204,12 +232,18 @@ def equipartition_report(ctx):
 
 @dataclass(frozen=True)
 class MsdCurve:
-    """Tabulated E|Int_0^t (.) ds|^2 on an increasing time grid."""
+    """Tabulated E|Int_0^t (.) ds|^2 on an increasing time grid.
+
+    ``stderr`` is the standard error of a Monte Carlo estimate and ``error``
+    the quadrature error estimate of a computed curve, each per point and in
+    the units of the values.
+    """
 
     times: tuple
     values: tuple
     quantity: str
     stderr: tuple = None
+    error: tuple = None
 
     def __post_init__(self):
         if self.quantity not in (POSITION_INTEGRAL, VELOCITY_INTEGRAL):
@@ -225,10 +259,14 @@ class MsdCurve:
 
 
 def compute_msd_curve(ctx, times, quantity=POSITION_INTEGRAL):
-    fn = msd_x if quantity == POSITION_INTEGRAL else msd_v
-    times = tuple(float(t) for t in times)
+    """The MSD curve of ``quantity`` on the times, evaluated as one batch,
+    with the quadrature error of every point."""
+    t, values, errors = _msd(ctx, np.atleast_1d(np.asarray(times, dtype=float)), quantity)
     return MsdCurve(
-        times=times, values=tuple(fn(ctx, t) for t in times), quantity=quantity
+        times=tuple(t.tolist()),
+        values=tuple(values.tolist()),
+        quantity=quantity,
+        error=tuple(errors.tolist()),
     )
 
 

@@ -7,14 +7,27 @@ all the new halves with one call of the integrand.  Every segment keeps its
 own tolerance, subdivision budget and subdivision sequence, so a batch gives
 the values its segments give one by one.  The panels of a geometric
 partition and the half-periods of an oscillator are such batches.
+
+A call may also integrate many rows at once: the integration limits (and the
+frequency of an oscillatory integral) may be arrays, each element one
+integral, such as one time of an MSD curve or one frequency of a transform
+grid.  Every segment carries its row, and the integrand receives its nodes
+as a ``Nodes`` array whose ``rows`` attribute names the row of each node, so
+one engine round makes one integrand call for every integral of the curve
+that is still open.  A scalar call is the one-row case of the same code.
+Such a call can hand an integrand thousands of nodes at once; the measure
+routes of the transforms module take them in blocks of bounded size
+(``transforms._BLOCK_BYTES``).
+
 Semi-infinite ranges are folded onto (0, 1) with the rational substitution
 w = a + u/(1-u).  Improper Fourier-type integrals with a slowly decaying
 envelope are summed over half-periods of the oscillator and accelerated by
 iterated averaging of the alternating partial sums: the engine takes 12
-half-periods a round, and the accelerated sum of all the half-periods so far
-is tested against the tolerance once per round.  Integrands that decay
-only in oscillatory mean, such as (1 - cos u)/u^2, are split by the caller
-into an oscillatory part and an absolutely integrable rest.
+half-periods of every open row a round, and the accelerated sum of all the
+half-periods of a row so far is tested against the tolerance once per round.
+Integrands that decay only in oscillatory mean, such as (1 - cos u)/u^2, are
+split by the caller into an oscillatory part and an absolutely integrable
+rest.
 """
 
 from dataclasses import dataclass
@@ -98,6 +111,10 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
+def _dot(y, weights):
+    return np.einsum("ij,j->i", y, weights)
+
+
 def _kronrod_batch(f, lo, hi):
     """G7/K15 on the k intervals [lo[i], hi[i]] with one call of f.
 
@@ -111,11 +128,14 @@ def _kronrod_batch(f, lo, hi):
     if not np.isfinite(y).all():
         i = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise ToleranceNotMet(f"integrand not finite inside ({float(lo[i])}, {float(hi[i])})")
-    resk = h * (y @ _WK15)
-    resg = h * (y @ _WG15)
-    resabs = h * (np.abs(y) @ _WK15)
+    # einsum adds each interval's 15 products in an order that does not
+    # depend on k, where a BLAS matrix-vector product's does: an interval's
+    # value is the same whatever batch it is evaluated in
+    resk = h * _dot(y, _WK15)
+    resg = h * _dot(y, _WG15)
+    resabs = h * _dot(np.abs(y), _WK15)
     mean = resk / (hi - lo)
-    resasc = h * (np.abs(y - mean[:, None]) @ _WK15)
+    resasc = h * _dot(np.abs(y - mean[:, None]), _WK15)
     err = np.abs(resk - resg)
     spread = resasc != 0.0
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=spread)
@@ -124,12 +144,52 @@ def _kronrod_batch(f, lo, hi):
     return resk, np.maximum(err, floor)
 
 
-def _values(f, x):
-    """f on the nodes x in one call, as a float array of x's shape."""
-    y = np.asarray(f(x.ravel()), dtype=float)
+class Nodes(np.ndarray):
+    """Abscissae handed to an integrand, each with its row.
+
+    ``x.rows`` has x's shape and holds, node by node, the index of the
+    integral (the row) the node belongs to in a call that integrates many
+    rows at once; an integrand of a single integral may ignore it.  Arrays
+    computed from x do not inherit the rows: their ``rows`` is None.
+    """
+
+    rows = None
+
+
+def _nodes(x, rows):
+    """x as Nodes of the given rows (an array of x's shape)."""
+    x = np.asarray(x).view(Nodes)
+    x.rows = rows
+    return x
+
+
+def _values(f, x, rows):
+    """f on the nodes x of the given rows in one call, as a float array of
+    x's shape."""
+    y = np.asarray(f(_nodes(x.ravel(), rows.ravel())), dtype=float)
     if y.shape != (x.size,):
         y = np.broadcast_to(y, (x.size,))
     return y.reshape(x.shape)
+
+
+def _broadcast(*args):
+    """The common shape of the row arguments and each as a list of floats,
+    one per row."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    return arrays[0].shape, [a.ravel().tolist() for a in arrays]
+
+
+def _shaped(values, shape):
+    """Per-row results as a float for a scalar call, else an array."""
+    return values[0] if shape == () else np.array(values).reshape(shape)
+
+
+def _row_sums(values, rows, n):
+    """Sums of the segment values of each of n rows, added in segment order."""
+    totals = [0] * n
+    for r, v in zip(rows, values):
+        totals[r] += v
+    return totals
 
 
 def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -138,8 +198,10 @@ def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     Parameters
     ----------
     f : callable
-        Maps an ndarray of abscissae to integrand values.  Never evaluated
+        Maps a Nodes array of abscissae to integrand values.  Never evaluated
         at the endpoints, so integrable endpoint singularities are allowed.
+    a, b : float or array
+        Limits; arrays broadcast to one integral per element (row).
     left_exponent : float, optional
         Hint that f(w) ~ (w - a)**p with p in (-1, 0) near the left endpoint.
         The engine then substitutes w = a + u**(1/(1+p)), which removes the
@@ -148,27 +210,31 @@ def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
 
     Returns
     -------
-    (value, error_estimate)
+    (value, error_estimate), floats for scalar limits, else arrays of their
+    broadcast shape
     """
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+    shape, (a, b) = _broadcast(a, b)
+    if not all(math.isfinite(x) and math.isfinite(y) and x < y for x, y in zip(a, b)):
         raise ValueError("need finite a < b")
-    vals, errs = _adapt(f, [(a, b, left_exponent)], cfg)
-    return vals[0], errs[0]
+    vals, errs = _adapt(f, [(x, y, left_exponent) for x, y in zip(a, b)], cfg, range(len(a)))
+    return _shaped(vals, shape), _shaped(errs, shape)
 
 
-def _adapt(f, segments, cfg):
+def _adapt(f, segments, cfg, rows=None):
     """Globally adaptive G7/K15 on a batch of segments, one call of f a round.
 
     ``segments`` lists (a, b, left_exponent) with a < b; a left exponent in
     (-1, 0) selects integrate_adaptive's endpoint substitution for that
-    segment.  Each segment has its own interval heap, tolerance,
-    ``cfg.max_subdivisions`` budget, roundoff-width branch and DivergentTail
-    history.  A round bisects the worst interval of every open segment and
-    evaluates all the new halves together, so each segment is subdivided as it
-    would be alone.  Returns (values, errors), lists in segment order; the
-    first segment that fails raises.
+    segment.  ``rows`` gives the row of each segment (all 0 by default),
+    which f sees as the ``rows`` of its Nodes.  Each segment has its own
+    interval heap, tolerance, ``cfg.max_subdivisions`` budget, roundoff-width
+    branch and DivergentTail history.  A round bisects the worst interval of
+    every open segment and evaluates all the new halves together, so each
+    segment is subdivided as it would be alone.  Returns (values, errors),
+    lists in segment order; the first segment that fails raises.
     """
     n = len(segments)
+    row_of = np.zeros(n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
     origin = np.array([float(a) for a, _, _ in segments])
     power = np.zeros(n)  # 0 marks a segment without substitution
     lo, hi = np.empty(n), np.empty(n)
@@ -179,29 +245,30 @@ def _adapt(f, segments, cfg):
         else:
             lo[i], hi[i] = a, b
 
-    def integrand(x, rows):
-        # f at the nodes x of intervals of segments `rows`, substituting
+    def integrand(x, seg):
+        # f at the nodes x of intervals of segments `seg`, substituting
         # w = a + u**p on the segments that have a power p
-        sub = power[rows] > 0.0
+        node_rows = np.repeat(row_of[seg], x.shape[1]).reshape(x.shape)
+        sub = power[seg] > 0.0
         if not sub.any():
-            return _values(f, x)
-        p, a, u = power[rows[sub], None], origin[rows[sub], None], x[sub]
+            return _values(f, x, node_rows)
+        p, a, u = power[seg[sub], None], origin[seg[sub], None], x[sub]
         s = u ** p
         w = x.copy()
         w[sub] = a + s
         lost = (w[sub] == a).any(axis=1)
         if lost.any():
-            k = rows[sub][lost][0]
+            k = seg[sub][lost][0]
             raise UnrepresentableError(
                 f"endpoint substitution underflows for left exponent "
                 f"{segments[k][2]:g}: a + u**{power[k]:g} rounds to a = {origin[k]:g}"
             )
-        y = _values(f, w).copy()
+        y = _values(f, w, node_rows).copy()
         y[sub] = y[sub] * p * s / u
         return y
 
-    rows = np.arange(n)
-    val, err = _kronrod_batch(lambda x: integrand(x, rows), lo, hi)
+    seg = np.arange(n)
+    val, err = _kronrod_batch(lambda x: integrand(x, seg), lo, hi)
     total_val, total_err = val.tolist(), err.tolist()
     heaps = [
         [(-e, a, b, v, e)]
@@ -230,10 +297,10 @@ def _adapt(f, segments, cfg):
         if not split:
             continue
         k = len(split)
-        rows = np.array([s[0] for s in split] * 2)
+        seg = np.array([s[0] for s in split] * 2)
         los = np.array([s[1] for s in split] + [s[2] for s in split])
         his = np.array([s[2] for s in split] + [s[3] for s in split])
-        vals, errs = _kronrod_batch(lambda x: integrand(x, rows), los, his)
+        vals, errs = _kronrod_batch(lambda x: integrand(x, seg), los, his)
         vals, errs = vals.tolist(), errs.tolist()
         for j, (i, a, mid, b, v, e) in enumerate(split):
             v1, v2, e1, e2 = vals[j], vals[j + k], errs[j], errs[j + k]
@@ -263,21 +330,27 @@ def _budget_error(cfg, value, error, history):
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
-    The substitution w = a + u/(1-u) maps the range onto (0, 1).  A clearly
-    sub-integrable tail (measured decay exponent <= 1) raises DivergentTail.
-    An integrand that decays only in oscillatory mean is out of reach: split
-    it, as moments.msd_x does, into an integrate_oscillatory part and an
+    ``a`` may be an array, one integral per element.  The substitution
+    w = a + u/(1-u) maps the range onto (0, 1).  A clearly sub-integrable tail
+    (measured decay exponent <= 1 in some row) raises DivergentTail.  An
+    integrand that decays only in oscillatory mean is out of reach: split it,
+    as moments.msd_x does, into an integrate_oscillatory part and an
     absolutely integrable rest.
     """
+    shape, (a,) = _broadcast(a)
+    origin = np.array(a)
     u_cap = np.nextafter(1.0, 0.0)  # keep the mapped abscissa finite
 
     def g(u):
-        u = np.minimum(u, u_cap)
-        w = a + u / (1.0 - u)
-        return f(w) / (1.0 - u) ** 2
+        rows = u.rows
+        u = np.minimum(u.view(np.ndarray), u_cap)
+        w = origin[rows] + u / (1.0 - u)
+        return f(_nodes(w, rows)) / (1.0 - u) ** 2
 
     try:
-        return integrate_adaptive(g, 0.0, 1.0, cfg, left_exponent=left_exponent)
+        return integrate_adaptive(
+            g, np.zeros(shape), np.ones(shape), cfg, left_exponent=left_exponent
+        )
     except ToleranceNotMet as exc:
         p = _tail_exponent(f, a)
         if p is not None and p <= 1.02:
@@ -289,19 +362,20 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
         raise
 
 
-
 def _tail_exponent(f, a):
-    """Crude log-log decay slope of |f| far out on [a, oo); None if unusable."""
-    ws = a + np.geomspace(10.0, 1e8, 8)
+    """Crude log-log decay slope of |f| far out on [a, oo), the smallest over
+    the rows of the list a, from one call of f; None if unusable."""
+    ws = np.add.outer(a, np.geomspace(10.0, 1e8, 8))
     try:
-        ys = np.abs(np.asarray(f(ws), dtype=float))
+        ys = np.abs(_values(f, ws, np.repeat(np.arange(len(a)), 8)))
     except Exception:
         return None
-    good = ys > 0
-    if good.sum() < 4:
-        return None
-    slope = np.polyfit(np.log(ws[good]), np.log(ys[good]), 1)[0]
-    return -slope
+    slopes = []
+    for w, y in zip(ws, ys):
+        good = y > 0
+        if good.sum() >= 4:
+            slopes.append(-np.polyfit(np.log(w[good]), np.log(y[good]), 1)[0])
+    return min(slopes, default=None)
 
 
 def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -310,32 +384,39 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     f is the (non-oscillatory) envelope and must eventually decrease to zero;
     the integral is summed over half-periods of the oscillator and the
     alternating partial sums are accelerated by iterated averaging, so only
-    conditional convergence is required.  The head up to the first zero of
-    the oscillator is a geometric partition refined toward a.  Each round
-    hands the engine the next 12 half-periods, the first round with the head,
-    and accelerates every half-period summed so far once; the sum is accepted
-    when that error meets max(abs_tol, rel_tol*|value|), and ToleranceNotMet
-    is raised once 400 half-periods have not met it.
+    conditional convergence is required.  ``freq`` and ``a`` may be arrays,
+    which broadcast to one integral (row) per element; f may read a node's
+    row from the ``rows`` of its Nodes.
 
-    Returns (value, error_estimate).
+    The head of a row up to the first zero of its oscillator is a geometric
+    partition refined toward a.  Each round hands the engine the next 12
+    half-periods of every open row, the first round with the heads, and
+    accelerates every half-period of the row summed so far once; a row is
+    accepted when that error meets max(abs_tol, rel_tol*|value|), and
+    ToleranceNotMet is raised once 400 half-periods of a row have not met it.
+
+    Returns (value, error_estimate), floats for scalar arguments, else arrays
+    of their broadcast shape.
     """
-    if freq == 0:
+    shape, (freq, a) = _broadcast(freq, a)
+    if 0.0 in freq:
         raise ValueError("freq must be nonzero")
     if phase not in ("cos", "sin"):
         raise ValueError("phase must be 'cos' or 'sin'")
-    wfreq = abs(freq)
-    sign = 1.0 if (freq > 0 or phase == "cos") else -1.0
-    osc = np.cos if phase == "cos" else np.sin
-    half = math.pi / wfreq
-    # first zero of the oscillator at or beyond a
-    if phase == "cos":
-        k0 = math.floor((a * wfreq / math.pi - 0.5)) + 1
-        z = (k0 + 0.5) * half
-    else:
-        k0 = math.floor(a * wfreq / math.pi) + 1
-        z = k0 * half
-    if z <= a:
-        z += half
+    n = len(freq)
+    wfreq = [abs(fr) for fr in freq]
+    sign = [1.0 if (fr > 0 or phase == "cos") else -1.0 for fr in freq]
+    half = [math.pi / w for w in wfreq]
+    # first zero of each row's oscillator at or beyond its a
+    z = []
+    for w, h, a0 in zip(wfreq, half, a):
+        if phase == "cos":
+            k0 = math.floor((a0 * w / math.pi - 0.5)) + 1
+            zr = (k0 + 0.5) * h
+        else:
+            k0 = math.floor(a0 * w / math.pi) + 1
+            zr = k0 * h
+        z.append(zr + h if zr <= a0 else zr)
     _check_envelope_decay(f, z, half)
 
     cell_cfg = QuadConfig(
@@ -343,34 +424,52 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         abs_tol=cfg.abs_tol * 1e-2,
         max_subdivisions=max(60, cfg.max_subdivisions // 10),
     )
+    osc = np.cos if phase == "cos" else np.sin
+    row_freq = np.array(wfreq)
 
     def g(t):
-        return f(t) * osc(wfreq * t)
+        return f(t) * osc(row_freq[t.rows] * t.view(np.ndarray))
 
-    segments = _geometric_segments(a, z, 8, left_exponent)
-    n_head = len(segments)
-    cells, cell_errs, lo = [], 0.0, z
-    while True:
-        for _ in range(min(_CELL_BATCH, _MAX_CELLS - len(cells))):
-            segments.append((lo, lo + half, None))
-            lo += half
-        vals, errs = _adapt(g, segments, cell_cfg)
-        if n_head:
-            head, head_err = sum(vals[:n_head]), sum(errs[:n_head])
-            vals, errs, n_head = vals[n_head:], errs[n_head:], 0
-        cells += vals
-        cell_errs += sum(errs)
-        est, acc_err = _accelerate(cells)
-        if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(head + est)):
-            return sign * (head + est), acc_err + cell_errs + head_err
-        if len(cells) == _MAX_CELLS:
-            raise ToleranceNotMet(
-                "tolerance not met in oscillatory sum "
-                f"(value={float(sign * (head + est))}, err={float(acc_err)})",
-                value=sign * (head + est),
-                error=acc_err,
-            )
-        segments = []
+    head, head_err = [0.0] * n, [0.0] * n
+    cells, cell_errs = [[] for _ in range(n)], [0.0] * n
+    value, error = [0.0] * n, [0.0] * n
+    lo = list(z)  # start of each row's next cell
+    open_rows, first = list(range(n)), True
+    while open_rows:
+        segments, rows, spans = [], [], []
+        for r in open_rows:
+            start = len(segments)
+            if first:
+                segments += _geometric_segments(a[r], z[r], 8, left_exponent)
+            n_head = len(segments) - start
+            for _ in range(min(_CELL_BATCH, _MAX_CELLS - len(cells[r]))):
+                segments.append((lo[r], lo[r] + half[r], None))
+                lo[r] += half[r]
+            rows += [r] * (len(segments) - start)
+            spans.append((r, start, start + n_head, len(segments)))
+        vals, errs = _adapt(g, segments, cell_cfg, rows)
+        still = []
+        for r, start, mid, end in spans:
+            if first:
+                head[r], head_err[r] = sum(vals[start:mid]), sum(errs[start:mid])
+            cells[r] += vals[mid:end]
+            cell_errs[r] += sum(errs[mid:end])
+            est, acc_err = _accelerate(cells[r])
+            total = head[r] + est
+            if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                value[r] = sign[r] * total
+                error[r] = acc_err + cell_errs[r] + head_err[r]
+            elif len(cells[r]) == _MAX_CELLS:
+                raise ToleranceNotMet(
+                    "tolerance not met in oscillatory sum "
+                    f"(value={float(sign[r] * total)}, err={float(acc_err)})",
+                    value=sign[r] * total,
+                    error=acc_err,
+                )
+            else:
+                still.append(r)
+        open_rows, first = still, False
+    return _shaped(value, shape), _shaped(error, shape)
 
 
 def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -379,11 +478,19 @@ def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     The partition refines toward the left endpoint over ten orders of
     magnitude, so integrands whose mass sits many decades inside the interval
     (or at a singular left endpoint) are not missed by the first Kronrod pass.
-    All panels are one batch for the adaptive engine; the left exponent
-    applies to the first.
+    ``a`` and ``b`` may be arrays, one integral (row) per element.  All panels
+    of all rows are one batch for the adaptive engine; the left exponent
+    applies to the first panel of each row.
     """
-    vals, errs = _adapt(f, _geometric_segments(a, b, _GEOMETRIC_LEVELS, left_exponent), cfg)
-    return sum(vals), sum(errs)
+    shape, (a, b) = _broadcast(a, b)
+    segments, rows = [], []
+    for r, (x, y) in enumerate(zip(a, b)):
+        panels = _geometric_segments(x, y, _GEOMETRIC_LEVELS, left_exponent)
+        segments += panels
+        rows += [r] * len(panels)
+    vals, errs = _adapt(f, segments, cfg, rows)
+    n = len(a)
+    return _shaped(_row_sums(vals, rows, n), shape), _shaped(_row_sums(errs, rows, n), shape)
 
 
 def _geometric_segments(a, b, levels, left_exponent):
@@ -424,23 +531,26 @@ def _accelerate(cells):
 
 
 def _check_envelope_decay(f, z, half):
-    """Probe the envelope far beyond the summation range.
+    """Probe each row's envelope far beyond its summation range, all rows in
+    one call of f.
 
     The half-period sums converge to the improper integral only when the
     envelope eventually decreases to zero; a persistently growing probe
     sequence violates that precondition.  Local non-monotonicity (e.g. a
-    spectral resonance inside the early cells) is tolerated.
+    spectral resonance inside the early cells) is tolerated, and so is a row
+    whose probe is not finite.
     """
-    multipliers = (1.0, 4.0, 16.0, 64.0, 256.0)
-    span = _MAX_CELLS * half
-    pts = np.array([z + m * span for m in multipliers])
+    multipliers = np.array((1.0, 4.0, 16.0, 64.0, 256.0))
+    span = _MAX_CELLS * np.array(half)
+    pts = np.array(z)[:, None] + multipliers * span[:, None]
+    rows = np.repeat(np.arange(len(z)), multipliers.size).reshape(pts.shape)
     try:
-        vals = np.abs(np.asarray(f(pts), dtype=float))
+        vals = np.abs(_values(f, pts, rows))
     except Exception:
         return
-    if not np.all(np.isfinite(vals)):
-        return
-    if np.all(np.diff(vals) > 0) and vals[-1] > 4.0 * vals[0]:
+    vals = vals[np.isfinite(vals).all(axis=1)]
+    growing = np.all(np.diff(vals, axis=1) > 0, axis=1) & (vals[:, -1] > 4.0 * vals[:, 0])
+    if growing.any():
         raise OscillationPreconditionError(
             "oscillatory quadrature precondition failed: envelope not decreasing"
         )

@@ -480,3 +480,24 @@ def test_equipartition_failure_is_valid_json(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert out["err_x"] is None and out["err_v"] is None
     assert [n.split(":")[0] for n in out["notes"]] == ["var_x0", "var_v0"]
+
+
+def test_msd_curve_with_one_failing_row_exit_code(tmp_path, capsys):
+    # only the t = 1e5 row runs out of its 12 subdivisions; the curve fails
+    # with the typed error and writes nothing
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(
+        '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1",'
+        '"quad":{"max_subdivisions":12}}'
+    )
+    code = main(["msd", "--config", str(cfg), "--quantity", "x", "--t-grid", "1,10,1e5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "ToleranceNotMet"
+
+
+def test_transform_faddeeva_route_at_huge_frequency(capsys):
+    assert main(["transform", "--kernel", "cauchy:0.25,1", "--omega", "1e300"]) == 0
+    _, kcos, ksin, route = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert float(kcos) == 0.0 and route == "phi_t2_faddeeva"
+    assert float(ksin) == pytest.approx(1e-300, rel=1e-12, abs=0.0)

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from gle_spectra import (
     MsdCurve,
     POSITION_INTEGRAL,
     QuadConfig,
+    QuadratureError,
     SpectralDensityCtx,
     TransformDomainError,
+    VELOCITY_INTEGRAL,
     compute_msd_curve,
     cross_cov,
     equipartition_report,
@@ -24,7 +27,7 @@ from gle_spectra import (
     var_v0,
     var_x0,
 )
-from gle_spectra import moments
+from gle_spectra import moments, transforms
 from gle_spectra.cli import parse_config
 from conftest import free_ctx, trapped_ctx
 
@@ -217,3 +220,84 @@ def test_msd_v_matches_tight_quadrature():
         ctx.params, ctx.kernel, QuadConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=4000)
     )
     assert msd_v(ctx, t) == pytest.approx(msd_v(tight, t), rel=1e-9)
+
+
+BATCH_KERNELS = ("powerlaw:0.5", "rouse:[1,2]", "one-plus-t-inverse", "gaussian:1", "cauchy:1,1")
+
+
+@pytest.mark.parametrize("spec", BATCH_KERNELS)
+@pytest.mark.parametrize("quantity,fn", [(POSITION_INTEGRAL, msd_x), (VELOCITY_INTEGRAL, msd_v)])
+def test_batched_curve_equals_one_row_calls(spec, quantity, fn):
+    # a curve is one engine run with a row per time; every segment keeps the
+    # subdivisions it has alone, so each point is the one-time value
+    ctx = trapped_ctx(spec)
+    times = np.geomspace(0.1, 1e4, 6)
+    curve = compute_msd_curve(ctx, times, quantity)
+    alone = [fn(ctx, t) for t in times]
+    assert curve.values == pytest.approx(alone, rel=1e-14, abs=0.0)
+    assert np.array_equal(fn(ctx, times), np.array(curve.values))
+
+
+def _count_r11(monkeypatch):
+    calls = []
+    r11_alone = moments.r11
+
+    def counted(c, w):
+        calls.append(np.size(w))
+        return r11_alone(c, w)
+
+    monkeypatch.setattr(moments, "r11", counted)
+    moments._r11_integral.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "quantity,grid,budget",
+    [(POSITION_INTEGRAL, (100.0, 1e4), 25), (VELOCITY_INTEGRAL, (1.0, 1e6), 18)],
+)
+def test_curve_r11_call_budget(quantity, grid, budget, monkeypatch):
+    # one engine round makes one r11 call for every open integral of the
+    # curve: 21 and 14 calls for 25 points (437 and 76 one time at a time)
+    ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text()).ctx()
+    calls = _count_r11(monkeypatch)
+    compute_msd_curve(ctx, np.geomspace(*grid, 25), quantity)
+    assert 0 < len(calls) <= budget
+
+
+def test_curve_carries_quadrature_errors():
+    ctx = trapped_ctx("rouse:[1,2]")
+    times = np.geomspace(0.1, 1e4, 6)
+    for quantity in (POSITION_INTEGRAL, VELOCITY_INTEGRAL):
+        curve = compute_msd_curve(ctx, times, quantity)
+        err, val = np.array(curve.error), np.array(curve.values)
+        assert err.shape == val.shape
+        assert np.all(err > 0) and np.all(err < 1e-6 * val)
+
+
+def test_curve_with_one_failing_row_raises():
+    # at 12 subdivisions a segment of the t = 1e5 row runs out, as it does
+    # when that time is evaluated alone; the rest of the curve converges
+    base = parse_config((CONFIGS / "trapped_rouse.json").read_text()).ctx()
+    ctx = SpectralDensityCtx(base.params, base.kernel, QuadConfig(max_subdivisions=12))
+    assert msd_x(ctx, 1.0) > 0 and msd_x(ctx, 10.0) > 0
+    with pytest.raises(QuadratureError) as alone:
+        msd_x(ctx, 1e5)
+    with pytest.raises(QuadratureError) as batch:
+        compute_msd_curve(ctx, [1.0, 10.0, 1e5])
+    assert type(batch.value) is type(alone.value)
+    assert batch.value.value == alone.value.value
+
+
+def test_cauchy_curve_memory_is_bounded():
+    # a batched round evaluates r11 at ~8000 frequencies; the Faddeeva route
+    # takes them in blocks, so its frequencies x measure-nodes matrices stay
+    # small (74 MiB unblocked, under 4 MiB in blocks)
+    ctx = trapped_ctx("cauchy:1,1")
+    transforms._measure_nodes(ctx.kernel)
+    tracemalloc.start()
+    try:
+        compute_msd_curve(ctx, np.geomspace(100.0, 1e4, 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -236,3 +236,55 @@ def test_oscillatory_cell_cap(accelerated):
         integrate_oscillatory(lambda t: np.cos(t) / (1.0 + t) ** 2, 1.0, "cos", 0.0)
     assert accelerated[-2:] == [396, 400]
     assert np.isfinite(ei.value.value) and np.isfinite(ei.value.error)
+
+
+def test_rows_equal_one_row_calls():
+    # each row's integrand reads its parameter through the rows of its nodes
+    scales = np.array([0.5, 1.0, 3.0])
+
+    def batched(x):
+        return np.exp(-scales[x.rows] * x) * x ** -0.3
+
+    def alone(s):
+        return lambda x: np.exp(-s * x) * x ** -0.3
+
+    lo, hi = np.zeros(3), np.full(3, 2.0)
+    vals, errs = integrate_geometric(batched, lo, hi, left_exponent=-0.3)
+    assert vals.tolist() == [integrate_geometric(alone(s), 0.0, 2.0, left_exponent=-0.3)[0] for s in scales]
+    vals, _ = integrate_to_infinity(batched, hi)
+    assert vals.tolist() == [integrate_to_infinity(alone(s), 2.0)[0] for s in scales]
+    freqs = np.array([0.7, -2.0, 5.0])
+    vals, _ = integrate_oscillatory(batched, freqs, "sin", 0.0, left_exponent=-0.3)
+    assert vals.tolist() == [
+        integrate_oscillatory(alone(s), w, "sin", 0.0, left_exponent=-0.3)[0]
+        for s, w in zip(scales, freqs)
+    ]
+
+
+def test_rows_share_one_probe_and_one_call_per_round():
+    sizes = []
+
+    def env(t):
+        sizes.append(t.size)
+        return np.exp(-t)
+
+    vals, _ = integrate_oscillatory(env, np.array([1.0, 2.0]), "cos", 0.0)
+    assert vals == pytest.approx([0.5, 0.2], rel=1e-10)
+    # the envelope probe of both rows, then one call for both heads (nine
+    # panels each) and their first twelve half-periods
+    assert sizes[:2] == [2 * 5, 2 * (9 + 12) * 15]
+
+
+def test_failing_row_raises_its_own_error():
+    # the second row has positive cells that averaging cannot speed up; it
+    # raises at 400 cells with the estimate it has alone, while the first row
+    # converged in its first round
+    def env(t):
+        return np.where(t.rows == 1, np.cos(t) / (1.0 + t) ** 2, np.exp(-t))
+
+    with pytest.raises(ToleranceNotMet) as batch:
+        integrate_oscillatory(env, np.ones(2), "cos", 0.0)
+    with pytest.raises(ToleranceNotMet) as alone:
+        integrate_oscillatory(lambda t: np.cos(t) / (1.0 + t) ** 2, 1.0, "cos", 0.0)
+    assert batch.value.value == alone.value.value
+    assert batch.value.error == alone.value.error

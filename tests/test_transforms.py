@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,8 @@ from gle_spectra import (
     transform,
     transform_complex,
 )
+from gle_spectra import transforms
+from gle_spectra.quad import DEFAULT_QUAD
 from conftest import CM_PRESETS, PHI_PRESETS
 
 SQRT_PI_OVER_2 = 1.2533141373155003  # Int_0^oo cos(u)/sqrt(u) du
@@ -290,3 +293,63 @@ def test_route_checked_at_origin():
         transform(k, 0.0, route="cm_measure")
     p = transform(k, 0.0, route="phi_t2_faddeeva")
     assert p.route == "closed_form" and p.kcos == pytest.approx(math.sqrt(math.pi) / 2.0)
+
+
+@pytest.mark.parametrize("spec", ["powerlaw:0.5", "one-plus-t-inverse", "cauchy:1.44,1.79"])
+def test_numeric_grid_equals_per_frequency_calls(spec):
+    # the numeric route is one oscillatory engine run per phase, a row per
+    # frequency; each row is the value that frequency has alone
+    kernel = parse_kernel_spec(spec)
+    omegas = np.array([-3.0, 0.05, 0.8, 2.5, 40.0])
+    kcos, ksin = kcos_ksin_grid(kernel, omegas, route="numeric")
+    alone = [transform(kernel, w, route="numeric") for w in omegas]
+    assert kcos.tolist() == [p.kcos for p in alone]
+    assert ksin.tolist() == [p.ksin for p in alone]
+
+
+def test_numeric_pair_returns_its_errors():
+    kernel = parse_kernel_spec("rouse:[1,2]")
+    w = np.array([0.5, 2.0])
+    kcos, ksin, kcos_err, ksin_err = transforms._numeric_pair(kernel, w, DEFAULT_QUAD)
+    exact_cos, exact_sin = kcos_ksin_grid(kernel, w)
+    assert np.all(np.abs(kcos - exact_cos) <= kcos_err)
+    assert np.all(np.abs(ksin - exact_sin) <= ksin_err)
+    assert np.all(kcos_err < 1e-7) and np.all(ksin_err < 1e-7)
+
+
+@pytest.mark.parametrize("omega", [1e10, 1e155, 1e300])
+def test_faddeeva_route_at_huge_frequency(omega):
+    # w/(2 sqrt(x)) overflows for the smallest nodes of cauchy:0.25,1; those
+    # terms take the Dawson asymptote mw/w, so Ksin -> K(0)/w = 1/w
+    kc, ks = kcos_ksin_grid(parse_kernel_spec("cauchy:0.25,1"), np.array([omega]))
+    assert kc[0] == 0.0
+    assert ks[0] == pytest.approx(1.0 / omega, rel=1e-12, abs=0.0)
+
+
+def _aux_pair(w):
+    """(Kcos, Ksin) of 1/(1+t): the auxiliary functions g, f, in mpmath."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(w)
+        si, ci = mpmath.si(z), mpmath.ci(z)
+        rest = mpmath.pi / 2 - si
+        return (
+            float(mpmath.sin(z) * rest - mpmath.cos(z) * ci),
+            float(mpmath.cos(z) * rest + mpmath.sin(z) * ci),
+        )
+
+
+@pytest.mark.parametrize("omega", [39.999, 40.0, 1e8, 1e12])
+def test_one_plus_t_inverse_closed_form_at_large_frequency(omega):
+    p = transform(OnePlusTInverse(), omega)
+    kcos, ksin = _aux_pair(omega)
+    assert p.kcos == pytest.approx(kcos, rel=1e-12, abs=0.0)
+    assert p.ksin == pytest.approx(ksin, rel=1e-12, abs=0.0)
+
+
+def test_one_plus_t_inverse_kcos_stays_positive():
+    # Kcos ~ 1/w^2 is positive until it underflows past w ~ 4.5e161
+    w = np.geomspace(40.0, 1e300, 400)
+    kcos, ksin = kcos_ksin_grid(OnePlusTInverse(), w)
+    assert np.all(kcos >= 0.0) and np.all(kcos[w < 1e161] > 0.0)
+    far = w > 1e8  # Ksin = 1/w - 2/w^3 + ... is 1/w to double precision
+    assert ksin[far] == pytest.approx(1.0 / w[far], rel=1e-15, abs=0.0)
