@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GleError
-from .kernels import GleParams, kernel_eval, parse_kernel_spec, validate_kernel
+from .kernels import ROUTE_CLOSED, GleParams, kernel_eval, parse_kernel_spec, validate_kernel
 from .moments import (
     POSITION_INTEGRAL,
     VELOCITY_INTEGRAL,
@@ -38,7 +38,7 @@ from .simulate import (
     spectral_sample,
 )
 from .spectra import SpectralDensityCtx, r22, trapped_densities
-from .transforms import kcos_ksin_grid, transform
+from .transforms import kcos_ksin_grid
 
 
 def _fmt(x):
@@ -52,7 +52,6 @@ class RunConfig:
     params: GleParams
     kernel_spec: str
     quad: QuadConfig
-    output: dict
 
     @property
     def kernel(self):
@@ -77,8 +76,6 @@ class RunConfig:
                 "abs_tol": self.quad.abs_tol,
                 "max_subdivisions": self.quad.max_subdivisions,
             }
-        if self.output:
-            doc["output"] = dict(self.output)
         return json.dumps(doc, sort_keys=True)
 
 
@@ -138,12 +135,7 @@ def parse_config(text):
             )
         except ValueError as exc:
             raise ConfigError("quad", str(exc))
-    output = doc.get("output", {})
-    if output and (
-        not isinstance(output, dict) or output.get("format", "csv") not in ("csv", "json")
-    ):
-        raise ConfigError("output.format", "must be 'csv' or 'json'")
-    return RunConfig(params=params, kernel_spec=spec, quad=quad, output=output)
+    return RunConfig(params=params, kernel_spec=spec, quad=quad)
 
 
 def _parse_grid(text):
@@ -194,16 +186,9 @@ def _cmd_kernel(args):
 def _cmd_transform(args):
     kernel = parse_kernel_spec(args.kernel)
     omegas = _parse_grid(args.omega)
-    route = args.route or kernel.routes[0]
-    kcos, ksin = np.zeros(omegas.shape), np.zeros(omegas.shape)
-    routes = np.full(omegas.shape, route, dtype=object)
-    # the origin keeps the scalar path: its value is the kernel integral
-    zero = omegas == 0.0
-    if zero.any():
-        at_zero = transform(kernel, 0.0, route=args.route)
-        kcos[zero], routes[zero] = at_zero.kcos, at_zero.route
-    if not zero.all():
-        kcos[~zero], ksin[~zero] = kcos_ksin_grid(kernel, omegas[~zero], route=route)
+    kcos, ksin = kcos_ksin_grid(kernel, omegas, route=args.route)
+    # the origin rows are labelled closed_form, as transform labels them
+    routes = np.where(omegas == 0.0, ROUTE_CLOSED, args.route or kernel.routes[0])
     _emit_csv("omega,kcos,ksin,route", (omegas, kcos, ksin, routes), args.output)
     return 0
 

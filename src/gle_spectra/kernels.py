@@ -99,7 +99,6 @@ class BernsteinMeasure:
     x_lo: float = 1e-16
     x_hi: float = 1.0
     measure_of: str = "kernel"
-    nodes_per_decade: int = 12
 
     def __post_init__(self):
         for x, w in self.atoms:
@@ -113,7 +112,7 @@ class BernsteinMeasure:
         xs = [np.array([x for x, _ in self.atoms])]
         ws = [np.array([w for _, w in self.atoms])]
         if self.density is not None:
-            px, pw = _log_panels(self.x_lo, self.x_hi, self.nodes_per_decade)
+            px, pw = _log_panels(self.x_lo, self.x_hi)
             xs.append(px)
             ws.append(pw * self.density(px))
         return np.concatenate(xs), np.concatenate(ws)
@@ -137,10 +136,14 @@ class BernsteinMeasure:
         return out
 
 
+# Gauss-Legendre nodes in each half-decade panel of a discretized density
+_NODES_PER_PANEL = 12
+
+
 @lru_cache(maxsize=64)
-def _log_panels(x_lo, x_hi, per_decade):
+def _log_panels(x_lo, x_hi):
     """Gauss-Legendre nodes/weights for Int f(x) dx over log-spaced panels."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(per_decade)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     decades = math.log10(x_hi) - math.log10(x_lo)
     n_panels = max(1, int(math.ceil(2.0 * decades)))  # half-decades
     edges = np.geomspace(x_lo, x_hi, n_panels + 1)
@@ -513,7 +516,7 @@ class ValidationReport:
         return all(passed for passed, _ in self.checks.values())
 
 
-def validate_kernel(kernel, probe_grid, quad=None):
+def validate_kernel(kernel, probe_grid):
     """Spot-check admissibility of a kernel on a strictly increasing grid.
 
     ``kernel`` may be a MemoryKernel or a bare callable t -> K(t) (used for
@@ -542,11 +545,10 @@ def validate_kernel(kernel, probe_grid, quad=None):
     report.record("monotone_tail", decreasing, "eventually decreasing on grid")
 
     if positive:
-        cfg = quad or DEFAULT_QUAD
         kcos_ok, detail = True, []
         for omega in (0.5, 2.0, 20.0):
             try:
-                val, _ = integrate_oscillatory(f, omega, "cos", 0.0, cfg)
+                val, _ = integrate_oscillatory(f, omega, "cos", 0.0, DEFAULT_QUAD)
             except Exception as exc:  # report, never throw
                 kcos_ok = False
                 detail.append(f"omega={omega:g}: {exc}")

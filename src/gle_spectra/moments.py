@@ -40,28 +40,24 @@ def _origin_hint(ctx):
     return None
 
 
-def _split_point(ctx):
+def _density_integral(ctx, density, left_exponent=None):
+    """Int_0^oo density(ctx, w) dw with its error estimate."""
+    f = lambda w: density(ctx, w)
     # keep the oscillator resonance inside the finite panel
-    p = ctx.params
-    return 1.0 + 2.0 * math.sqrt(p.gamma / p.m)
+    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
+    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad, left_exponent=left_exponent)
+    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
+    return v1 + v2, e1 + e2
 
 
 @lru_cache(maxsize=256)
 def _r11_integral(ctx):
-    f = lambda w: r11(ctx, w)
-    s = _split_point(ctx)
-    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad, left_exponent=_origin_hint(ctx))
-    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
-    return v1 + v2, e1 + e2
+    return _density_integral(ctx, r11, _origin_hint(ctx))
 
 
 @lru_cache(maxsize=256)
 def _r22_integral(ctx):
-    f = lambda w: r22(ctx, w)
-    s = _split_point(ctx)
-    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad)
-    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
-    return v1 + v2, e1 + e2
+    return _density_integral(ctx, r22)
 
 
 def var_x0(ctx, with_error=False):

@@ -246,7 +246,6 @@ def simulate_paths(
     n_paths,
     seed,
     scheme=SCHEME_EXACT,
-    save_stride=1,
     save_noise=False,
     chunk_size=2000,
 ):
@@ -287,13 +286,12 @@ def simulate_paths(
             )
     n_noise = lstep.shape[1]
 
-    saved = np.arange(0, n_steps + 1, save_stride)
     obs_labels = [lab for lab in ("x", "v") if lab in sde.labels]
     obs_idx = [sde.labels.index(lab) for lab in obs_labels]
     noise_cols = [i for i, lab in enumerate(sde.labels) if lab.startswith("s")]
     if save_noise:
         obs_labels.append("F")
-    out = np.empty((n_paths, saved.size, len(obs_labels)))
+    out = np.empty((n_paths, n_steps + 1, len(obs_labels)))
     p = sde.params
     fd_scale = (
         1.0 / math.sqrt(p.beta * p.kbt) if (save_noise and p is not None and p.kbt > 0) else 0.0
@@ -319,18 +317,15 @@ def simulate_paths(
                 out[start:stop, pos, -1] = fd_scale * summed
 
         record(0)
-        save_pos = 1
         for lo in range(0, n_steps, steps_per_block):
             hi = min(lo + steps_per_block, n_steps)
             for j, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[j, : hi - lo])
             for step in range(lo, hi):
                 states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
-                if save_pos < saved.size and step + 1 == saved[save_pos]:
-                    record(save_pos)
-                    save_pos += 1
+                record(step + 1)
     return Ensemble(
-        times=saved * dt,
+        times=np.arange(n_steps + 1) * dt,
         data=out,
         labels=tuple(obs_labels),
         seed=seed,
@@ -560,19 +555,19 @@ class _ChirpZ:
         return sums[:rows].real, -sums[rows:].imag
 
 
-def default_spectral_grid(ctx, t_max=0.0, omega_min=1e-6, omega_max=None, n_log=2400):
+def default_spectral_grid(ctx, t_max=0.0):
     """Frequency cell edges adequate for var/cov estimation up to t_max.
 
-    Log-spaced cells resolve the near-origin region; above omega = 1 the
-    spacing is capped by the horizon's resolution requirement.  Past
-    t_max of about 547 the widest log cells would exceed the sampler's
-    pi/t_max bound, so the log cells end before the first of them and the
-    capped step continues from there.
+    Log-spaced cells resolve the near-origin region down to 1e-6; above
+    omega = 1 the spacing is capped by the horizon's resolution requirement,
+    up to 50 or ten times the trap frequency sqrt(gamma/m).  Past t_max of
+    about 547 the widest log cells would exceed the sampler's pi/t_max bound,
+    so the log cells end before the first of them and the capped step
+    continues from there.
     """
     p = ctx.params
-    if omega_max is None:
-        omega_max = max(50.0, 10.0 * math.sqrt(p.gamma / p.m) if p.gamma > 0 else 50.0)
-    low = np.geomspace(omega_min, 1.0, n_log)
+    omega_max = max(50.0, 10.0 * math.sqrt(p.gamma / p.m))
+    low = np.geomspace(1e-6, 1.0, 2400)
     step = min(0.05, math.pi / (4.0 * t_max)) if t_max > 0 else 0.05
     if t_max > 0:
         wide = np.flatnonzero(np.diff(low) > math.pi / t_max)

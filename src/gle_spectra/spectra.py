@@ -11,7 +11,11 @@ and the spectral measure of (x, v) is kbt/(2 pi) (r_ij) dw.  The position
 density r11 exists only in the trapped case gamma > 0; for the free particle
 the velocity density r22 remains well defined.  r22 and r12 are evaluated in
 their right-hand forms, with the powers of w divided into the denominator,
-so they stay finite where w^2 r11 would underflow first.
+so they stay finite where w^2 r11 would underflow first.  At w = 0 the
+formulas give the limits themselves: in a trap B = gamma/w is inf, so r22
+and r12 vanish and take no transform; for the free particle B = 0, so
+r22 = 2/(lam + beta Kcos(0)).  Every density is evaluated through one call
+of ``kcos_ksin_grid``, which alone decides whether Kcos(0) exists.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +26,7 @@ import numpy as np
 from .kernels import GleParams, MemoryKernel, TailClass, kernel_tail_class
 from .errors import TransformDomainError
 from .quad import DEFAULT_QUAD, QuadConfig
-from .transforms import abelian_limits, kcos_ksin_grid, transform
+from .transforms import abelian_limits, kcos_ksin_grid
 
 
 @dataclass(frozen=True)
@@ -38,37 +42,18 @@ class SpectralDensityCtx:
             raise TypeError("kernel must be a MemoryKernel preset")
 
 
-def _pairs(ctx, w):
-    return kcos_ksin_grid(ctx.kernel, w, quad=ctx.quad)
-
-
-def _kcos_at_zero(ctx):
-    return transform(ctx.kernel, 0.0, quad=ctx.quad).kcos
-
-
-def r11(ctx, omega):
-    """Position spectral density; defined for gamma > 0 only.  Even in omega.
-
-    At omega = 0 the analytic limit 2(lam + beta Int K)/gamma^2 is returned
-    for integrable kernels; other tail classes diverge at the origin and
-    raise TransformDomainError.
-    """
-    p = ctx.params
-    if not p.trapped:
-        raise TransformDomainError(
-            "position spectral density undefined for free particle (gamma = 0)"
-        )
+def _evaluate(ctx, omega, formula, origin=True):
+    """The columns formula(params, w, Kcos, Ksin) on the frequencies omega,
+    from one kcos_ksin_grid call: numbers for a scalar omega, else arrays of
+    its shape.  With origin=False the rows at w = 0 take no transform: the
+    formula's limit there does not depend on Kcos or Ksin."""
     omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
     w = np.atleast_1d(omega)
-    out = np.empty(w.shape)
-    zero = w == 0.0
-    if zero.any():
-        out[zero] = 2.0 * (p.lam + p.beta * _kcos_at_zero(ctx)) / p.gamma ** 2
-    if (~zero).any():
-        wn = w[~zero]
-        out[~zero] = _r11_at(p, wn, *_pairs(ctx, wn))
-    return float(out[0]) if scalar else out
+    kc, ks = np.zeros(w.shape), np.zeros(w.shape)
+    rows = slice(None) if origin else w != 0.0
+    kc[rows], ks[rows] = kcos_ksin_grid(ctx.kernel, w[rows], quad=ctx.quad)
+    columns = formula(ctx.params, w, kc, ks)
+    return tuple(c.item() for c in columns) if omega.ndim == 0 else columns
 
 
 # at a huge w, w**2 overflows to inf, which gives each density its right
@@ -77,17 +62,39 @@ def r11(ctx, omega):
 def _r11_at(p, w, kc, ks):
     a = p.lam + p.beta * kc
     b = p.gamma - p.m * w ** 2 + p.beta * w * ks
-    return 2.0 * a / (b * b + w * w * a * a)
+    return (2.0 * a / (b * b + w * w * a * a),)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore")
 def _r22_r12_at(p, w, kc, ks):
     # r22 and Im r12 in the forms of the module docstring; gamma = 0 gives
     # the free-particle r22
     a = p.lam + p.beta * kc
     b = p.gamma - p.m * w ** 2 + p.beta * w * ks
-    big_b = p.gamma / w - p.m * w + p.beta * ks
+    big_b = (p.gamma / w if p.trapped else 0.0) - p.m * w + p.beta * ks
     return 2.0 * a / (big_b * big_b + a * a), 2.0 * a / (big_b * b + w * a * a)
+
+
+def _im_r12_at(p, w, kc, ks):
+    return (1j * _r22_r12_at(p, w, kc, ks)[1],)
+
+
+def _trapped_at(p, w, kc, ks):
+    return (*_r11_at(p, w, kc, ks), *_r22_r12_at(p, w, kc, ks))
+
+
+def r11(ctx, omega):
+    """Position spectral density; defined for gamma > 0 only.  Even in omega.
+
+    At omega = 0 the limit 2(lam + beta Int K)/gamma^2 is returned for
+    integrable kernels; other tail classes diverge at the origin and raise
+    TransformDomainError.
+    """
+    if not ctx.params.trapped:
+        raise TransformDomainError(
+            "position spectral density undefined for free particle (gamma = 0)"
+        )
+    return _evaluate(ctx, omega, _r11_at)[0]
 
 
 def r22(ctx, omega):
@@ -97,57 +104,22 @@ def r22(ctx, omega):
     at large frequency and, for gamma = 0 and integrable kernels, at the
     origin.
     """
-    p = ctx.params
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.atleast_1d(omega)
-    out = np.zeros(w.shape)
-    zero = w == 0.0
-    if zero.any() and not p.trapped:
-        if kernel_tail_class(ctx.kernel).kind != TailClass.INTEGRABLE:
-            raise TransformDomainError(
-                "free-particle velocity density undefined at the origin "
-                "for non-integrable kernels"
-            )
-        out[zero] = 2.0 / (p.lam + p.beta * _kcos_at_zero(ctx))
-    if (~zero).any():
-        wn = w[~zero]
-        out[~zero] = _r22_r12_at(p, wn, *_pairs(ctx, wn))[0]
-    return float(out[0]) if scalar else out
+    return _evaluate(ctx, omega, _r22_r12_at, origin=not ctx.params.trapped)[0]
 
 
 def r12(ctx, omega):
     """Cross spectral density i w r11(w); purely imaginary, conjugate of r21."""
     if not ctx.params.trapped:
         raise TransformDomainError("cross spectral density needs gamma > 0")
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    w = np.atleast_1d(omega)
-    out = np.zeros(w.shape)
-    nz = w != 0.0
-    if nz.any():
-        out[nz] = _r22_r12_at(ctx.params, w[nz], *_pairs(ctx, w[nz]))[1]
-    vals = 1j * out
-    return complex(vals[0]) if scalar else vals
+    return _evaluate(ctx, omega, _im_r12_at, origin=False)[0]
 
 
 def trapped_densities(ctx, omega):
     """(r11, r22, Im r12) of the trapped process on an array of frequencies,
     from one evaluation of the kernel transforms."""
-    p = ctx.params
-    if not p.trapped:
+    if not ctx.params.trapped:
         raise TransformDomainError("trapped densities need gamma > 0")
-    w = np.asarray(omega, dtype=float)
-    dens, r22_col, r12_col = np.empty(w.shape), np.zeros(w.shape), np.zeros(w.shape)
-    zero = w == 0.0
-    if zero.any():
-        dens[zero] = r11(ctx, 0.0)
-    if (~zero).any():
-        wn = w[~zero]
-        kc, ks = _pairs(ctx, wn)
-        dens[~zero] = _r11_at(p, wn, kc, ks)
-        r22_col[~zero], r12_col[~zero] = _r22_r12_at(p, wn, kc, ks)
-    return dens, r22_col, r12_col
+    return _evaluate(ctx, omega, _trapped_at)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ supports, its default first:
   integrals, kept as the cross-check oracle for the other routes.
 
 Kcos is even and Ksin odd in the frequency; all routes evaluate at |w| and
-restore the sign of Ksin.
+restore the sign of Ksin.  The origin is decided in ``kcos_ksin_grid`` alone:
+at w = 0 an integrable kernel has (Int_0^oo K, 0) on every route it offers,
+and any other kernel raises TransformDomainError.
 """
 
 from dataclasses import dataclass
@@ -71,11 +73,18 @@ def _in_blocks(pair, w, x):
     return kcos.reshape(np.shape(w)), ksin.reshape(np.shape(w))
 
 
+# A frequency w for which w or w/x at the smallest node x exceeds this takes
+# its sine sum from s = x/w: below it r^2 = (w/x)^2 and w^2 stay under 1e300,
+# and the r form's sine terms, near mw/w^2, stay normal doubles.
+_CM_FAR = 1e150
+
+
 # In the two measure routes a frequency far above the nodes overflows w/x or
-# its square to inf, which gives each term its right limit, 0.
+# its square to inf, which gives each cosine term its right limit, 0.
 def _cm_pair(kernel, w):
     """Measure route for completely monotone kernels; w > 0 array."""
     x, mw = _measure_nodes(kernel)
+    w_far = _CM_FAR * min(1.0, x.min())
 
     @np.errstate(over="ignore")
     def pair(w):
@@ -87,7 +96,17 @@ def _cm_pair(kernel, w):
         inv += 1.0
         inv *= x
         np.reciprocal(inv, out=inv)
-        return inv @ mw, (inv @ (mw / x)) * w
+        kcos, ksin = inv @ mw, (inv @ (mw / x)) * w
+        # far out a sine term is mw w/(x^2 + w^2) = mw/(w (1 + s^2)), which
+        # is mw/w where r overflows
+        far = np.flatnonzero(w > w_far)
+        if far.size:
+            s = np.multiply.outer(1.0 / w[far], x)
+            s *= s
+            s += 1.0
+            np.reciprocal(s, out=s)
+            ksin[far] = (s @ mw) / w[far]
+        return kcos, ksin
 
     return _in_blocks(pair, w, x)
 
@@ -146,24 +165,6 @@ def _route(kernel, route):
     return route
 
 
-def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
-    """Vectorized (Kcos, Ksin) over an array of nonzero frequencies."""
-    omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas == 0.0):
-        raise TransformDomainError("transform undefined at origin for grid evaluation")
-    w = np.abs(omegas)
-    route = _route(kernel, route)
-    if route == ROUTE_NUMERIC:
-        kcos, ksin, _, _ = _numeric_pair(kernel, w, quad)
-    elif route == ROUTE_CLOSED:
-        kcos, ksin = _closed_pair(kernel, w)
-    elif route == ROUTE_CM:
-        kcos, ksin = _cm_pair(kernel, w)
-    else:  # phi_t2_faddeeva
-        kcos, ksin = _phi_pair(kernel, w)
-    return kcos, ksin * np.sign(omegas)
-
-
 def _kernel_integral(kernel, quad):
     """Int_0^oo K of an integrable kernel: its closed form, else quadrature."""
     total = kernel.integral()
@@ -172,25 +173,50 @@ def _kernel_integral(kernel, quad):
     return float(total)
 
 
-def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
-    """Cosine/sine transform pair of the kernel at a single frequency.
+def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
+    """Vectorized (Kcos, Ksin) over an array of frequencies.
 
-    At omega = 0 the pair (Int_0^oo K, 0) is returned for integrable kernels,
-    labelled closed_form whatever route was asked for, and
-    TransformDomainError is raised otherwise.  A route the kernel does not
-    offer raises TransformDomainError at every omega.
+    A route the kernel does not offer raises TransformDomainError at every
+    omega.  At omega = 0 the pair is (Int_0^oo K, 0) for integrable kernels,
+    whatever route was asked for, and TransformDomainError is raised
+    otherwise; only the other frequencies take the route.
     """
+    omegas = np.asarray(omegas, dtype=float)
+    route = _route(kernel, route)
+    w = np.abs(omegas)
+    kcos, ksin = np.zeros(w.shape), np.zeros(w.shape)
+    zero = w == 0.0
+    if zero.any():
+        if kernel_tail_class(kernel).kind != TailClass.INTEGRABLE:
+            raise TransformDomainError("transform undefined at origin")
+        kcos[zero] = _kernel_integral(kernel, quad)
+    rest = ~zero
+    if rest.any():
+        wr = w[rest]
+        if route == ROUTE_NUMERIC:
+            kc, ks, _, _ = _numeric_pair(kernel, wr, quad)
+        elif route == ROUTE_CLOSED:
+            kc, ks = _closed_pair(kernel, wr)
+        elif route == ROUTE_CM:
+            kc, ks = _cm_pair(kernel, wr)
+        else:  # phi_t2_faddeeva
+            kc, ks = _phi_pair(kernel, wr)
+        kcos[rest], ksin[rest] = kc, ks * np.sign(omegas[rest])
+    return kcos, ksin
+
+
+def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
+    """Cosine/sine transform pair of the kernel at a single frequency: the
+    one-row case of kcos_ksin_grid, whose origin row is labelled
+    closed_form whatever route was asked for."""
     omega = float(omega)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
     route = _route(kernel, route)
-    if omega == 0.0:
-        tc = kernel_tail_class(kernel)
-        if tc.kind != TailClass.INTEGRABLE:
-            raise TransformDomainError("transform undefined at origin")
-        return TransformPair(kcos=_kernel_integral(kernel, quad), ksin=0.0, route=ROUTE_CLOSED)
     kcos, ksin = kcos_ksin_grid(kernel, np.array([omega]), route=route, quad=quad)
-    return TransformPair(kcos=float(kcos[0]), ksin=float(ksin[0]), route=route)
+    return TransformPair(
+        kcos=float(kcos[0]), ksin=float(ksin[0]), route=ROUTE_CLOSED if omega == 0.0 else route
+    )
 
 
 def transform_complex(kernel, z, sign="minus"):

@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gle_spectra import GleParams, SpectralDensityCtx, parse_kernel_spec
+
+# environment of the child interpreters that tests start: the package is
+# imported from the source tree, as pytest itself imports it
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 # the parameter point used throughout: trapped, unit mass and coupling
 TRAPPED = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=1.0)

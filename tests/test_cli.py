@@ -10,6 +10,7 @@ import pytest
 from gle_spectra import kcos_ksin_grid, parse_kernel_spec, r11, r12, r22, transform
 from gle_spectra.cli import main, parse_config
 from gle_spectra.errors import ConfigError
+from conftest import SRC_ENV
 
 TRAPPED_DOC = '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"powerlaw:0.5"}'
 CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
@@ -21,6 +22,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "gle_spectra.cli", *argv],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -360,7 +362,8 @@ def test_trapped_spectrum_evaluates_transforms_once(monkeypatch, capsys):
     monkeypatch.setattr(spectra, "kcos_ksin_grid", counted)
     assert main(["spectrum", "--config", str(CONFIGS / "trapped_rouse.json"),
                  f"--grid={SIGNED_GRID}"]) == 0
-    assert len(calls) == 1 and calls[0].size == 4  # the origin takes no transform
+    # one call covers all five frequencies: the origin row's Kcos(0) is r11's limit
+    assert len(calls) == 1 and calls[0].tolist() == [-2.0, -0.5, 0.0, 0.5, 2.0]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Every demo runs to completion."""
 
-import os
 from pathlib import Path
 import subprocess
 import sys
 
 import pytest
+
+from conftest import SRC_ENV
 
 ROOT = Path(__file__).parent.parent
 
@@ -22,12 +23,11 @@ ROOT = Path(__file__).parent.parent
     ],
 )
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=SRC_ENV,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -28,7 +28,7 @@ from gle_spectra import (
     var_v0,
     var_x0,
 )
-from conftest import TRAPPED, free_ctx, trapped_ctx
+from conftest import SRC_ENV, TRAPPED, free_ctx, trapped_ctx
 
 
 def test_prony_identity_case():
@@ -372,4 +372,4 @@ def test_spectral_sampler_memory_bounded():
 def test_cli_import_skips_scipy_signal():
     # scipy.signal costs about as much import time as the whole CLI
     code = "import sys, gle_spectra.cli; sys.exit('scipy.signal' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=SRC_ENV).returncode == 0

@@ -5,6 +5,7 @@ from gle_spectra import (
     QuadConfig,
     TransformDomainError,
     integrate_to_infinity,
+    kcos_ksin_grid,
     near_zero_asymptote,
     r11,
     r12,
@@ -75,8 +76,61 @@ def test_r22_r12_at_large_frequency(w):
 
 
 def test_r22_free_particle_origin_guard():
-    with pytest.raises(TransformDomainError):
-        r22(free_ctx("powerlaw:0.5"), 0.0)
+    for spec in ("powerlaw:0.5", "one-plus-t-inverse", "cauchy:0.4,1"):
+        with pytest.raises(TransformDomainError):
+            r22(free_ctx(spec), 0.0)
+        with pytest.raises(TransformDomainError):
+            r22(free_ctx(spec), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("spec", ["rouse:1", "gaussian:1"])
+def test_r22_free_particle_origin_limit(spec):
+    # B = 0 at the origin of the free particle: r22(0) = 2/(lam + beta Int K)
+    ctx = free_ctx(spec)
+    expected = 2.0 / (ctx.params.lam + ctx.params.beta * ctx.kernel.integral())
+    assert r22(ctx, 0.0) == pytest.approx(expected, rel=1e-15)
+    assert r22(ctx, np.array([0.0, 1.0]))[0] == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", ["powerlaw:0.5", "one-plus-t-inverse", "rouse:1"])
+def test_trapped_r22_r12_vanish_at_origin(spec):
+    # in a trap B = gamma/w is infinite at the origin, whatever the kernel:
+    # r22 and r12 vanish there even where Kcos(0) diverges
+    ctx = trapped_ctx(spec)
+    assert r22(ctx, 0.0) == 0.0 and r12(ctx, 0.0) == 0.0
+    w = np.array([-1.0, 0.0, 2.0])
+    assert r22(ctx, w)[1] == 0.0 and r12(ctx, w)[1] == 0.0
+    assert np.all(r22(ctx, w)[[0, 2]] > 0.0)
+
+
+def _count_grid_calls(monkeypatch):
+    import gle_spectra.spectra as spectra
+
+    calls = []
+
+    def counted(kernel, omegas, **kwargs):
+        calls.append(np.array(omegas))
+        return kcos_ksin_grid(kernel, omegas, **kwargs)
+
+    monkeypatch.setattr(spectra, "kcos_ksin_grid", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["rouse:[1,2]", "powerlaw:0.5"])
+def test_each_density_call_makes_one_grid_call(spec, monkeypatch):
+    # r11 and the free r22 read Kcos(0) at the origin row, which only an
+    # integrable kernel has; the trapped r22 and r12 take no transform there
+    calls = _count_grid_calls(monkeypatch)
+    trapped, free = trapped_ctx(spec), free_ctx(spec)
+    grid = [-2.0, 0.0, 0.5, 3.0]
+    cases = [(r22, trapped, [-2.0, 0.5, 3.0]), (r12, trapped, [-2.0, 0.5, 3.0])]
+    if trapped.kernel.integral() is not None:
+        cases += [(r11, trapped, grid), (r22, free, grid)]
+    for density, ctx, covered in cases:
+        calls.clear()
+        density(ctx, np.array(grid))
+        density(ctx, 0.7)
+        assert [c.tolist() for c in calls] == [covered, [0.7]], density.__name__
 
 
 def test_r12_structure(rng):

@@ -353,3 +353,43 @@ def test_one_plus_t_inverse_kcos_stays_positive():
     assert np.all(kcos >= 0.0) and np.all(kcos[w < 1e161] > 0.0)
     far = w > 1e8  # Ksin = 1/w - 2/w^3 + ... is 1/w to double precision
     assert ksin[far] == pytest.approx(1.0 / w[far], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("omega", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("route", ["closed_form", "cm_measure"])
+def test_cm_measure_sine_sum_at_huge_frequency(route, omega):
+    # w/x overflows at the single node x = 1 of rouse:1, yet each sine term
+    # mw w/(x^2 + w^2) is mw/w there, so Ksin = 1/w is a normal double
+    kc, ks = kcos_ksin_grid(GeneralizedRouse((1.0,)), np.array([omega, -omega]), route=route)
+    assert np.all(kc >= 0.0)
+    assert ks == pytest.approx([1.0 / omega, -1.0 / omega], rel=1e-12, abs=0.0)
+
+
+def test_grid_rejects_origin_of_non_integrable_kernel():
+    for spec in ("powerlaw:0.5", "one-plus-t-inverse", "cauchy:0.4,1", "cauchy:0.5,1"):
+        kernel = parse_kernel_spec(spec)
+        for route in kernel.routes:
+            with pytest.raises(TransformDomainError, match="origin"):
+                kcos_ksin_grid(kernel, np.array([1.0, 0.0]), route=route)
+
+
+def test_grid_checks_route_before_origin():
+    # the route is checked first, at the origin as at every other frequency
+    for omegas in ([0.0], [0.0, 1.0]):
+        with pytest.raises(TransformDomainError, match="cm_measure"):
+            kcos_ksin_grid(Gaussian(1.0), np.array(omegas), route="cm_measure")
+        with pytest.raises(TransformDomainError, match="phi_t2_faddeeva"):
+            kcos_ksin_grid(PowerLaw(0.5), np.array(omegas), route="phi_t2_faddeeva")
+
+
+def test_grid_origin_is_kernel_integral_on_every_route():
+    integrals = (
+        (GeneralizedRouse((1.0, 2.0)), 1.5),
+        (Gaussian(1.0), 0.5 * math.sqrt(math.pi)),
+        (_Triangle(), 0.5),
+    )
+    for kernel, total in integrals:
+        for route in kernel.routes:
+            kcos, ksin = kcos_ksin_grid(kernel, np.array([0.0, -0.0]), route=route)
+            assert kcos.tolist() == pytest.approx([total, total], rel=1e-12)
+            assert ksin.tolist() == [0.0, 0.0]
