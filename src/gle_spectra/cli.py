@@ -290,26 +290,21 @@ def _cmd_simulate(args):
         t_grid = np.arange(0.0, args.t_max + args.dt, args.dt)
         ens = spectral_sample(ctx, grid, t_grid, args.n_paths, args.seed)
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
-    quantity = "x_integral" if "x" in ens.labels and ctx.params.trapped else "v_integral"
+    quantity = "x_integral" if "x" in ens.labels else "v_integral"
     curve = ensemble_msd(ens, quantity)
     _emit_csv("t,msd,stderr", (curve.times, curve.values, curve.stderr), args.output)
     p = ctx.params
-    x_samples = ens.column("x")[:, -1] if "x" in ens.labels else None
-    v_samples = ens.column("v")[:, -1]
-    var_v = float(v_samples.var(ddof=1))
+    var_v = float(ens.column("v")[:, -1].var(ddof=1))
+    var_x = float(ens.column("x")[:, -1].var(ddof=1)) if "x" in ens.labels else None
     summary = {
         "method": args.method,
         "n_paths": args.n_paths,
         "seed": args.seed,
         "var_v": var_v,
-        "var_x": float(x_samples.var(ddof=1)) if x_samples is not None else None,
+        "var_x": var_x,
         "equipartition_ratios": {
             "m_v": p.m * var_v / p.kbt if p.kbt > 0 else None,
-            "gamma_x": (
-                p.gamma * float(x_samples.var(ddof=1)) / p.kbt
-                if (x_samples is not None and p.kbt > 0 and p.trapped)
-                else None
-            ),
+            "gamma_x": p.gamma * var_x / p.kbt if (var_x is not None and p.kbt > 0) else None,
         },
         "reference": {"var_x": var_x_ref, "var_v": var_v_ref},
     }

@@ -327,7 +327,7 @@ def _budget_error(cfg, value, error, history):
     )
 
 
-def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
+def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
     ``a`` may be an array, one integral per element.  The substitution
@@ -348,9 +348,7 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, left_exponent=None):
         return f(_nodes(w, rows)) / (1.0 - u) ** 2
 
     try:
-        return integrate_adaptive(
-            g, np.zeros(shape), np.ones(shape), cfg, left_exponent=left_exponent
-        )
+        return integrate_adaptive(g, np.zeros(shape), np.ones(shape), cfg)
     except ToleranceNotMet as exc:
         p = _tail_exponent(f, a)
         if p is not None and p <= 1.02:

@@ -23,7 +23,6 @@ cells x times.
 
 from dataclasses import dataclass
 import math
-import warnings
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -36,11 +35,11 @@ from .kernels import BernsteinMeasure, kernel_eval
 from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve
 from .spectra import r11
 
-SCHEME_EXACT = "exact_ou_exponential"
-SCHEME_EULER = "euler_maruyama"
-
 # Work arrays of one block of paths or of time steps stay near this many bytes.
 _BLOCK_BYTES = 32 << 20
+# The Markovian sampler draws at most this many paths at a time: it bounds
+# the per-path Philox generators, each larger than a short path's output.
+_PATH_BLOCK = 2000
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,6 @@ class LinearSde:
     drift: np.ndarray
     noise: np.ndarray
     labels: tuple
-    params: object = None
-    atoms: tuple = ()
 
     def dim(self):
         return self.drift.shape[0]
@@ -59,8 +56,8 @@ class LinearSde:
     def spectral_abscissa(self):
         return float(np.max(np.linalg.eigvals(self.drift).real))
 
-    def is_stable(self, tol=1e-12):
-        return self.spectral_abscissa() < -tol
+    def is_stable(self):
+        return self.spectral_abscissa() < -1e-12
 
 
 @dataclass(frozen=True)
@@ -69,8 +66,6 @@ class PronyFit:
 
     measure: BernsteinMeasure
     sup_rel_error: float
-    rates: tuple
-    t_range: tuple
 
 
 def prony_fit(kernel, n_modes, t_range, rtol=None):
@@ -101,12 +96,7 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     if exact_atoms:
         dense = np.geomspace(t_lo, t_hi, 400)
         err = float(np.max(np.abs(measure.laplace(dense) / kernel_eval(kernel, dense) - 1.0)))
-        return PronyFit(
-            measure=measure,
-            sup_rel_error=err,
-            rates=tuple(x for x, _ in measure.atoms),
-            t_range=(t_lo, t_hi),
-        )
+        return PronyFit(measure=measure, sup_rel_error=err)
 
     rates = np.geomspace(0.3 / t_hi, 1.5 / t_lo, n_modes)
     ts = np.geomspace(t_lo, t_hi, 90)
@@ -134,12 +124,7 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
             achieved=err,
         )
     atoms = tuple((float(x), float(w)) for x, w in zip(rates[active], weights[active]))
-    return PronyFit(
-        measure=BernsteinMeasure(atoms=atoms),
-        sup_rel_error=err,
-        rates=tuple(rates),
-        t_range=(t_lo, t_hi),
-    )
+    return PronyFit(measure=BernsteinMeasure(atoms=atoms), sup_rel_error=err)
 
 
 def markovian_embedding(params, measure):
@@ -180,7 +165,7 @@ def markovian_embedding(params, measure):
         a[iu + k, iu + k] = -x
         a[iv, iu + k] = 1.0 / m
         b[iu + k, 1 + k] = math.sqrt(2.0 * x * params.beta * params.kbt * w)
-    return LinearSde(drift=a, noise=b, labels=labels, params=params, atoms=atoms)
+    return LinearSde(drift=a, noise=b, labels=labels)
 
 
 def lyapunov_stationary_cov(sde):
@@ -209,16 +194,13 @@ class Ensemble:
     """Observable paths sampled on a common time grid.
 
     ``data`` has shape (n_paths, n_times, n_obs) with ``labels`` naming the
-    observable columns.  Reproducible: identical (seed, dt, scheme) yield
-    identical arrays.
+    observable columns.  Each sampler is reproducible: the same arguments,
+    seed included, yield identical arrays.
     """
 
     times: np.ndarray
     data: np.ndarray
     labels: tuple
-    seed: int
-    scheme: str
-    dt: float = None
 
     def column(self, label):
         return self.data[:, :, self.labels.index(label)]
@@ -239,66 +221,33 @@ def _sqrt_psd(mat):
     return vecs * np.sqrt(vals)
 
 
-def simulate_paths(
-    sde,
-    dt,
-    t_max,
-    n_paths,
-    seed,
-    scheme=SCHEME_EXACT,
-    save_noise=False,
-    chunk_size=2000,
-):
+def simulate_paths(sde, dt, t_max, n_paths, seed):
     """Sample stationary paths of the embedded system.
 
     Initial states are drawn from the Lyapunov stationary covariance, so the
-    ensemble is stationary from t = 0 (no burn-in).  The default scheme uses
-    the exact one-step Gaussian transition of the linear SDE and is unbiased
-    in law for any dt; Euler-Maruyama is kept for regression comparison and
-    warns when dt exceeds its linear stability bound.
+    ensemble is stationary from t = 0 (no burn-in).  Each step is the exact
+    one-step Gaussian transition of the linear SDE, unbiased in law for any
+    dt.  The ensemble holds the x (when trapped) and v columns.
 
     Each path consumes an independent counter-based substream of the master
-    seed, so results do not depend on chunking.
+    seed, so a path does not depend on the block it is drawn in.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be positive")
-    if scheme not in (SCHEME_EXACT, SCHEME_EULER):
-        raise ValueError(f"unknown scheme {scheme!r}")
     n_steps = int(round(t_max / dt))
     dim = sde.dim()
     cov0 = lyapunov_stationary_cov(sde)
     l0 = _sqrt_psd(cov0)
-    if scheme == SCHEME_EXACT:
-        prop = linalg.expm(sde.drift * dt)
-        qstep = cov0 - prop @ cov0 @ prop.T
-        lstep = _sqrt_psd(qstep)
-    else:
-        prop = np.eye(dim) + sde.drift * dt
-        lstep = math.sqrt(dt) * sde.noise
-        growth = np.abs(np.linalg.eigvals(prop)).max()
-        if growth >= 1.0:
-            rates = np.linalg.eigvals(sde.drift)
-            dt_max = np.min(-2.0 * rates.real / np.abs(rates) ** 2)
-            warnings.warn(
-                f"euler step dt={dt:g} exceeds the stability bound; "
-                f"use dt < {dt_max:.3g}",
-                stacklevel=2,
-            )
+    prop = linalg.expm(sde.drift * dt)
+    lstep = _sqrt_psd(cov0 - prop @ cov0 @ prop.T)
     n_noise = lstep.shape[1]
 
     obs_labels = [lab for lab in ("x", "v") if lab in sde.labels]
     obs_idx = [sde.labels.index(lab) for lab in obs_labels]
-    noise_cols = [i for i, lab in enumerate(sde.labels) if lab.startswith("s")]
-    if save_noise:
-        obs_labels.append("F")
     out = np.empty((n_paths, n_steps + 1, len(obs_labels)))
-    p = sde.params
-    fd_scale = (
-        1.0 / math.sqrt(p.beta * p.kbt) if (save_noise and p is not None and p.kbt > 0) else 0.0
-    )
 
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
+    for start in range(0, n_paths, _PATH_BLOCK):
+        stop = min(start + _PATH_BLOCK, n_paths)
         block = stop - start
         states = np.empty((block, dim))
         rngs = [_path_rng(seed, start + j) for j in range(block)]
@@ -312,9 +261,6 @@ def simulate_paths(
         def record(pos):
             for c, idx in enumerate(obs_idx):
                 out[start:stop, pos, c] = states[:, idx]
-            if save_noise:
-                summed = states[:, noise_cols].sum(axis=1) if noise_cols else 0.0
-                out[start:stop, pos, -1] = fd_scale * summed
 
         record(0)
         for lo in range(0, n_steps, steps_per_block):
@@ -324,14 +270,7 @@ def simulate_paths(
             for step in range(lo, hi):
                 states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
                 record(step + 1)
-    return Ensemble(
-        times=np.arange(n_steps + 1) * dt,
-        data=out,
-        labels=tuple(obs_labels),
-        seed=seed,
-        scheme=scheme,
-        dt=dt,
-    )
+    return Ensemble(times=np.arange(n_steps + 1) * dt, data=out, labels=tuple(obs_labels))
 
 
 def ensemble_msd(ens, quantity):
@@ -413,13 +352,7 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
         xi_rng.standard_normal(out=draws[:rows])
         eta_rng.standard_normal(out=draws[rows : 2 * rows])
         data[start:stop, :, 0], data[start:stop, :, 1] = chirp(draws[: 2 * rows])
-    return Ensemble(
-        times=t,
-        data=data,
-        labels=("x", "v"),
-        seed=seed,
-        scheme="spectral",
-    )
+    return Ensemble(times=t, data=data, labels=("x", "v"))
 
 
 def _uniform_step(values):

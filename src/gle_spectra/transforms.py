@@ -177,12 +177,15 @@ def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
     """Vectorized (Kcos, Ksin) over an array of frequencies.
 
     A route the kernel does not offer raises TransformDomainError at every
-    omega.  At omega = 0 the pair is (Int_0^oo K, 0) for integrable kernels,
-    whatever route was asked for, and TransformDomainError is raised
-    otherwise; only the other frequencies take the route.
+    omega, and a non-finite omega then raises ValueError.  At omega = 0 the
+    pair is (Int_0^oo K, 0) for integrable kernels, whatever route was asked
+    for, and TransformDomainError is raised otherwise; only the other
+    frequencies take the route.
     """
     omegas = np.asarray(omegas, dtype=float)
     route = _route(kernel, route)
+    if not np.isfinite(omegas).all():
+        raise ValueError("omega must be finite")
     w = np.abs(omegas)
     kcos, ksin = np.zeros(w.shape), np.zeros(w.shape)
     zero = w == 0.0
@@ -210,8 +213,6 @@ def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
     one-row case of kcos_ksin_grid, whose origin row is labelled
     closed_form whatever route was asked for."""
     omega = float(omega)
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
     route = _route(kernel, route)
     kcos, ksin = kcos_ksin_grid(kernel, np.array([omega]), route=route, quad=quad)
     return TransformPair(

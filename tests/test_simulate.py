@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
+from scipy import linalg
 
 from gle_spectra import simulate
 from gle_spectra import (
@@ -17,6 +18,7 @@ from gle_spectra import (
     bernstein_of,
     default_spectral_grid,
     ensemble_msd,
+    kernel_eval,
     lyapunov_stationary_cov,
     markovian_embedding,
     msd_x,
@@ -122,12 +124,13 @@ def test_simulate_deterministic():
     assert not np.array_equal(a.data, c.data)
 
 
-def test_simulate_chunk_invariance():
-    # per-path noise streams make chunking irrelevant up to BLAS last-bit
-    # shape effects; comparison is tolerance-aware
+def test_simulate_chunk_invariance(monkeypatch):
+    # per-path noise streams make the path blocks irrelevant up to BLAS
+    # last-bit shape effects; comparison is tolerance-aware
     sde = _one_atom_sde()
     a = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=64, seed=1)
-    b = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=64, seed=1, chunk_size=7)
+    monkeypatch.setattr(simulate, "_PATH_BLOCK", 7)
+    b = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=64, seed=1)
     assert np.allclose(a.data, b.data, rtol=1e-12, atol=1e-13)
 
 
@@ -145,20 +148,6 @@ def test_simulate_zero_noise_msd():
     assert np.max(np.abs(curve.values)) == 0.0
 
 
-def test_euler_stability_warning():
-    sde = _one_atom_sde()
-    with pytest.warns(UserWarning, match="stability"):
-        simulate_paths(sde, dt=5.0, t_max=20.0, n_paths=2, seed=0, scheme="euler_maruyama")
-
-
-def test_euler_agrees_with_exact_in_law():
-    sde = _one_atom_sde()
-    exact = simulate_paths(sde, dt=0.02, t_max=10.0, n_paths=2000, seed=5)
-    euler = simulate_paths(sde, dt=0.02, t_max=10.0, n_paths=2000, seed=6, scheme="euler_maruyama")
-    ve, vu = exact.column("v")[:, -1].var(), euler.column("v")[:, -1].var()
-    assert vu == pytest.approx(ve, rel=0.15)
-
-
 def test_sample_variance_matches_lyapunov():
     sde = _one_atom_sde()
     cov = lyapunov_stationary_cov(sde)
@@ -169,17 +158,16 @@ def test_sample_variance_matches_lyapunov():
 
 
 def test_fluctuation_dissipation_of_noise():
-    # autocovariance of the synthesized thermal force equals the kernel
-    sde = _one_atom_sde()
-    dt = 0.05
-    ens = simulate_paths(sde, dt=dt, t_max=8.0, n_paths=3000, seed=13, save_noise=True)
-    f = ens.column("F")
-    for tau in (0.0, 1.0, 5.0):
-        lag = int(round(tau / dt))
-        prod = (f[:, 0] * f[:, lag])
-        est = prod.mean()
-        se = prod.std(ddof=1) / math.sqrt(prod.size)
-        assert abs(est - math.exp(-tau)) < 3.0 * se + 1e-12
+    # the thermal force F = sum_n s_n / sqrt(beta kbt) of the embedding has
+    # the stationary autocovariance e_s^T expm(A tau) S e_s / (beta kbt) = K(tau)
+    for spec in ("rouse:1", "rouse:[1,2,3]"):
+        kernel = parse_kernel_spec(spec)
+        sde = markovian_embedding(TRAPPED, bernstein_of(kernel))
+        cov = lyapunov_stationary_cov(sde)
+        e_s = np.array([lab.startswith("s") for lab in sde.labels], dtype=float)
+        for tau in (0.0, 1.0, 5.0):
+            acf = e_s @ linalg.expm(sde.drift * tau) @ cov @ e_s / (TRAPPED.beta * TRAPPED.kbt)
+            assert acf == pytest.approx(float(kernel_eval(kernel, tau)), abs=1e-10)
 
 
 def test_ensemble_msd_matches_quadrature():
@@ -247,9 +235,9 @@ def test_spectral_sampler_free_particle_rejected():
 def test_simulate_time_blocks_bitwise(monkeypatch):
     # noise drawn a few steps at a time is the same stream as one draw
     sde = _one_atom_sde()
-    whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4, chunk_size=5)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 5 * 4)  # 3 steps of 5 paths x 4 noises
-    split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4, chunk_size=5)
+    whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 4)  # 3 steps of 12 paths x 4 noises
+    split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
     assert np.array_equal(whole.data, split.data)
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from gle_spectra import (
     r12,
     r22,
 )
+from gle_spectra.spectra import trapped_densities
 from conftest import EQUIPARTITION_PRESETS, free_ctx, trapped_ctx
 
 
@@ -206,3 +210,18 @@ def test_near_zero_asymptote_classes():
 def test_near_zero_needs_trap():
     with pytest.raises(TransformDomainError):
         near_zero_asymptote(free_ctx("rouse:1"))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_densities_reject_non_finite_frequencies(bad):
+    trapped, free = trapped_ctx("rouse:1"), free_ctx("rouse:1")
+    calls = [
+        (r11, trapped), (r22, trapped), (r12, trapped), (trapped_densities, trapped), (r22, free)
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for density, ctx in calls:
+            for omega in (bad, np.array([1.0, bad]), np.array([0.0, bad])):
+                with pytest.raises(ValueError, match="finite"):
+                    density(ctx, omega)
+    assert caught == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -380,6 +381,24 @@ def test_grid_checks_route_before_origin():
             kcos_ksin_grid(Gaussian(1.0), np.array(omegas), route="cm_measure")
         with pytest.raises(TransformDomainError, match="phi_t2_faddeeva"):
             kcos_ksin_grid(PowerLaw(0.5), np.array(omegas), route="phi_t2_faddeeva")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_non_finite_frequencies(bad):
+    # after the route check, before any arithmetic: no NaN and no warning
+    for spec in ("rouse:1", "powerlaw:0.5", "gaussian:1"):
+        kernel = parse_kernel_spec(spec)
+        for route in kernel.routes:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for omegas in ([bad], [1.0, bad], [0.0, bad]):
+                    with pytest.raises(ValueError, match="finite"):
+                        kcos_ksin_grid(kernel, np.array(omegas), route=route)
+                with pytest.raises(ValueError, match="finite"):
+                    transform(kernel, bad, route=route)
+            assert caught == []
+    with pytest.raises(TransformDomainError, match="phi_t2_faddeeva"):
+        kcos_ksin_grid(PowerLaw(0.5), np.array([bad]), route="phi_t2_faddeeva")
 
 
 def test_grid_origin_is_kernel_integral_on_every_route():
