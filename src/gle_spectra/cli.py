@@ -7,7 +7,7 @@ code 1 (computational) or 2 (usage).
 """
 
 import argparse
-from dataclasses import dataclass
+from functools import cache
 import json
 import math
 import re
@@ -34,6 +34,7 @@ from .simulate import (
     lyapunov_stationary_cov,
     markovian_embedding,
     prony_fit,
+    sample_times,
     simulate_paths,
     spectral_sample,
 )
@@ -45,51 +46,9 @@ def _fmt(x):
     return x if isinstance(x, str) else f"{x:.17g}"
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration from a JSON document."""
-
-    params: GleParams
-    kernel_spec: str
-    quad: QuadConfig
-
-    @property
-    def kernel(self):
-        return parse_kernel_spec(self.kernel_spec)
-
-    def ctx(self):
-        return SpectralDensityCtx(self.params, self.kernel, self.quad)
-
-    def to_json(self):
-        p = self.params
-        doc = {
-            "m": p.m,
-            "lambda": p.lam,
-            "beta": p.beta,
-            "gamma": p.gamma,
-            "kbt": p.kbt,
-            "kernel": self.kernel_spec,
-        }
-        if self.quad != DEFAULT_QUAD:
-            doc["quad"] = {
-                "rel_tol": self.quad.rel_tol,
-                "abs_tol": self.quad.abs_tol,
-                "max_subdivisions": self.quad.max_subdivisions,
-            }
-        return json.dumps(doc, sort_keys=True)
-
-
-_PARAM_BOUNDS = {
-    "m": ("m", lambda v: v > 0, "must be > 0"),
-    "lambda": ("lam", lambda v: v >= 0, "must be >= 0"),
-    "beta": ("beta", lambda v: v > 0, "must be > 0"),
-    "gamma": ("gamma", lambda v: v >= 0, "must be >= 0"),
-    "kbt": ("kbt", lambda v: v >= 0, "must be >= 0"),
-}
-
-
 def parse_config(text):
-    """Parse and validate a JSON run configuration.
+    """Parse and validate a JSON run configuration into the
+    SpectralDensityCtx(params, kernel, quad) of the request.
 
     Violations raise ConfigError carrying the offending field path.
     """
@@ -100,24 +59,22 @@ def parse_config(text):
     if not isinstance(doc, dict):
         raise ConfigError("$", "top-level JSON object required")
     fields = {}
-    for key, (attr, check, msg) in _PARAM_BOUNDS.items():
+    for key, (name, _) in GleParams.BOUNDS.items():
         if key not in doc:
             raise ConfigError(key, "missing required field")
         try:
             val = float(doc[key])
         except (TypeError, ValueError):
             raise ConfigError(key, "must be a number")
-        if not math.isfinite(val):
-            raise ConfigError(key, "must be finite")
-        if not check(val):
-            raise ConfigError(key, msg)
-        fields[attr] = val
-    params = GleParams(**fields)
+        problem = GleParams.bound_violation(key, val)
+        if problem:
+            raise ConfigError(key, problem)
+        fields[name] = val
     spec = doc.get("kernel")
     if not isinstance(spec, str):
         raise ConfigError("kernel", "missing kernel spec string")
     try:
-        parse_kernel_spec(spec)
+        kernel = parse_kernel_spec(spec)
     except (ValueError, OSError) as exc:
         raise ConfigError("kernel", str(exc))
     quad = DEFAULT_QUAD
@@ -135,7 +92,7 @@ def parse_config(text):
             )
         except ValueError as exc:
             raise ConfigError("quad", str(exc))
-    return RunConfig(params=params, kernel_spec=spec, quad=quad)
+    return SpectralDensityCtx(GleParams(**fields), kernel, quad)
 
 
 def _parse_grid(text):
@@ -194,8 +151,7 @@ def _cmd_transform(args):
 
 
 def _cmd_spectrum(args):
-    cfg = parse_config(_read(args.config))
-    ctx = cfg.ctx()
+    ctx = parse_config(_read(args.config))
     omegas = _parse_grid(args.grid)
     if ctx.params.trapped:
         header, columns = "omega,r11,r22,im_r12", (omegas, *trapped_densities(ctx, omegas))
@@ -206,8 +162,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_msd(args):
-    cfg = parse_config(_read(args.config))
-    ctx = cfg.ctx()
+    ctx = parse_config(_read(args.config))
     if args.quantity == "x" and not ctx.params.trapped:
         raise ValueError("free particle has no stationary position; use --quantity v")
     times = _parse_grid(args.t_grid)
@@ -218,10 +173,10 @@ def _cmd_msd(args):
 
 
 def _cmd_equipartition(args):
-    cfg = parse_config(_read(args.config))
-    if cfg.params.kbt == 0.0:
+    ctx = parse_config(_read(args.config))
+    if ctx.params.kbt == 0.0:
         raise ConfigError("kbt", "must be > 0 for equipartition ratios")
-    rep = equipartition_report(cfg.ctx())
+    rep = equipartition_report(ctx)
     # RFC 8259 JSON has no NaN or Infinity: a failed quadrature's value or
     # error is written as null, and its notes say why
     doc = {
@@ -268,13 +223,12 @@ def _cmd_simulate(args):
             raise ValueError(f"{name} must be finite and > 0")
     if args.dt > args.t_max:
         raise ValueError("--dt must not exceed --t-max")
-    cfg = parse_config(_read(args.config))
-    ctx = cfg.ctx()
+    ctx = parse_config(_read(args.config))
     if args.method == "markovian":
         measure = prony_fit(
-            cfg.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max))
+            ctx.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max))
         ).measure
-        sde = markovian_embedding(cfg.params, measure)
+        sde = markovian_embedding(ctx.params, measure)
         ens = simulate_paths(
             sde, dt=args.dt, t_max=args.t_max, n_paths=args.n_paths, seed=args.seed
         )
@@ -287,7 +241,7 @@ def _cmd_simulate(args):
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")
         grid = default_spectral_grid(ctx, t_max=args.t_max)
-        t_grid = np.arange(0.0, args.t_max + args.dt, args.dt)
+        t_grid = sample_times(args.dt, args.t_max)
         ens = spectral_sample(ctx, grid, t_grid, args.n_paths, args.seed)
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
     quantity = "x_integral" if "x" in ens.labels else "v_integral"
@@ -344,6 +298,7 @@ def _attach_signed_grids(argv):
     return out
 
 
+@cache
 def build_parser():
     ap = _Parser(
         prog="gle-spectra",

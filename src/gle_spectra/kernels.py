@@ -33,7 +33,7 @@ _PHI_ROUTES = (ROUTE_PHI, ROUTE_NUMERIC)
 
 @dataclass(frozen=True)
 class GleParams:
-    """Physical constants of the Langevin system.
+    """Physical constants of the Langevin system, each finite.
 
     m : particle mass (> 0)
     lam : viscous drag coefficient (>= 0)
@@ -48,17 +48,31 @@ class GleParams:
     gamma: float = 0.0
     kbt: float = 1.0
 
+    # the config key of each constant -> its field and lower bound
+    BOUNDS = {
+        "m": ("m", "> 0"),
+        "lambda": ("lam", ">= 0"),
+        "beta": ("beta", "> 0"),
+        "gamma": ("gamma", ">= 0"),
+        "kbt": ("kbt", ">= 0"),
+    }
+
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("m must be > 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.kbt < 0:
-            raise ValueError("kbt must be >= 0")
+        for key, (name, _) in self.BOUNDS.items():
+            problem = self.bound_violation(key, getattr(self, name))
+            if problem:
+                raise ValueError(f"{key} {problem}")
+
+    @classmethod
+    def bound_violation(cls, key, value):
+        """What value breaks as the constant with config key ``key``:
+        'must be finite', 'must be <bound>', or None if nothing."""
+        if not math.isfinite(value):
+            return "must be finite"
+        bound = cls.BOUNDS[key][1]
+        if value > 0 or (value == 0 and bound == ">= 0"):
+            return None
+        return f"must be {bound}"
 
     @property
     def trapped(self):
@@ -484,11 +498,18 @@ def _one_plus_t_density(x):
 
 
 def kernel_eval(kernel, t):
-    """K(|t|); symmetric in t.  Raises KernelDomainError where K is singular."""
+    """K(|t|); symmetric in t.  Raises KernelDomainError where K is singular
+    and UnrepresentableError where K overflows double precision."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    out = kernel.eval(t)
+    with np.errstate(over="ignore"):
+        out = kernel.eval(t)
+    overflow = np.isinf(out)
+    if overflow.any():
+        raise UnrepresentableError(
+            f"{kernel.spec()}: K(t) overflows double precision at t = {float(t[overflow][0]):g}"
+        )
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -522,14 +543,15 @@ def validate_kernel(kernel, probe_grid):
     ``kernel`` may be a MemoryKernel or a bare callable t -> K(t) (used for
     tabulated or experimental kernels).  Checks symmetry, positivity, an
     eventually-decreasing tail, and positivity of the cosine transform at a
-    few frequencies.
+    few frequencies.  A MemoryKernel is evaluated through kernel_eval, so
+    one that overflows on the grid raises UnrepresentableError.
     """
     from .quad import DEFAULT_QUAD, integrate_oscillatory
 
     grid = np.asarray(probe_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("probe grid must be strictly increasing and positive")
-    f = kernel.eval if isinstance(kernel, MemoryKernel) else kernel
+    f = (lambda t: kernel_eval(kernel, t)) if isinstance(kernel, MemoryKernel) else kernel
     report = ValidationReport()
 
     vals = np.asarray(f(grid), dtype=float)

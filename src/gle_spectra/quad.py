@@ -331,15 +331,19 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
     ``a`` may be an array, one integral per element.  The substitution
-    w = a + u/(1-u) maps the range onto (0, 1).  A clearly sub-integrable tail
-    (measured decay exponent <= 1 in some row) raises DivergentTail.  An
-    integrand that decays only in oscillatory mean is out of reach: split it,
-    as moments.msd_x does, into an integrate_oscillatory part and an
-    absolutely integrable rest.
+    w = a + u/(1-u) maps the range onto (0, 1), up to the last double below
+    u = 1, where w - a = 2**53 - 1.  The range past that cap is estimated
+    from the decay exponent p of |f| over the three decades below it, all
+    rows in one call of f before any subdivision: p <= 1 in some row raises
+    DivergentTail, and otherwise the tail estimate joins the row's error,
+    which must still meet the tolerance.  An integrand that decays only in
+    oscillatory mean is out of reach: split it, as moments.msd_x does, into
+    an integrate_oscillatory part and an absolutely integrable rest.
     """
     shape, (a,) = _broadcast(a)
     origin = np.array(a)
     u_cap = np.nextafter(1.0, 0.0)  # keep the mapped abscissa finite
+    tail = _dropped_tail(f, origin, u_cap / (1.0 - u_cap)).tolist()
 
     def g(u):
         rows = u.rows
@@ -347,33 +351,37 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
         w = origin[rows] + u / (1.0 - u)
         return f(_nodes(w, rows)) / (1.0 - u) ** 2
 
-    try:
-        return integrate_adaptive(g, np.zeros(shape), np.ones(shape), cfg)
-    except ToleranceNotMet as exc:
-        p = _tail_exponent(f, a)
-        if p is not None and p <= 1.02:
-            raise DivergentTail(
-                f"divergent tail: measured decay exponent {p:.3f} <= 1",
-                value=exc.value,
-                error=exc.error,
-            ) from exc
-        raise
+    vals, errs = _adapt(g, [(0.0, 1.0, None)] * len(a), cfg, range(len(a)))
+    errs = [e + t for e, t in zip(errs, tail)]
+    for value, error in zip(vals, errs):
+        if error > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            raise ToleranceNotMet(
+                "tolerance not met with the estimated tail past the fold cap "
+                f"(value={float(value)}, err={float(error)})",
+                value=value,
+                error=error,
+            )
+    return _shaped(vals, shape), _shaped(errs, shape)
 
 
-def _tail_exponent(f, a):
-    """Crude log-log decay slope of |f| far out on [a, oo), the smallest over
-    the rows of the list a, from one call of f; None if unusable."""
-    ws = np.add.outer(a, np.geomspace(10.0, 1e8, 8))
-    try:
-        ys = np.abs(_values(f, ws, np.repeat(np.arange(len(a)), 8)))
-    except Exception:
-        return None
-    slopes = []
-    for w, y in zip(ws, ys):
-        good = y > 0
-        if good.sum() >= 4:
-            slopes.append(-np.polyfit(np.log(w[good]), np.log(y[good]), 1)[0])
-    return min(slopes, default=None)
+def _dropped_tail(f, origin, span):
+    """Estimate of Int |f| over [origin + span, oo) in each row, from the
+    decay exponent p of |f| between origin + span/2**10 and origin + span,
+    all rows in one call of f: |f| w / (p - 1) at the far point, 0 where
+    |f| vanishes there.  DivergentTail where p <= 1."""
+    w = origin[:, None] + span * np.array([2.0 ** -10, 1.0])
+    rows = np.repeat(np.arange(len(origin)), 2).reshape(w.shape)
+    y = np.abs(_values(f, w, rows))
+    gone = y[:, 1] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(y[:, 0] / y[:, 1]) / np.log(w[:, 1] / w[:, 0])
+        tail = np.where(gone, 0.0, y[:, 1] * w[:, 1] / (p - 1.0))
+    divergent = ~gone & ~(p > 1.0)
+    if divergent.any():
+        raise DivergentTail(
+            f"divergent tail: measured decay exponent {float(p[divergent][0]):.3f} <= 1"
+        )
+    return tail
 
 
 def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=None):

@@ -221,20 +221,28 @@ def _sqrt_psd(mat):
     return vecs * np.sqrt(vals)
 
 
+def sample_times(dt, t_max):
+    """The time grid 0, dt, 2 dt, ..., n dt of both samplers: the most steps
+    n whose last sample does not pass t_max, to rounding."""
+    if dt <= 0 or t_max <= 0:
+        raise ValueError("dt and t_max must be positive")
+    return np.arange(math.floor(t_max / dt * (1.0 + 4.0 * np.finfo(float).eps)) + 1) * dt
+
+
 def simulate_paths(sde, dt, t_max, n_paths, seed):
     """Sample stationary paths of the embedded system.
 
     Initial states are drawn from the Lyapunov stationary covariance, so the
     ensemble is stationary from t = 0 (no burn-in).  Each step is the exact
     one-step Gaussian transition of the linear SDE, unbiased in law for any
-    dt.  The ensemble holds the x (when trapped) and v columns.
+    dt.  The ensemble holds the x (when trapped) and v columns at the times
+    sample_times(dt, t_max).
 
     Each path consumes an independent counter-based substream of the master
     seed, so a path does not depend on the block it is drawn in.
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
-    n_steps = int(round(t_max / dt))
+    times = sample_times(dt, t_max)
+    n_steps = len(times) - 1
     dim = sde.dim()
     cov0 = lyapunov_stationary_cov(sde)
     l0 = _sqrt_psd(cov0)
@@ -270,7 +278,7 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
             for step in range(lo, hi):
                 states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
                 record(step + 1)
-    return Ensemble(times=np.arange(n_steps + 1) * dt, data=out, labels=tuple(obs_labels))
+    return Ensemble(times=times, data=out, labels=tuple(obs_labels))
 
 
 def ensemble_msd(ens, quantity):

@@ -7,9 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from gle_spectra import kcos_ksin_grid, parse_kernel_spec, r11, r12, r22, transform
+from gle_spectra import (
+    PowerLaw,
+    SpectralDensityCtx,
+    kcos_ksin_grid,
+    parse_kernel_spec,
+    r11,
+    r12,
+    r22,
+    transform,
+)
+from gle_spectra import kernels
 from gle_spectra.cli import main, parse_config
 from gle_spectra.errors import ConfigError
+from gle_spectra.quad import DEFAULT_QUAD
 from conftest import SRC_ENV
 
 TRAPPED_DOC = '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"powerlaw:0.5"}'
@@ -19,7 +30,7 @@ SIGNED_GRID = "-2,-0.5,0,0.5,2"
 
 def run_cli(*argv):
     proc = subprocess.run(
-        [sys.executable, "-m", "gle_spectra.cli", *argv],
+        [sys.executable, "-W", "error", "-m", "gle_spectra.cli", *argv],
         capture_output=True,
         text=True,
         env=SRC_ENV,
@@ -28,15 +39,25 @@ def run_cli(*argv):
 
 
 def test_parse_config_valid():
-    cfg = parse_config(TRAPPED_DOC)
-    assert cfg.params.gamma == 2.0
-    assert cfg.kernel_spec == "powerlaw:0.5"
+    ctx = parse_config(TRAPPED_DOC)
+    assert isinstance(ctx, SpectralDensityCtx)
+    assert ctx.params.gamma == 2.0
+    assert ctx.kernel == PowerLaw(0.5)
+    assert ctx.quad == DEFAULT_QUAD
 
 
-def test_parse_config_round_trip():
-    cfg = parse_config(TRAPPED_DOC)
-    again = parse_config(cfg.to_json())
-    assert again == cfg
+def test_parse_config_twice_gives_one_cache_key(tmp_path):
+    # the moments caches are keyed by the context, so two requests on one
+    # document must hash alike
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text("[[1.0, 0.5], [3.0, 0.25]]")
+    for kernel in ("powerlaw:0.5", f"expmix:@{atoms}"):
+        doc = json.loads(TRAPPED_DOC)
+        doc.update(kernel=kernel, quad={"rel_tol": 1e-9})
+        text = json.dumps(doc)
+        first, second = parse_config(text), parse_config(text)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
 
 
 def test_parse_config_field_errors():
@@ -51,6 +72,71 @@ def test_parse_config_field_errors():
     assert ei.value.field == "kernel"
     with pytest.raises(ConfigError):
         parse_config("not json")
+    # fields are checked in order: a bad m before a missing lambda, a missing
+    # kbt before a bad kernel
+    with pytest.raises(ConfigError, match="^m: must be > 0$"):
+        parse_config('{"m":-1,"beta":1,"gamma":2,"kbt":1}')
+    with pytest.raises(ConfigError, match="^kbt: missing required field$"):
+        parse_config('{"m":1,"lambda":1,"beta":1,"gamma":2,"kernel":"zap:9"}')
+    with pytest.raises(ConfigError, match="^[$]: top-level JSON object required$"):
+        parse_config("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"m": -1}, "m: must be > 0"),
+        ({"m": 0}, "m: must be > 0"),
+        ({"lambda": -1}, "lambda: must be >= 0"),
+        ({"beta": 0}, "beta: must be > 0"),
+        ({"gamma": -0.5}, "gamma: must be >= 0"),
+        ({"kbt": -1}, "kbt: must be >= 0"),
+        ({"kbt": "warm"}, "kbt: must be a number"),
+        ({"beta": None}, "beta: must be a number"),
+        ({"gamma": "nan"}, "gamma: must be finite"),
+        ({"lambda": "-inf"}, "lambda: must be finite"),
+        ({"kernel": 3}, "kernel: missing kernel spec string"),
+        ({"kernel": "zap:9"}, "kernel: unknown kernel spec 'zap:9'"),
+        ({"kernel": "powerlaw:1.5"}, "kernel: powerlaw alpha must lie in (0, 1)"),
+        ({"quad": 1e-9}, "quad: must be an object"),
+        ({"quad": {"rel_tol": 0}}, "quad: tolerances must be positive"),
+    ],
+)
+def test_parse_config_error_paths_and_messages(change, message):
+    doc = json.loads(TRAPPED_DOC)
+    doc.update(change)
+    with pytest.raises(ConfigError) as ei:
+        parse_config(json.dumps(doc))
+    assert str(ei.value) == message
+    assert ei.value.field == message.partition(":")[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msd", "--quantity", "v", "--t-grid", "1,2"],
+        ["equipartition"],
+        ["spectrum", "--grid", "0.5,2"],
+        ["simulate", "--n-paths", "4", "--dt", "0.5", "--t-max", "1"],
+    ],
+)
+def test_expmix_atoms_file_read_once_per_request(argv, tmp_path, monkeypatch, capsys):
+    # the kernel a request uses is the one its config validated
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text("[[1.0, 0.5], [3.0, 0.25]]")
+    cfg = tmp_path / "cfg.json"
+    doc = json.loads(TRAPPED_DOC)
+    doc["kernel"] = f"expmix:@{atoms}"
+    cfg.write_text(json.dumps(doc))
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "open", counting_open, raising=False)
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert opened == [str(atoms)]
 
 
 def test_unknown_subcommand_usage_exit():
@@ -179,6 +265,21 @@ def test_simulate_summary(tmp_path, cfg_file, capsys):
     assert len(lines) == 101
 
 
+def test_simulate_methods_share_one_time_grid(capsys):
+    # 0.3 does not divide 1.0: both grids stop at 0.9, not past the horizon
+    # (the MSD curve starts at the first step)
+    columns = []
+    for method in ("markovian", "spectral"):
+        assert main([
+            "simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--method", method,
+            "--n-paths", "4", "--dt", "0.3", "--t-max", "1.0",
+        ]) == 0
+        _, rows = read_rows(capsys)
+        columns.append([r[0] for r in rows[:-1]])
+    assert columns[0] == columns[1]
+    assert [float(t) for t in columns[0]] == pytest.approx([0.3, 0.6, 0.9], rel=1e-15)
+
+
 def test_simulate_deterministic_output(tmp_path):
     cfg = tmp_path / "r.json"
     cfg.write_text('{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1"}')
@@ -253,7 +354,7 @@ def test_spectrum_grid_matches_pointwise(capsys):
     assert main(["spectrum", "--config", trapped, f"--grid={SIGNED_GRID}"]) == 0
     header, rows = read_rows(capsys)
     assert header == ["omega", "r11", "r22", "im_r12"]
-    ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text()).ctx()
+    ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text())
     for w, a, b, c in rows:
         w = float(w)
         assert float(a) == pytest.approx(r11(ctx, w), rel=1e-13)
@@ -264,7 +365,7 @@ def test_spectrum_grid_matches_pointwise(capsys):
     assert main(["spectrum", "--config", free, f"--grid={SIGNED_GRID}"]) == 0
     header, rows = read_rows(capsys)
     assert header == ["omega", "r22"]
-    ctx = parse_config((CONFIGS / "free_rouse.json").read_text()).ctx()
+    ctx = parse_config((CONFIGS / "free_rouse.json").read_text())
     for w, v in rows:
         assert float(v) == pytest.approx(r22(ctx, float(w)), rel=1e-13)
 
@@ -504,3 +605,20 @@ def test_transform_faddeeva_route_at_huge_frequency(capsys):
     _, kcos, ksin, route = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert float(kcos) == 0.0 and route == "phi_t2_faddeeva"
     assert float(ksin) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--kernel", "powerlaw:0.99", "--t-grid", "1e-320,1"],
+        ["kernel", "--kernel", "powerlaw:0.99", "--t-grid", "1e-320,1e-3,1,2", "--validate"],
+        ["transform", "--kernel", "powerlaw:0.99", "--route", "numeric", "--omega", "1e40"],
+    ],
+)
+def test_kernel_overflow_is_one_envelope(argv):
+    # K = t^-0.99 overflows below t ~ 1e-311: no warning, no inf row
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "UnrepresentableError"

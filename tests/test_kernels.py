@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -173,6 +175,13 @@ def test_params_validation():
         GleParams(gamma=-0.1)
     assert GleParams(gamma=0.0).trapped is False
     assert GleParams(gamma=2.0).trapped is True
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["m", "lam", "beta", "gamma", "kbt"])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        GleParams(**{name: value})
 
 
 def test_kernel_spec_grammar(tmp_path):

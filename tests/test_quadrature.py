@@ -61,6 +61,36 @@ def test_divergent_tail_detected():
         integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 0.0)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_divergent_tail_raises_before_subdividing(p):
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return (1.0 + u) ** -p
+
+    with pytest.raises(DivergentTail):
+        integrate_to_infinity(f, 0.0)
+    assert calls == [2]  # the tail probe alone
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1])
+def test_slow_tail_is_in_the_error(p):
+    # the fold stops near w = 9e15; what lies past it is 3.0 and 0.25 here,
+    # far above the tolerance, so the result may not come back as converged
+    try:
+        val, err = integrate_to_infinity(lambda u: (1.0 + u) ** -p, 0.0)
+    except ToleranceNotMet as exc:
+        val, err = exc.value, exc.error
+    assert abs(val - 1.0 / (p - 1.0)) <= err
+
+
+def test_fast_tail_unchanged():
+    val, err = integrate_to_infinity(lambda u: (1.0 + u) ** -2.0, 0.0)
+    assert val == pytest.approx(1.0, rel=1e-13)
+    assert err < 1e-12
+
+
 def test_tolerance_not_met_carries_estimate():
     cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=4)
     with pytest.raises(ToleranceNotMet) as ei:
