@@ -196,10 +196,10 @@ def _cmd_equipartition(args):
 
 def _cmd_fit_exponent(args):
     rows = [ln.strip() for ln in _read(args.input).splitlines() if ln.strip()]
-    header = rows[0].split(",")
-    if header[:2] != ["t", "msd"]:
+    if not rows or rows[0].split(",")[:2] != ["t", "msd"]:
         raise GleError("input CSV must have header t,msd")
     data = np.array([[float(v) for v in ln.split(",")[:2]] for ln in rows[1:]])
+    data = data.reshape(len(rows) - 1, 2)
     curve = MsdCurve(
         times=tuple(data[:, 0]), values=tuple(data[:, 1]), quantity=POSITION_INTEGRAL
     )

@@ -11,7 +11,6 @@ first; the routes themselves live in the transforms module.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import json
 import math
 
@@ -81,11 +80,15 @@ class GleParams:
 
 @dataclass(frozen=True)
 class TailClass:
-    """Large-time decay class of a kernel.
+    """Large-time decay class of a kernel, with the small-frequency law it fixes.
 
     kind is one of "integrable", "critical" (K ~ c1/t) or "powerlaw"
     (K ~ c_alpha * t^-alpha with alpha in (0, 1)); ``constant`` carries the
     limit c = lim t^alpha K(t) where applicable.
+
+    As w -> 0, Kcos (and so r11) grows like ``shape(w)``: 1, |log w| or
+    w^p, with ``exponent`` p = alpha - 1 for a power-law tail and 0
+    otherwise; Ksin grows like w^p.
     """
 
     kind: str
@@ -96,16 +99,28 @@ class TailClass:
     CRITICAL = "critical"
     POWERLAW = "powerlaw"
 
+    @property
+    def exponent(self):
+        return self.alpha - 1.0 if self.kind == self.POWERLAW else 0.0
+
+    def shape(self, omega):
+        w = abs(float(omega))
+        if self.kind == self.CRITICAL:
+            return abs(math.log(w))
+        return w ** self.exponent
+
 
 @dataclass(frozen=True)
 class BernsteinMeasure:
     """Positive measure mu on (0, oo) with K(t) = Int exp(-t x) mu(dx).
 
     ``atoms`` is a tuple of (location, weight) pairs; ``density`` an optional
-    module-level callable for an absolutely continuous part, integrated over
-    (x_lo, x_hi) when discretized.  ``measure_of`` records whether mu
-    represents the kernel itself ("kernel", completely monotone case) or the
-    outer function phi of a phi(t^2) kernel ("phi").
+    callable for an absolutely continuous part, integrated over (x_lo, x_hi)
+    when discretized.  ``measure_of`` records whether mu represents the
+    kernel itself ("kernel", completely monotone case) or the outer function
+    phi of a phi(t^2) kernel ("phi").  A density compares by identity, so the
+    measures of two ``bernstein()`` calls on a kernel with a density are not
+    equal.
     """
 
     atoms: tuple = ()
@@ -154,7 +169,6 @@ class BernsteinMeasure:
 _NODES_PER_PANEL = 12
 
 
-@lru_cache(maxsize=64)
 def _log_panels(x_lo, x_hi):
     """Gauss-Legendre nodes/weights for Int f(x) dx over log-spaced panels."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
@@ -263,26 +277,13 @@ class PowerLaw(MemoryKernel):
         # 1e-12 of typical kernel values
         lo = _cutoff(-math.ceil(14.0 / a), self, a)
         hi = _cutoff(math.ceil(14.0 / (1.0 - a)), self, a)
+        norm = 1.0 / special.gamma(a)
         return BernsteinMeasure(
-            density=_powerlaw_density(a), x_lo=lo, x_hi=hi, measure_of="kernel"
+            density=lambda x: norm * x ** (a - 1.0), x_lo=lo, x_hi=hi, measure_of="kernel"
         )
 
     def spec(self):
         return f"powerlaw:{self.alpha:g}"
-
-
-class _PowerLawDensity:
-    def __init__(self, alpha):
-        self.alpha = alpha
-        self.norm = 1.0 / special.gamma(alpha)
-
-    def __call__(self, x):
-        return self.norm * x ** (self.alpha - 1.0)
-
-
-@lru_cache(maxsize=32)
-def _powerlaw_density(alpha):
-    return _PowerLawDensity(alpha)
 
 
 @dataclass(frozen=True, repr=False)
@@ -406,12 +407,16 @@ class Cauchy(MemoryKernel):
         return TailClass(TailClass.POWERLAW, alpha=two_a, constant=c)
 
     def bernstein(self):
-        # bottom cutoff keeps the missing x^(alpha-1) mass below 1e-12
-        lo = _cutoff(-math.ceil(14.0 / min(self.alpha, 1.0)), self, self.alpha)
+        # phi(s) = (1 + s/sigma^2)^-alpha has the density
+        # sigma^2a x^(a-1) e^(-sigma^2 x)/Gamma(a); the bottom cutoff keeps
+        # the missing x^(alpha-1) mass below 1e-12
+        a, s = self.alpha, self.scale
+        lo = _cutoff(-math.ceil(14.0 / min(a, 1.0)), self, a)
+        norm = s ** (2.0 * a) / special.gamma(a)
         return BernsteinMeasure(
-            density=_cauchy_density(self.alpha, self.scale),
+            density=lambda x: norm * x ** (a - 1.0) * np.exp(-s ** 2 * x),
             x_lo=lo,
-            x_hi=max(64.0, 750.0 / self.scale ** 2),
+            x_hi=max(64.0, 750.0 / s ** 2),
             measure_of="phi",
         )
 
@@ -425,22 +430,6 @@ class Cauchy(MemoryKernel):
 
     def spec(self):
         return f"cauchy:{self.alpha:g},{self.scale:g}"
-
-
-class _CauchyDensity:
-    # phi(s) = (1 + s/sigma^2)^-alpha  =>  density sigma^2a x^(a-1) e^(-sigma^2 x)/Gamma(a)
-    def __init__(self, alpha, scale):
-        self.alpha = alpha
-        self.scale = scale
-        self.norm = scale ** (2.0 * alpha) / special.gamma(alpha)
-
-    def __call__(self, x):
-        return self.norm * x ** (self.alpha - 1.0) * np.exp(-self.scale ** 2 * x)
-
-
-@lru_cache(maxsize=32)
-def _cauchy_density(alpha, scale):
-    return _CauchyDensity(alpha, scale)
 
 
 # Above _AUX_SWITCH the asymptotic series of the auxiliary functions,
@@ -486,15 +475,11 @@ class OnePlusTInverse(MemoryKernel):
 
     def bernstein(self):
         return BernsteinMeasure(
-            density=_one_plus_t_density, x_lo=1e-16, x_hi=750.0, measure_of="kernel"
+            density=lambda x: np.exp(-x), x_lo=1e-16, x_hi=750.0, measure_of="kernel"
         )
 
     def spec(self):
         return "one-plus-t-inverse"
-
-
-def _one_plus_t_density(x):
-    return np.exp(-x)
 
 
 def kernel_eval(kernel, t):
@@ -544,14 +529,18 @@ def validate_kernel(kernel, probe_grid):
     tabulated or experimental kernels).  Checks symmetry, positivity, an
     eventually-decreasing tail, and positivity of the cosine transform at a
     few frequencies.  A MemoryKernel is evaluated through kernel_eval, so
-    one that overflows on the grid raises UnrepresentableError.
+    one that overflows on the grid raises UnrepresentableError, and its
+    cosine transform takes its origin_exponent, as the numeric route does.
     """
     from .quad import DEFAULT_QUAD, integrate_oscillatory
 
     grid = np.asarray(probe_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("probe grid must be strictly increasing and positive")
-    f = (lambda t: kernel_eval(kernel, t)) if isinstance(kernel, MemoryKernel) else kernel
+    if isinstance(kernel, MemoryKernel):
+        f, exponent = (lambda t: kernel_eval(kernel, t)), kernel.origin_exponent
+    else:
+        f, exponent = kernel, None
     report = ValidationReport()
 
     vals = np.asarray(f(grid), dtype=float)
@@ -570,7 +559,9 @@ def validate_kernel(kernel, probe_grid):
         kcos_ok, detail = True, []
         for omega in (0.5, 2.0, 20.0):
             try:
-                val, _ = integrate_oscillatory(f, omega, "cos", 0.0, DEFAULT_QUAD)
+                val, _ = integrate_oscillatory(
+                    f, omega, "cos", 0.0, DEFAULT_QUAD, left_exponent=exponent
+                )
             except Exception as exc:  # report, never throw
                 kcos_ok = False
                 detail.append(f"omega={omega:g}: {exc}")

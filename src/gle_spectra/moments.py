@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import FitRejectedError, QuadratureError, TransformDomainError
-from .kernels import TailClass, kernel_tail_class
+from .kernels import kernel_tail_class
 from .quad import (
     integrate_adaptive,
     integrate_geometric,
@@ -33,11 +33,9 @@ VELOCITY_INTEGRAL = "velocity_integral"
 
 
 def _origin_hint(ctx):
-    """Left-endpoint exponent of r11 at w = 0, where one applies."""
-    tc = kernel_tail_class(ctx.kernel)
-    if tc.kind == TailClass.POWERLAW:
-        return tc.alpha - 1.0
-    return None
+    """Left-endpoint exponent of r11 at w = 0: its tail class's, where an
+    exponent of 0 asks the engine for no endpoint substitution."""
+    return kernel_tail_class(ctx.kernel).exponent
 
 
 def _density_integral(ctx, density, left_exponent=None):
@@ -245,6 +243,8 @@ class MsdCurve:
         if self.quantity not in (POSITION_INTEGRAL, VELOCITY_INTEGRAL):
             raise ValueError(f"unknown quantity {self.quantity!r}")
         t = np.asarray(self.times)
+        if not (np.isfinite(t).all() and np.isfinite(self.values).all()):
+            raise ValueError("times and values must be finite")
         if t.ndim != 1 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
             raise ValueError("times must be positive and strictly increasing")
 
@@ -288,7 +288,8 @@ def fit_growth_exponent(curve, window, model="pure_power"):
 
     ``model`` is "pure_power" (log-log least squares) or "t_log_t"
     (drift of v/(t log t)).  Rejects windows with fewer than 10 samples or
-    non-monotone values.
+    non-monotone values, and t log t windows that reach t <= 1, where
+    t log t is not positive.
     """
     t, v = curve.window(*window)
     if t.size < 10:
@@ -305,6 +306,10 @@ def fit_growth_exponent(curve, window, model="pure_power"):
             gof=float(np.max(np.abs(resid))),
         )
     if model == "t_log_t":
+        if t[0] <= 1.0:
+            raise FitRejectedError(
+                f"t log t fit needs a window above t = 1; it holds t = {t[0]:g}"
+            )
         ratios = v / (t * np.log(t))
         mean = float(np.mean(ratios))
         drift = float((np.max(ratios) - np.min(ratios)) / mean)

@@ -18,8 +18,7 @@ r22 = 2/(lam + beta Kcos(0)).  Every density is evaluated through one call
 of ``kcos_ksin_grid``, which alone decides whether Kcos(0) exists.
 """
 
-from dataclasses import dataclass, replace
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,15 +123,13 @@ def trapped_densities(ctx, omega):
 
 @dataclass(frozen=True)
 class NearZeroAsymptote:
-    """Leading behavior of r11 near the origin.
+    """Leading behavior of r11 near the origin, r11 ~ rate * shape(w).
 
-    kind "integrable": r11 -> rate (a constant);
-    kind "critical":   r11 ~ rate * |log w|;
-    kind "powerlaw":   r11 ~ rate * w^(alpha-1), exponent = alpha - 1.
-
-    ``rate`` is extracted numerically at w = 1e-4 (with a half-frequency
-    Richardson consistency factor), ``rate_predicted`` from the kernel's
-    small-frequency transform constants.
+    ``kind`` and ``exponent`` are those of the kernel's TailClass, whose
+    shape(w) is 1 (integrable), |log w| (critical) or w^exponent with
+    exponent = alpha - 1 (powerlaw).  ``rate`` is extracted numerically at
+    w = 1e-4 (with a half-frequency Richardson consistency factor),
+    ``rate_predicted`` from the kernel's small-frequency transform constants.
     """
 
     kind: str
@@ -141,35 +138,25 @@ class NearZeroAsymptote:
     rate_predicted: float
     richardson_drift: float
 
-    def shape(self, omega):
-        w = abs(float(omega))
-        if self.kind == TailClass.INTEGRABLE:
-            return 1.0
-        if self.kind == TailClass.CRITICAL:
-            return abs(math.log(w))
-        return w ** self.exponent
-
 
 _RATE_PROBE = 1e-4
 
 
 def near_zero_asymptote(ctx):
-    """Classify and quantify the near-origin behavior of r11 (gamma > 0)."""
+    """Classify and quantify the near-origin behavior of r11 (gamma > 0).
+
+    For every tail class r11 ~ 2 (lam [integrable] + beta kcos_constant)
+    shape(w)/gamma^2: lam adds to the limit only where Kcos stays finite.
+    """
     p = ctx.params
     if not p.trapped:
         raise TransformDomainError("near-zero asymptote needs gamma > 0")
     tc = kernel_tail_class(ctx.kernel)
     ab = abelian_limits(ctx.kernel, quad=ctx.quad)
-    if tc.kind == TailClass.INTEGRABLE:
-        exponent = 0.0
-        predicted = 2.0 * (p.lam + p.beta * ab.kcos_constant) / p.gamma ** 2
-    elif tc.kind == TailClass.CRITICAL:
-        exponent = 0.0
-        predicted = 2.0 * p.beta * tc.constant / p.gamma ** 2
-    else:
-        exponent = tc.alpha - 1.0
-        predicted = 2.0 * p.beta * ab.kcos_constant / p.gamma ** 2
-    nz = NearZeroAsymptote(tc.kind, exponent, None, float(predicted), None)
-    rate = r11(ctx, _RATE_PROBE) / nz.shape(_RATE_PROBE)
-    rate_half = r11(ctx, 0.5 * _RATE_PROBE) / nz.shape(0.5 * _RATE_PROBE)
-    return replace(nz, rate=float(rate), richardson_drift=float(abs(rate_half / rate - 1.0)))
+    lam = p.lam if tc.kind == TailClass.INTEGRABLE else 0.0
+    predicted = 2.0 * (lam + p.beta * ab.kcos_constant) / p.gamma ** 2
+    rate = r11(ctx, _RATE_PROBE) / tc.shape(_RATE_PROBE)
+    rate_half = r11(ctx, 0.5 * _RATE_PROBE) / tc.shape(0.5 * _RATE_PROBE)
+    return NearZeroAsymptote(
+        tc.kind, tc.exponent, float(rate), float(predicted), float(abs(rate_half / rate - 1.0))
+    )

@@ -266,25 +266,26 @@ def oscillatory_power_constant(alpha, phase):
 class AbelianAsymptote:
     """Small-frequency behavior of (Kcos, Ksin) with its limit constants.
 
+    As w -> 0, Kcos ~ kcos_constant * tail.shape(w) and Ksin ~
+    ksin_constant * w^tail.exponent, the law of the kernel's tail class.
     ``sharp`` names the components whose prediction converges fast enough to
     compare pointwise at small frequency; the critical-class Kcos rate
     c1*|log w| converges only logarithmically and is excluded.
     """
 
-    kind: str
+    tail: TailClass
     kcos_constant: float
     ksin_constant: float
-    alpha: float = None
     sharp: tuple = ()
+
+    @property
+    def kind(self):
+        return self.tail.kind
 
     def predict(self, omega):
         w = abs(float(omega))
-        if self.kind == TailClass.INTEGRABLE:
-            return self.kcos_constant, 0.0
-        if self.kind == TailClass.CRITICAL:
-            return self.kcos_constant * abs(math.log(w)), self.ksin_constant
-        scale = w ** (self.alpha - 1.0)
-        return self.kcos_constant * scale, self.ksin_constant * scale
+        tail = self.tail
+        return self.kcos_constant * tail.shape(w), self.ksin_constant * w ** tail.exponent
 
 
 def abelian_limits(kernel, quad=DEFAULT_QUAD):
@@ -297,22 +298,12 @@ def abelian_limits(kernel, quad=DEFAULT_QUAD):
     """
     tc = kernel_tail_class(kernel)
     if tc.kind == TailClass.INTEGRABLE:
-        return AbelianAsymptote(
-            kind=tc.kind, kcos_constant=_kernel_integral(kernel, quad), ksin_constant=0.0,
-            sharp=("kcos",),
-        )
+        return AbelianAsymptote(tc, _kernel_integral(kernel, quad), 0.0, sharp=("kcos",))
     if tc.kind == TailClass.CRITICAL:
-        return AbelianAsymptote(
-            kind=tc.kind,
-            kcos_constant=tc.constant,
-            ksin_constant=tc.constant * 0.5 * math.pi,
-            sharp=("ksin",),
-        )
-    a = tc.alpha
+        return AbelianAsymptote(tc, tc.constant, tc.constant * 0.5 * math.pi, sharp=("ksin",))
     return AbelianAsymptote(
-        kind=tc.kind,
-        kcos_constant=tc.constant * oscillatory_power_constant(a, "cos"),
-        ksin_constant=tc.constant * oscillatory_power_constant(a, "sin"),
-        alpha=a,
+        tc,
+        tc.constant * oscillatory_power_constant(tc.alpha, "cos"),
+        tc.constant * oscillatory_power_constant(tc.alpha, "sin"),
         sharp=("kcos", "ksin"),
     )

@@ -51,13 +51,11 @@ def fresh_ctx(spec, params=TRAPPED):
 
 def clear_caches():
     from gle_spectra import moments, transforms
-    from gle_spectra.kernels import _log_panels
 
     moments._r11_integral.cache_clear()
     moments._r22_integral.cache_clear()
     transforms._measure_nodes.cache_clear()
     transforms.oscillatory_power_constant.cache_clear()
-    _log_panels.cache_clear()
 
 
 def test_criterion_1_equipartition_trapped():

@@ -622,3 +622,39 @@ def test_kernel_overflow_is_one_envelope(argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "UnrepresentableError"
+
+
+def _msd_csv(tmp_path, rows):
+    path = tmp_path / "msd.csv"
+    path.write_text("".join(f"{row}\n" for row in rows))
+    return str(path)
+
+
+def _power_rows(t_lo, t_hi, n=20):
+    return [f"{t!r},{t ** 1.5!r}" for t in np.geomspace(t_lo, t_hi, n).tolist()]
+
+
+@pytest.mark.parametrize(
+    "rows,window,model,kind,message",
+    [
+        ([], "1:100", "power", "GleError", "header t,msd"),
+        (["t,msd"], "1:100", "power", "FitRejectedError", "holds 0 points"),
+        # t log t is 0 at t = 1 and negative below it
+        (["t,msd", *_power_rows(1.0, 100.0)], "1:100", "tlogt", "FitRejectedError", "above t = 1"),
+        (["t,msd", *_power_rows(0.5, 100.0)], "0.1:100", "tlogt", "FitRejectedError", "above t = 1"),
+        (["t,msd", "2.0,nan", *_power_rows(3.0, 100.0)], "1:100", "power", "ValueError", "finite"),
+        (["t,msd", "nan,2.0", *_power_rows(3.0, 100.0)], "1:100", "power", "ValueError", "finite"),
+        (["t,msd", *_power_rows(1.0, 100.0), "inf,1e300"], "1:inf", "power", "ValueError", "finite"),
+    ],
+    ids=["empty", "header-only", "tlogt-at-1", "tlogt-below-1", "nan-msd", "nan-t", "inf-t"],
+)
+def test_fit_exponent_bad_input_is_one_envelope(tmp_path, rows, window, model, kind, message):
+    code, out, err = run_cli(
+        "fit-exponent", "--input", _msd_csv(tmp_path, rows), "--window", window, "--model", model
+    )
+    assert out == "" and code == (2 if kind == "ValueError" else 1)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == kind and message in error["message"]
+

@@ -1,4 +1,4 @@
-"""Every demo runs to completion."""
+"""Every demo runs to completion without a warning."""
 
 from pathlib import Path
 import subprocess
@@ -24,7 +24,8 @@ ROOT = Path(__file__).parent.parent
 )
 def test_demo_runs(demo):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        # as tests/test_cli.py starts the CLI: any warning fails the demo
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         capture_output=True,
         text=True,
         env=SRC_ENV,

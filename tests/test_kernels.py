@@ -21,6 +21,7 @@ from gle_spectra import (
     parse_kernel_spec,
     validate_kernel,
 )
+from gle_spectra.transforms import kcos_ksin_grid
 
 ALL_PRESETS = (
     PowerLaw(0.3),
@@ -68,6 +69,26 @@ def test_tail_classes():
     assert tc.kind == "powerlaw" and tc.alpha == 0.5
     assert tc.constant == pytest.approx(2.0 ** 0.5)  # s^2a with s=2, a=1/4
     assert kernel_tail_class(Cauchy(0.5, 1.5)).kind == "critical"
+
+
+@pytest.mark.parametrize(
+    "kernel,exponent,shape",
+    [
+        (GeneralizedRouse((1.0, 2.0)), 0.0, lambda w: 1.0),
+        (Gaussian(2.0), 0.0, lambda w: 1.0),
+        (OnePlusTInverse(), 0.0, lambda w: abs(math.log(w))),
+        (Cauchy(0.5, 1.5), 0.0, lambda w: abs(math.log(w))),
+        (PowerLaw(0.3), 0.3 - 1.0, lambda w: w ** (0.3 - 1.0)),
+        (Cauchy(0.25, 2.0), 0.5 - 1.0, lambda w: w ** -0.5),
+    ],
+    ids=["rouse", "gaussian", "one-plus-t-inverse", "cauchy-critical", "powerlaw",
+         "cauchy-powerlaw"],
+)
+def test_tail_class_small_frequency_law(kernel, exponent, shape):
+    tc = kernel_tail_class(kernel)
+    assert tc.exponent == exponent
+    for w in (1e-6, 1e-3, 0.5, -1e-3):
+        assert tc.shape(w) == shape(abs(w))
 
 
 def test_tail_constants_at_large_time():
@@ -151,6 +172,18 @@ def test_validate_kernel_presets():
     for kernel in (PowerLaw(0.5), Cauchy(1.0, 1.0)):
         report = validate_kernel(kernel, grid)
         assert report.ok, report.checks
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.99])
+def test_validate_kernel_near_critical_powerlaw(alpha):
+    # the cosine transform takes the kernel's origin exponent, as the
+    # numeric route does, and meets the closed form
+    kernel = PowerLaw(alpha)
+    report = validate_kernel(kernel, np.geomspace(0.1, 100.0, 25))
+    passed, detail = report.checks["kcos_positive"]
+    assert passed and report.ok, detail
+    kcos, _ = kcos_ksin_grid(kernel, np.array([0.5, 2.0, 20.0]))
+    assert detail == "; ".join(f"omega={w:g}: {k:.3e}" for w, k in zip((0.5, 2, 20), kcos))
 
 
 def test_validate_kernel_adversarial_negative_sample():

@@ -207,6 +207,31 @@ def test_near_zero_asymptote_classes():
     assert nz.richardson_drift < 0.01
 
 
+# near_zero_asymptote at the conftest trap, bit for bit: kind, then the
+# exponent, rate, rate_predicted and richardson_drift
+NEAR_ZERO = {
+    "rouse:[1,2]": (
+        "integrable", "0x0.0p+0", "0x1.3ffffefaf2505p+0", "0x1.4000000000000p+0",
+        "0x1.3943a04000000p-25",
+    ),
+    "one-plus-t-inverse": (
+        "critical", "0x0.0p+0", "0x1.0bb6a81eb2c90p-1", "0x1.0000000000000p-1",
+        "0x1.897c5d1a9d700p-9",
+    ),
+    "powerlaw:0.5": (
+        "powerlaw", "-0x1.0000000000000p-1", "0x1.3f615b4517bd6p-1", "0x1.40d931ff61fcep-1",
+        "0x1.621c4ca268400p-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(NEAR_ZERO))
+def test_near_zero_asymptote_bitwise(spec):
+    nz = near_zero_asymptote(trapped_ctx(spec))
+    numbers = (nz.exponent, nz.rate, nz.rate_predicted, nz.richardson_drift)
+    assert (nz.kind, *(float(v).hex() for v in numbers)) == NEAR_ZERO[spec]
+
+
 def test_near_zero_needs_trap():
     with pytest.raises(TransformDomainError):
         near_zero_asymptote(free_ctx("rouse:1"))

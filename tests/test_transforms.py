@@ -186,6 +186,60 @@ def test_powerlaw_closed_form_extreme_alpha(alpha):
     assert [float(v).hex() for v in ksin] == list(want_sin)
 
 
+# (Kcos, Ksin) of the two measure routes at w = 1e-3, 1, 1e3, bit for bit:
+# the discretized densities of a power law, of 1/(1 + t) and of a Cauchy
+# kernel's phi
+MEASURE_ROUTES = {
+    ("powerlaw:0.5", "cm_measure"): (
+        ("0x1.3d10f16c0cf2ep+5", "0x1.40d931ff626d2p+0", "0x1.44acff687f8d3p-5"),
+        ("0x1.3d10f16c0c8ffp+5", "0x1.40d931ff626d2p+0", "0x1.44acff687ff2bp-5"),
+    ),
+    ("one-plus-t-inverse", "cm_measure"): (
+        ("0x1.95413b9992100p+2", "0x1.5f9e78ec353f6p-2", "0x1.0c6f107e502a0p-20"),
+        ("0x1.903f3e10f0dbbp+0", "0x1.3e2ea528689afp-1", "0x1.0624bad31dd4bp-10"),
+    ),
+    ("cauchy:1,1", "phi_t2_faddeeva"): (
+        ("0x1.91b8d0d98b460p+0", "0x1.27ddbf6271dbdp-1", "0x0.0p+0"),
+        ("0x1.e06a11b49aceap-8", "0x1.4b24461d52351p-1", "0x1.0624ff8b4d72ep-10"),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec,route", sorted(MEASURE_ROUTES))
+def test_measure_routes_bitwise(spec, route):
+    kcos, ksin = kcos_ksin_grid(parse_kernel_spec(spec), np.array([1e-3, 1.0, 1e3]), route=route)
+    want_cos, want_sin = MEASURE_ROUTES[spec, route]
+    assert [float(v).hex() for v in kcos] == list(want_cos)
+    assert [float(v).hex() for v in ksin] == list(want_sin)
+
+
+# abelian_limits bit for bit: kind, (kcos, ksin) constants, sharp
+# components and the prediction at w = 1e-4
+ABELIAN = {
+    "rouse:[1,2]": (
+        "integrable", ("0x1.8000000000000p+0", "0x0.0p+0"), ("kcos",),
+        ("0x1.8000000000000p+0", "0x0.0p+0"),
+    ),
+    "one-plus-t-inverse": (
+        "critical", ("0x1.0000000000000p+0", "0x1.921fb54442d18p+0"), ("ksin",),
+        ("0x1.26bb1bbb55515p+3", "0x1.921fb54442d18p+0"),
+    ),
+    "powerlaw:0.5": (
+        "powerlaw", ("0x1.40d931ff61fcep+0", "0x1.40d931ff6230ap+0"), ("kcos", "ksin"),
+        ("0x1.f5535e1f091b2p+6", "0x1.f5535e1f096c0p+6"),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ABELIAN))
+def test_abelian_limits_bitwise(spec):
+    ab = abelian_limits(parse_kernel_spec(spec))
+    kind, constants, sharp, predicted = ABELIAN[spec]
+    assert ab.kind == kind and ab.sharp == sharp
+    assert (float(ab.kcos_constant).hex(), float(ab.ksin_constant).hex()) == constants
+    assert tuple(float(v).hex() for v in ab.predict(1e-4)) == predicted
+
+
 class _Triangle(MemoryKernel):
     """max(0, 1 - |t|): a kernel that declares nothing but its values."""
 
