@@ -13,7 +13,6 @@ import numpy as np
 from gle_spectra import (
     GleParams,
     SpectralDensityCtx,
-    bernstein_of,
     default_spectral_grid,
     ensemble_msd,
     lyapunov_stationary_cov,
@@ -29,7 +28,7 @@ from gle_spectra import (
 
 params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=1.0)
 kernel = parse_kernel_spec("rouse:1")
-sde = markovian_embedding(params, bernstein_of(kernel))
+sde = markovian_embedding(params, kernel.bernstein())
 cov = lyapunov_stationary_cov(sde)
 print("one-atom embedding, Lyapunov stationary covariance:")
 print(f"  Var(x) = {cov[0, 0]:.10f}  (kbt/gamma = {params.kbt / params.gamma})")

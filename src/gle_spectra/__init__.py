@@ -35,9 +35,7 @@ from .kernels import (
     PowerLaw,
     TailClass,
     ValidationReport,
-    bernstein_of,
     kernel_eval,
-    kernel_tail_class,
     parse_kernel_spec,
     validate_kernel,
 )

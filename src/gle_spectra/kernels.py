@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import KernelDomainError, NoBernsteinRepresentation, UnrepresentableError
+from .quad import DEFAULT_QUAD, integrate_oscillatory
 
 # Transform routes (see the transforms module): explicit formulas, the Laplace
 # measure of a completely monotone kernel, the Faddeeva form of a phi(t^2)
@@ -174,17 +175,11 @@ def _log_panels(x_lo, x_hi):
     gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     decades = math.log10(x_hi) - math.log10(x_lo)
     n_panels = max(1, int(math.ceil(2.0 * decades)))  # half-decades
-    edges = np.geomspace(x_lo, x_hi, n_panels + 1)
-    s_edges = np.log(edges)
-    xs, ws = [], []
-    for i in range(n_panels):
-        mid = 0.5 * (s_edges[i] + s_edges[i + 1])
-        half = 0.5 * (s_edges[i + 1] - s_edges[i])
-        s = mid + half * gl_x
-        x = np.exp(s)
-        xs.append(x)
-        ws.append(half * gl_w * x)  # dx = x ds
-    return np.concatenate(xs), np.concatenate(ws)
+    s_edges = np.log(np.geomspace(x_lo, x_hi, n_panels + 1))
+    mid = 0.5 * (s_edges[:-1] + s_edges[1:])[:, None]
+    half = 0.5 * (s_edges[1:] - s_edges[:-1])[:, None]
+    x = np.exp(mid + half * gl_x)
+    return x.ravel(), (half * gl_w * x).ravel()  # dx = x ds
 
 
 def _cutoff(decades, kernel, alpha):
@@ -287,42 +282,13 @@ class PowerLaw(MemoryKernel):
 
 
 @dataclass(frozen=True, repr=False)
-class GeneralizedRouse(MemoryKernel):
-    """K(t) = (1/N) sum_n exp(-|t|/tau_n) over relaxation times tau_n > 0."""
-
-    taus: tuple
-    routes = _CM_ROUTES
-
-    def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        if len(self.taus) == 0 or any(t <= 0 for t in self.taus):
-            raise ValueError("relaxation times must be positive and nonempty")
-
-    def eval(self, t):
-        at = _abs_t(t)
-        rates = 1.0 / np.array(self.taus)
-        return np.exp(-np.multiply.outer(at, rates)).mean(axis=-1)
-
-    def tail_class(self):
-        return TailClass(TailClass.INTEGRABLE)
-
-    def bernstein(self):
-        n = len(self.taus)
-        return BernsteinMeasure(
-            atoms=tuple((1.0 / tau, 1.0 / n) for tau in self.taus),
-            measure_of="kernel",
-        )
-
-    def integral(self):
-        return float(np.mean(self.taus))
-
-    def spec(self):
-        return "rouse:" + ",".join(f"{t:g}" for t in self.taus)
-
-
-@dataclass(frozen=True, repr=False)
 class ExpMixture(MemoryKernel):
-    """K(t) = sum_j w_j exp(-x_j |t|) given directly by a measure's atoms."""
+    """K(t) = sum_j w_j exp(-x_j |t|) given directly by a measure's atoms.
+
+    Every finite exponential sum is one of these: its measure is its
+    Bernstein measure, its closed form the measure's atom sum, its tail
+    integrable and Int K = sum_j w_j/x_j.
+    """
 
     measure: BernsteinMeasure
     routes = _CM_ROUTES
@@ -347,6 +313,37 @@ class ExpMixture(MemoryKernel):
     def spec(self):
         atoms = ";".join(f"{x:g},{w:g}" for x, w in self.measure.atoms)
         return f"expmix:{atoms}"
+
+
+@dataclass(frozen=True, repr=False)
+class GeneralizedRouse(ExpMixture):
+    """K(t) = (1/N) sum_n exp(-|t|/tau_n) over relaxation times tau_n > 0.
+
+    The exponential mixture whose measure has the atoms (1/tau_n, 1/N),
+    built once from ``taus``; routes, tail class, measure and Int K are
+    ExpMixture's.  ``eval`` keeps the closed form in the relaxation times,
+    an independent check on that measure.  Equality and hash come from
+    ``taus`` alone.
+    """
+
+    measure: BernsteinMeasure = field(init=False, repr=False, compare=False)
+    taus: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        if len(self.taus) == 0 or any(t <= 0 for t in self.taus):
+            raise ValueError("relaxation times must be positive and nonempty")
+        n = len(self.taus)
+        atoms = tuple((1.0 / tau, 1.0 / n) for tau in self.taus)
+        object.__setattr__(self, "measure", BernsteinMeasure(atoms=atoms))
+
+    def eval(self, t):
+        at = _abs_t(t)
+        rates = 1.0 / np.array(self.taus)
+        return np.exp(-np.multiply.outer(at, rates)).mean(axis=-1)
+
+    def spec(self):
+        return "rouse:" + ",".join(f"{t:g}" for t in self.taus)
 
 
 @dataclass(frozen=True, repr=False)
@@ -498,16 +495,6 @@ def kernel_eval(kernel, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def kernel_tail_class(kernel):
-    """Decay class of the kernel with its limiting constant."""
-    return kernel.tail_class()
-
-
-def bernstein_of(kernel):
-    """Representing measure of a completely monotone or phi(t^2) kernel."""
-    return kernel.bernstein()
-
-
 @dataclass
 class ValidationReport:
     """Outcome of validate_kernel; failures are recorded, never raised."""
@@ -527,13 +514,15 @@ def validate_kernel(kernel, probe_grid):
 
     ``kernel`` may be a MemoryKernel or a bare callable t -> K(t) (used for
     tabulated or experimental kernels).  Checks symmetry, positivity, an
-    eventually-decreasing tail, and positivity of the cosine transform at a
-    few frequencies.  A MemoryKernel is evaluated through kernel_eval, so
-    one that overflows on the grid raises UnrepresentableError, and its
-    cosine transform takes its origin_exponent, as the numeric route does.
+    eventually-decreasing tail, and the sign of the cosine transform at a few
+    frequencies.  Positivity admits a trailing run of exact zeros after the
+    last positive sample, where the kernel underflows; any other sample <= 0
+    fails.  Kcos fails only where it is negative beyond its own quadrature
+    error estimate (Bochner's condition is Kcos >= 0).  A MemoryKernel is
+    evaluated through kernel_eval, so one that overflows on the grid raises
+    UnrepresentableError, and its cosine transform takes its
+    origin_exponent, as the numeric route does.
     """
-    from .quad import DEFAULT_QUAD, integrate_oscillatory
-
     grid = np.asarray(probe_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("probe grid must be strictly increasing and positive")
@@ -548,7 +537,8 @@ def validate_kernel(kernel, probe_grid):
     sym_err = float(np.max(np.abs(vals - neg_vals) / np.maximum(np.abs(vals), 1e-300)))
     report.record("symmetry", sym_err < 1e-12, f"max relative asymmetry {sym_err:.2e}")
 
-    positive = bool(np.all(vals > 0))
+    above = np.trim_zeros(vals, "b")
+    positive = above.size > 0 and bool(np.all(above > 0))
     report.record("positivity", positive, "K > 0 on grid" if positive else "non-positive sample")
 
     tail = vals[grid >= grid[len(grid) // 2]]
@@ -559,7 +549,7 @@ def validate_kernel(kernel, probe_grid):
         kcos_ok, detail = True, []
         for omega in (0.5, 2.0, 20.0):
             try:
-                val, _ = integrate_oscillatory(
+                val, err = integrate_oscillatory(
                     f, omega, "cos", 0.0, DEFAULT_QUAD, left_exponent=exponent
                 )
             except Exception as exc:  # report, never throw
@@ -567,7 +557,7 @@ def validate_kernel(kernel, probe_grid):
                 detail.append(f"omega={omega:g}: {exc}")
                 continue
             detail.append(f"omega={omega:g}: {val:.3e}")
-            if val <= 0:
+            if val < -err:
                 kcos_ok = False
         report.record("kcos_positive", kcos_ok, "; ".join(detail))
     else:

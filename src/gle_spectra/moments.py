@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .errors import FitRejectedError, QuadratureError, TransformDomainError
-from .kernels import kernel_tail_class
 from .quad import (
     integrate_adaptive,
     integrate_geometric,
@@ -35,7 +34,7 @@ VELOCITY_INTEGRAL = "velocity_integral"
 def _origin_hint(ctx):
     """Left-endpoint exponent of r11 at w = 0: its tail class's, where an
     exponent of 0 asks the engine for no endpoint substitution."""
-    return kernel_tail_class(ctx.kernel).exponent
+    return ctx.kernel.tail_class().exponent
 
 
 def _density_integral(ctx, density, left_exponent=None):

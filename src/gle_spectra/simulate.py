@@ -30,7 +30,7 @@ from scipy import linalg
 from scipy import sparse
 from scipy.optimize import nnls
 
-from .errors import PronyAccuracyError, SamplingGridError, SdeError
+from .errors import GleError, PronyAccuracyError, SamplingGridError, SdeError
 from .kernels import BernsteinMeasure, kernel_eval
 from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve
 from .spectra import r11
@@ -75,8 +75,10 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     atoms are returned exactly.  Otherwise the rates are fixed log-spaced
     across the reciprocal time window and only the weights are fitted, by
     nonnegative least squares iteratively reweighted toward the minimax
-    relative error.  If ``rtol`` is given and the achieved sup-relative
-    error exceeds it, PronyAccuracyError is raised.
+    relative error.  A kernel whose ``bernstein()`` raises a GleError
+    (NoBernsteinRepresentation, UnrepresentableError) is fitted; any other
+    exception from it propagates.  If ``rtol`` is given and the achieved
+    sup-relative error exceeds it, PronyAccuracyError is raised.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (0 < t_lo < t_hi):
@@ -91,7 +93,7 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
             and measure.measure_of == "kernel"
             and 0 < len(measure.atoms) <= n_modes
         )
-    except Exception:
+    except GleError:  # no measure, or one past the double range
         exact_atoms = False
     if exact_atoms:
         dense = np.geomspace(t_lo, t_hi, 400)

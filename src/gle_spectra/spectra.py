@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GleParams, MemoryKernel, TailClass, kernel_tail_class
+from .kernels import GleParams, MemoryKernel, TailClass
 from .errors import TransformDomainError
 from .quad import DEFAULT_QUAD, QuadConfig
 from .transforms import abelian_limits, kcos_ksin_grid
@@ -151,7 +151,7 @@ def near_zero_asymptote(ctx):
     p = ctx.params
     if not p.trapped:
         raise TransformDomainError("near-zero asymptote needs gamma > 0")
-    tc = kernel_tail_class(ctx.kernel)
+    tc = ctx.kernel.tail_class()
     ab = abelian_limits(ctx.kernel, quad=ctx.quad)
     lam = p.lam if tc.kind == TailClass.INTEGRABLE else 0.0
     predicted = 2.0 * (lam + p.beta * ab.kcos_constant) / p.gamma ** 2

@@ -33,7 +33,6 @@ from .kernels import (
     ROUTE_NUMERIC,
     TailClass,
     kernel_eval,
-    kernel_tail_class,
 )
 from .quad import DEFAULT_QUAD, integrate_oscillatory, integrate_to_infinity
 
@@ -190,7 +189,7 @@ def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
     kcos, ksin = np.zeros(w.shape), np.zeros(w.shape)
     zero = w == 0.0
     if zero.any():
-        if kernel_tail_class(kernel).kind != TailClass.INTEGRABLE:
+        if kernel.tail_class().kind != TailClass.INTEGRABLE:
             raise TransformDomainError("transform undefined at origin")
         kcos[zero] = _kernel_integral(kernel, quad)
     rest = ~zero
@@ -296,7 +295,7 @@ def abelian_limits(kernel, quad=DEFAULT_QUAD):
     power law:  w^(1-alpha) (Kcos, Ksin) -> c_alpha (Int cos(u)/u^alpha,
                 Int sin(u)/u^alpha).
     """
-    tc = kernel_tail_class(kernel)
+    tc = kernel.tail_class()
     if tc.kind == TailClass.INTEGRABLE:
         return AbelianAsymptote(tc, _kernel_integral(kernel, quad), 0.0, sharp=("kcos",))
     if tc.kind == TailClass.CRITICAL:

@@ -14,7 +14,6 @@ from gle_spectra import (
     GleParams,
     SpectralDensityCtx,
     abelian_limits,
-    bernstein_of,
     cross_cov,
     compute_msd_curve,
     default_spectral_grid,
@@ -259,7 +258,7 @@ def test_criterion_8_special_functions(rng):
 def test_criterion_9_monte_carlo_consistency():
     t0 = time.perf_counter()
     params = TRAPPED
-    sde = markovian_embedding(params, bernstein_of(parse_kernel_spec("rouse:1")))
+    sde = markovian_embedding(params, parse_kernel_spec("rouse:1").bernstein())
     cov = lyapunov_stationary_cov(sde)
     n_paths = 10_000
     ens = simulate_paths(sde, dt=0.1, t_max=100.0, n_paths=n_paths, seed=2024)

@@ -171,6 +171,19 @@ def test_kernel_validate(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gaussian:1"], ["gaussian:1", "--t-grid", "log:0.1:20:25"], ["gaussian:0.01"]],
+    ids=" ".join,
+)
+def test_kernel_validate_gaussian(argv, capsys):
+    # exp(-t^2) underflows to 0 on the default grid's tail, and Kcos far past
+    # the kernel's width is a quadrature zero of either sign within its error
+    assert main(["kernel", "--kernel", *argv, "--validate"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True, doc
+
+
 def test_spectrum_csv(tmp_path, cfg_file):
     out = tmp_path / "s.csv"
     assert main(["spectrum", "--config", cfg_file, "--grid", "log:0.1:10:4", "-o", str(out)]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -15,12 +16,11 @@ from gle_spectra import (
     OnePlusTInverse,
     PowerLaw,
     TailClass,
-    bernstein_of,
     kernel_eval,
-    kernel_tail_class,
     parse_kernel_spec,
     validate_kernel,
 )
+from gle_spectra.kernels import _log_panels
 from gle_spectra.transforms import kcos_ksin_grid
 
 ALL_PRESETS = (
@@ -59,16 +59,16 @@ def test_symmetry_and_positivity(kernel, rng):
 
 
 def test_tail_classes():
-    assert kernel_tail_class(PowerLaw(0.3)) == TailClass("powerlaw", alpha=0.3, constant=1.0)
-    assert kernel_tail_class(GeneralizedRouse((1.0, 2.0))).kind == "integrable"
-    assert kernel_tail_class(OnePlusTInverse()) == TailClass("critical", constant=1.0)
-    assert kernel_tail_class(Gaussian(2.0)).kind == "integrable"
+    assert PowerLaw(0.3).tail_class() == TailClass("powerlaw", alpha=0.3, constant=1.0)
+    assert GeneralizedRouse((1.0, 2.0)).tail_class().kind == "integrable"
+    assert OnePlusTInverse().tail_class() == TailClass("critical", constant=1.0)
+    assert Gaussian(2.0).tail_class().kind == "integrable"
     # tail of (1 + (t/s)^2)^-a is s^2a t^-2a
-    assert kernel_tail_class(Cauchy(1.0, 1.0)).kind == "integrable"
-    tc = kernel_tail_class(Cauchy(0.25, 2.0))
+    assert Cauchy(1.0, 1.0).tail_class().kind == "integrable"
+    tc = Cauchy(0.25, 2.0).tail_class()
     assert tc.kind == "powerlaw" and tc.alpha == 0.5
     assert tc.constant == pytest.approx(2.0 ** 0.5)  # s^2a with s=2, a=1/4
-    assert kernel_tail_class(Cauchy(0.5, 1.5)).kind == "critical"
+    assert Cauchy(0.5, 1.5).tail_class().kind == "critical"
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_tail_classes():
          "cauchy-powerlaw"],
 )
 def test_tail_class_small_frequency_law(kernel, exponent, shape):
-    tc = kernel_tail_class(kernel)
+    tc = kernel.tail_class()
     assert tc.exponent == exponent
     for w in (1e-6, 1e-3, 0.5, -1e-3):
         assert tc.shape(w) == shape(abs(w))
@@ -94,16 +94,62 @@ def test_tail_class_small_frequency_law(kernel, exponent, shape):
 def test_tail_constants_at_large_time():
     t = 1e6
     for a in (0.3, 0.5, 0.7):
-        tc = kernel_tail_class(PowerLaw(a))
+        tc = PowerLaw(a).tail_class()
         assert abs(t ** a * kernel_eval(PowerLaw(a), t) / tc.constant - 1.0) < 1e-3
     assert abs(t * kernel_eval(OnePlusTInverse(), t) - 1.0) < 1e-3
 
 
 def test_bernstein_examples():
-    m = bernstein_of(GeneralizedRouse((1.0, 2.0, 4.0)))
+    m = GeneralizedRouse((1.0, 2.0, 4.0)).bernstein()
     assert m.atoms == ((1.0, 1.0 / 3.0), (0.5, 1.0 / 3.0), (0.25, 1.0 / 3.0))
-    g = bernstein_of(Gaussian(1.0))
+    g = Gaussian(1.0).bernstein()
     assert g.atoms == ((1.0, 1.0),) and g.measure_of == "phi"
+
+
+def test_rouse_is_the_exp_mixture_of_its_relaxation_times():
+    k = GeneralizedRouse((1, 2))
+    assert isinstance(k, ExpMixture)
+    same = GeneralizedRouse((1.0, 2.0))
+    assert k == same and hash(k) == hash(same)
+    assert k != ExpMixture(k.measure)
+    assert k.bernstein() is k.bernstein()
+    assert k.measure.atoms == ((1.0, 0.5), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "taus, total",
+    [
+        ((1.0,), 1.0),
+        ((3.0,), 3.0),
+        ((0.7,), 0.7),
+        ((1.0, 2.0), 1.5),
+        ((3.0, 7.0), 5.0),
+        ((1.0, 2.0, 4.0, 8.0), 3.75),
+        # one ulp below mean(tau) = 7/3
+        ((1.0, 2.0, 4.0), float.fromhex("0x1.2aaaaaaaaaaaap+1")),
+    ],
+)
+def test_rouse_integral_is_the_atom_sum(taus, total):
+    # Int K = sum w/x over the atoms (1/tau, 1/N), also at omega = 0
+    k = GeneralizedRouse(taus)
+    kcos, ksin = kcos_ksin_grid(k, np.array([0.0]))
+    assert k.integral() == kcos[0] == total and ksin[0] == 0.0
+
+
+# size and sha-256 prefixes of the nodes and weights of each density's panels
+LOG_PANELS = {
+    "powerlaw:0.5": (1344, "cb8796b26eb844ba", "e88cbf4ab07db7ed"),
+    "cauchy:1,1": (408, "2a626e96541d8ab2", "f7eba766d33c0ef3"),
+    "one-plus-t-inverse": (456, "760ab4aa2a9bb88e", "34f43cbbf493853c"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LOG_PANELS))
+def test_log_panels_bitwise(spec):
+    m = parse_kernel_spec(spec).bernstein()
+    x, w = _log_panels(m.x_lo, m.x_hi)
+    digest = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (x, w))
+    assert (x.size, *digest) == LOG_PANELS[spec]
 
 
 def test_bernstein_powerlaw_density_against_quadrature_oracle():
@@ -118,7 +164,7 @@ def test_bernstein_powerlaw_density_against_quadrature_oracle():
             )
         )
         assert oracle == pytest.approx(t ** -a, rel=1e-12)
-        assert bernstein_of(PowerLaw(a)).laplace(t) == pytest.approx(oracle, rel=1e-10)
+        assert PowerLaw(a).bernstein().laplace(t) == pytest.approx(oracle, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +173,7 @@ def test_bernstein_powerlaw_density_against_quadrature_oracle():
     ids=str,
 )
 def test_bernstein_reproduces_cm_kernel(kernel):
-    m = bernstein_of(kernel)
+    m = kernel.bernstein()
     t = np.geomspace(1e-2, 1e2, 25)
     rel = np.abs(m.laplace(t) / kernel_eval(kernel, t) - 1.0)
     assert rel.max() < 1e-8
@@ -135,7 +181,7 @@ def test_bernstein_reproduces_cm_kernel(kernel):
 
 @pytest.mark.parametrize("kernel", [Gaussian(1.0), Gaussian(0.3), Cauchy(1.0, 1.0), Cauchy(0.25, 2.0)], ids=str)
 def test_bernstein_reproduces_phi_kernel(kernel):
-    m = bernstein_of(kernel)
+    m = kernel.bernstein()
     assert m.measure_of == "phi"
     # capped where exp(-scale t^2) stays representable
     t = np.geomspace(1e-2, 20.0, 25)
@@ -145,7 +191,7 @@ def test_bernstein_reproduces_phi_kernel(kernel):
 
 @pytest.mark.parametrize("kernel", ALL_PRESETS, ids=str)
 def test_bernstein_finiteness_integrals(kernel):
-    m = bernstein_of(kernel)
+    m = kernel.bernstein()
     fin = m.finiteness()
     assert all(np.isfinite(v) for v in fin.values())
     assert fin["mass_below_1"] >= 0
@@ -191,6 +237,26 @@ def test_validate_kernel_adversarial_negative_sample():
     dip = lambda t: 1.0 / (1.0 + np.abs(t)) - 0.6 * np.exp(-((np.abs(t) - 5.0) ** 2))
     report = validate_kernel(dip, grid)
     assert not report.checks["positivity"][0]
+    assert not report.ok
+
+
+def test_validate_kernel_underflow_is_positive_but_kcos_sign_is_checked():
+    # a smoothed box underflows to 0 on the tail of the grid, which is no
+    # failure of positivity, but its cosine transform is negative at w = 2
+    # far beyond the quadrature error
+    box = lambda t: np.exp(-((np.abs(t) / 2.3) ** 8))
+    report = validate_kernel(box, np.geomspace(0.1, 10.0, 25))
+    assert report.checks["positivity"] == (True, "K > 0 on grid")
+    passed, detail = report.checks["kcos_positive"]
+    assert not passed and "omega=2: -3.820e-01" in detail
+
+
+def test_validate_kernel_interior_zero_sample():
+    # only a trailing run of zeros counts as underflow
+    grid = np.geomspace(0.1, 100.0, 40)
+    gap = lambda t: np.where(np.abs(np.abs(t) - grid[10]) < 1e-12, 0.0, 1.0 / (1.0 + np.abs(t)))
+    report = validate_kernel(gap, grid)
+    assert report.checks["positivity"] == (False, "non-positive sample")
     assert not report.ok
 
 

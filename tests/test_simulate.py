@@ -12,10 +12,10 @@ from gle_spectra import simulate
 from gle_spectra import (
     BernsteinMeasure,
     GleParams,
+    MemoryKernel,
     PronyAccuracyError,
     SamplingGridError,
     SdeError,
-    bernstein_of,
     default_spectral_grid,
     ensemble_msd,
     kernel_eval,
@@ -52,6 +52,19 @@ def test_prony_powerlaw_two_percent():
     assert len(fit.measure.atoms) <= 8
 
 
+def test_prony_propagates_a_fault_in_the_measure():
+    # only a GleError from bernstein() selects the fitted surrogate
+    class Broken(MemoryKernel):
+        def eval(self, t):
+            return np.exp(-np.abs(t))
+
+        def bernstein(self):
+            raise TypeError("bug in the measure")
+
+    with pytest.raises(TypeError, match="bug in the measure"):
+        prony_fit(Broken(), 2, (1e-2, 1e2))
+
+
 def test_prony_accuracy_bound_enforced():
     with pytest.raises(PronyAccuracyError) as ei:
         prony_fit(parse_kernel_spec("powerlaw:0.5"), 2, (1e-2, 1e3), rtol=0.01)
@@ -59,7 +72,7 @@ def test_prony_accuracy_bound_enforced():
 
 
 def test_embedding_shapes_and_stability():
-    sde = markovian_embedding(TRAPPED, bernstein_of(parse_kernel_spec("rouse:1")))
+    sde = markovian_embedding(TRAPPED, parse_kernel_spec("rouse:1").bernstein())
     assert sde.dim() == 4
     assert sde.labels == ("x", "v", "z1", "s1")
     assert sde.is_stable()
@@ -75,7 +88,7 @@ def test_embedding_classical_langevin():
 
 def test_embedding_free_particle():
     params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=0.0, kbt=1.0)
-    sde = markovian_embedding(params, bernstein_of(parse_kernel_spec("rouse:[1,2]")))
+    sde = markovian_embedding(params, parse_kernel_spec("rouse:[1,2]").bernstein())
     assert sde.labels[0] == "v"
     cov = lyapunov_stationary_cov(sde)
     assert cov[0, 0] == pytest.approx(1.0, rel=1e-10)
@@ -88,7 +101,7 @@ def test_embedding_rejects_bad_atoms():
 
 def test_embedding_zero_temperature():
     params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=0.0)
-    sde = markovian_embedding(params, bernstein_of(parse_kernel_spec("rouse:1")))
+    sde = markovian_embedding(params, parse_kernel_spec("rouse:1").bernstein())
     assert np.all(sde.noise == 0.0)
     assert np.abs(lyapunov_stationary_cov(sde)).max() == 0.0
 
@@ -97,7 +110,7 @@ def test_lyapunov_equipartition_structure():
     # ratios independent of atom count, placement and coupling strength
     for spec, beta in (("rouse:[1,2,4]", 1.0), ("rouse:[0.3,2,7,11]", 3.7)):
         params = GleParams(m=1.4, lam=0.6, beta=beta, gamma=2.3, kbt=1.9)
-        sde = markovian_embedding(params, bernstein_of(parse_kernel_spec(spec)))
+        sde = markovian_embedding(params, parse_kernel_spec(spec).bernstein())
         cov = lyapunov_stationary_cov(sde)
         assert params.gamma * cov[0, 0] / params.kbt == pytest.approx(1.0, abs=1e-8)
         assert params.m * cov[1, 1] / params.kbt == pytest.approx(1.0, abs=1e-8)
@@ -112,7 +125,7 @@ def test_lyapunov_unstable_rejected():
 
 
 def _one_atom_sde():
-    return markovian_embedding(TRAPPED, bernstein_of(parse_kernel_spec("rouse:1")))
+    return markovian_embedding(TRAPPED, parse_kernel_spec("rouse:1").bernstein())
 
 
 def test_simulate_deterministic():
@@ -142,7 +155,7 @@ def test_simulate_empty_ensemble():
 
 def test_simulate_zero_noise_msd():
     params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=0.0)
-    sde = markovian_embedding(params, bernstein_of(parse_kernel_spec("rouse:1")))
+    sde = markovian_embedding(params, parse_kernel_spec("rouse:1").bernstein())
     ens = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=20, seed=0)
     curve = ensemble_msd(ens, "x_integral")
     assert np.max(np.abs(curve.values)) == 0.0
@@ -162,7 +175,7 @@ def test_fluctuation_dissipation_of_noise():
     # the stationary autocovariance e_s^T expm(A tau) S e_s / (beta kbt) = K(tau)
     for spec in ("rouse:1", "rouse:[1,2,3]"):
         kernel = parse_kernel_spec(spec)
-        sde = markovian_embedding(TRAPPED, bernstein_of(kernel))
+        sde = markovian_embedding(TRAPPED, kernel.bernstein())
         cov = lyapunov_stationary_cov(sde)
         e_s = np.array([lab.startswith("s") for lab in sde.labels], dtype=float)
         for tau in (0.0, 1.0, 5.0):
