@@ -42,10 +42,6 @@ from .spectra import SpectralDensityCtx, r22, trapped_densities
 from .transforms import kcos_ksin_grid
 
 
-def _fmt(x):
-    return x if isinstance(x, str) else f"{x:.17g}"
-
-
 def parse_config(text):
     """Parse and validate a JSON run configuration into the
     SpectralDensityCtx(params, kernel, quad) of the request.
@@ -120,8 +116,11 @@ def _emit(lines, path):
 
 
 def _emit_csv(header, columns, path):
-    """One header row, then one row per index of the columns."""
-    _emit([header, *(",".join(map(_fmt, row)) for row in zip(*columns))], path)
+    """One header row, then one row per index of the columns: numbers with
+    17 significant digits, text as it is."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns)
+    _emit([header, *(fmt % row for row in zip(*(c.tolist() for c in columns)))], path)
 
 
 def _cmd_kernel(args):

@@ -184,14 +184,6 @@ def _shaped(values, shape):
     return values[0] if shape == () else np.array(values).reshape(shape)
 
 
-def _row_sums(values, rows, n):
-    """Sums of the segment values of each of n rows, added in segment order."""
-    totals = [0] * n
-    for r, v in zip(rows, values):
-        totals[r] += v
-    return totals
-
-
 def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     """Integrate a vectorized integrand over the finite interval [a, b].
 
@@ -227,11 +219,12 @@ def _adapt(f, segments, cfg, rows=None):
     (-1, 0) selects integrate_adaptive's endpoint substitution for that
     segment.  ``rows`` gives the row of each segment (all 0 by default),
     which f sees as the ``rows`` of its Nodes.  Each segment has its own
-    interval heap, tolerance, ``cfg.max_subdivisions`` budget, roundoff-width
-    branch and DivergentTail history.  A round bisects the worst interval of
-    every open segment and evaluates all the new halves together, so each
-    segment is subdivided as it would be alone.  Returns (values, errors),
-    lists in segment order; the first segment that fails raises.
+    interval heap, tolerance, ``cfg.max_subdivisions`` budget and
+    roundoff-width branch.  A round bisects the worst interval of every open
+    segment and evaluates all the new halves together, so each segment is
+    subdivided as it would be alone.  Returns (values, errors), lists in
+    segment order; the first segment that fails raises: a segment that uses
+    up its budget raises ToleranceNotMet with its own value and error.
     """
     n = len(segments)
     row_of = np.zeros(n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -274,7 +267,6 @@ def _adapt(f, segments, cfg, rows=None):
         [(-e, a, b, v, e)]
         for a, b, v, e in zip(lo.tolist(), hi.tolist(), total_val, total_err)
     ]
-    history = [[] for _ in range(n)]
     rounds = 0
     active = list(range(n))
     while active:
@@ -283,7 +275,12 @@ def _adapt(f, segments, cfg, rows=None):
             if total_err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val[i])):
                 continue
             if rounds == cfg.max_subdivisions:
-                raise _budget_error(cfg, total_val[i], total_err[i], history[i])
+                raise ToleranceNotMet(
+                    f"tolerance not met after {cfg.max_subdivisions} subdivisions "
+                    f"(value={float(total_val[i])}, err={float(total_err[i])})",
+                    value=total_val[i],
+                    error=total_err[i],
+                )
             still.append(i)
             _, a, b, v, e = heapq.heappop(heaps[i])
             mid = 0.5 * (a + b)
@@ -308,23 +305,7 @@ def _adapt(f, segments, cfg, rows=None):
             total_err[i] += (e1 + e2) - e
             heapq.heappush(heaps[i], (-e1, a, mid, v1, e1))
             heapq.heappush(heaps[i], (-e2, mid, b, v2, e2))
-            history[i].append(total_val[i])
     return total_val, total_err
-
-
-def _budget_error(cfg, value, error, history):
-    """The error of a segment that used up its subdivisions: DivergentTail
-    when its value only grew over the last 16 of them, else ToleranceNotMet."""
-    grew = len(history) > 16 and all(
-        history[i + 1] >= history[i] for i in range(len(history) - 16, len(history) - 1)
-    )
-    exc = DivergentTail if grew else ToleranceNotMet
-    return exc(
-        f"tolerance not met after {cfg.max_subdivisions} subdivisions "
-        f"(value={float(value)}, err={float(error)})",
-        value=value,
-        error=error,
-    )
 
 
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
@@ -495,8 +476,9 @@ def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
         segments += panels
         rows += [r] * len(panels)
     vals, errs = _adapt(f, segments, cfg, rows)
-    n = len(a)
-    return _shaped(_row_sums(vals, rows, n), shape), _shaped(_row_sums(errs, rows, n), shape)
+    # bincount adds the panels of each row in segment order
+    val, err = (np.bincount(rows, weights=x).tolist() for x in (vals, errs))
+    return _shaped(val, shape), _shaped(err, shape)
 
 
 def _geometric_segments(a, b, levels, left_exponent):
@@ -517,7 +499,7 @@ def _accelerate(cells):
     Starts the averaging table past the cell of largest magnitude so that a
     non-monotone head (e.g. a spectral resonance) is summed directly; the
     reported value/error come from the averaging level where the last-column
-    increments are smallest.
+    increments are smallest.  ``cells`` holds at least one round's 12.
     """
     mags = [abs(c) for c in cells]
     peak = int(np.argmax(mags))
@@ -530,8 +512,6 @@ def _accelerate(cells):
         row = 0.5 * (row[:-1] + row[1:])
         candidates.append(row[-1])
     diffs = np.abs(np.diff(candidates))
-    if diffs.size == 0:
-        return direct + float(candidates[0]), abs(float(candidates[0]))
     i = int(np.argmin(diffs))
     return direct + float(candidates[i + 1]), float(diffs[i])
 

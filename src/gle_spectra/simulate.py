@@ -77,8 +77,11 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     nonnegative least squares iteratively reweighted toward the minimax
     relative error.  A kernel whose ``bernstein()`` raises a GleError
     (NoBernsteinRepresentation, UnrepresentableError) is fitted; any other
-    exception from it propagates.  If ``rtol`` is given and the achieved
-    sup-relative error exceeds it, PronyAccuracyError is raised.
+    exception from it propagates.  A reweighting round in which nnls runs
+    out of iterations ends the fit with the best earlier round.
+    PronyAccuracyError is raised where K is not positive on the window (the
+    error is relative to K), where the first round fails, and where ``rtol``
+    is given and the achieved sup-relative error exceeds it.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (0 < t_lo < t_hi):
@@ -103,12 +106,25 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     rates = np.geomspace(0.3 / t_hi, 1.5 / t_lo, n_modes)
     ts = np.geomspace(t_lo, t_hi, 90)
     kv = kernel_eval(kernel, ts)
+    if not np.all(kv > 0):  # the fit is relative to K
+        i = int(np.argmin(kv > 0))
+        raise PronyAccuracyError(
+            f"prony fit needs K > 0 on its window; K({ts[i]:g}) = {kv[i]:g}",
+            achieved=math.inf,
+        )
     design = np.exp(-np.outer(ts, rates)) / kv[:, None]
     gam = np.ones(ts.size)
     best = None
     for _ in range(25):
         g = np.sqrt(gam)
-        weights, _ = nnls(design * g[:, None], g)
+        try:
+            weights, _ = nnls(design * g[:, None], g)
+        except RuntimeError:  # nnls ran out of iterations
+            if best is None:
+                raise PronyAccuracyError(
+                    "prony fit failed: nnls did not converge", achieved=math.inf
+                )
+            break
         resid = np.abs(design @ weights - 1.0)
         sup = float(resid.max())
         if best is None or sup < best[0]:

@@ -61,7 +61,11 @@ def _evaluate(ctx, omega, formula, origin=True):
 def _r11_at(p, w, kc, ks):
     a = p.lam + p.beta * kc
     b = p.gamma - p.m * w ** 2 + p.beta * w * ks
-    return (2.0 * a / (b * b + w * w * a * a),)
+    with np.errstate(invalid="ignore"):
+        wa2 = w * w * a * a
+    # where w*w overflows and a is 0, that product is inf*0: its value is (w*a)**2
+    wa2 = np.where(np.isnan(wa2), (w * a) ** 2, wa2)
+    return (2.0 * a / (b * b + wa2),)
 
 
 @np.errstate(over="ignore", divide="ignore")

@@ -575,6 +575,14 @@ def test_huge_frequency_spectrum_is_quiet(config):
     assert all(float(v) == 0.0 for v in out.splitlines()[1].split(",")[1:])
 
 
+def test_undamped_trap_spectrum_at_huge_frequency(tmp_path):
+    cfg = tmp_path / "undamped.json"
+    cfg.write_text('{"m":1,"lambda":0,"beta":1,"gamma":2,"kbt":1,"kernel":"gaussian:1"}')
+    code, out, err = run_cli("spectrum", "--config", str(cfg), "--grid", "1e155,1e300")
+    assert code == 0 and err == ""
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["0", "0"]
+
+
 def test_transform_route_checked_at_origin(capsys):
     argv = ["transform", "--kernel", "gaussian:1", "--omega", "0", "--route", "cm_measure"]
     assert main(argv) == 1
@@ -595,6 +603,7 @@ def test_equipartition_failure_is_valid_json(tmp_path, capsys):
         raise ValueError(f"not RFC 8259 JSON: {name}")
 
     out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["gamma_x_ratio"] is None and out["m_v_ratio"] is None
     assert out["err_x"] is None and out["err_v"] is None
     assert [n.split(":")[0] for n in out["notes"]] == ["var_x0", "var_v0"]
 
@@ -671,3 +680,24 @@ def test_fit_exponent_bad_input_is_one_envelope(tmp_path, rows, window, model, k
     error = json.loads(lines[0])["error"]
     assert error["type"] == kind and message in error["message"]
 
+
+def _simulate_markovian(tmp_path, spec):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"m": 1, "lambda": 1, "beta": 1, "gamma": 2, "kbt": 1, "kernel": spec}))
+    return run_cli("simulate", "--config", str(cfg), "--n-paths", "10")
+
+
+def test_markovian_simulate_kernel_underflow_is_one_envelope(tmp_path):
+    # exp(-t^2) underflows to 0 inside the default fit window (0.1, 100),
+    # where the Prony fit cannot weigh its error by K
+    code, out, err = _simulate_markovian(tmp_path, "gaussian:1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "PronyAccuracyError"
+
+
+@pytest.mark.parametrize("spec", ["powerlaw:0.98", "powerlaw:0.99"])
+def test_markovian_simulate_keeps_the_best_prony_round(tmp_path, spec):
+    # nnls runs out of iterations in a later reweighting round of these fits
+    code, out, err = _simulate_markovian(tmp_path, spec)
+    assert code == 0 and err == ""
+    assert json.loads(out.splitlines()[-1])["method"] == "markovian"

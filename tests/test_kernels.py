@@ -251,6 +251,18 @@ def test_validate_kernel_underflow_is_positive_but_kcos_sign_is_checked():
     assert not passed and "omega=2: -3.820e-01" in detail
 
 
+def test_validate_kernel_reports_each_kcos_failure():
+    # 1 + |t| grows: every probe frequency reports the oscillatory
+    # precondition failure instead of a transform value
+    report = validate_kernel(lambda t: 1.0 + np.abs(t), np.geomspace(0.1, 100.0, 25))
+    passed, detail = report.checks["kcos_positive"]
+    assert not passed and not report.ok
+    assert detail == "; ".join(
+        f"omega={w}: oscillatory quadrature precondition failed: envelope not decreasing"
+        for w in ("0.5", "2", "20")
+    )
+
+
 def test_validate_kernel_interior_zero_sample():
     # only a trailing run of zeros counts as underflow
     grid = np.geomspace(0.1, 100.0, 40)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 from pathlib import Path
 import tracemalloc
@@ -136,6 +137,17 @@ def test_equipartition_report_free():
     rep = equipartition_report(free_ctx("rouse:[1,2,4]"))
     assert rep.gamma_x_ratio is None
     assert rep.m_v_ratio == pytest.approx(1.0, abs=1e-3)
+
+
+def test_equipartition_report_failure_is_nan():
+    # both integrals run out of a one-subdivision budget: no ratio is
+    # guessed from a failing panel
+    ctx = replace(trapped_ctx("powerlaw:0.5"), quad=QuadConfig(max_subdivisions=1))
+    rep = equipartition_report(ctx)
+    assert math.isnan(rep.gamma_x_ratio) and math.isnan(rep.m_v_ratio)
+    assert rep.err_x == math.inf and rep.err_v == math.inf
+    assert [n.split(":")[0] for n in rep.notes] == ["var_x0", "var_v0"]
+    assert all("tolerance not met after 1 subdivisions" in n for n in rep.notes)
 
 
 def test_equipartition_critical_kernel():

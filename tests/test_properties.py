@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from gle_spectra import (
     POSITION_INTEGRAL,
     VELOCITY_INTEGRAL,
+    QuadConfig,
     TailClass,
+    ToleranceNotMet,
     TransformDomainError,
     compute_msd_curve,
+    integrate_adaptive,
     kcos_ksin_grid,
     msd_v,
     msd_x,
@@ -76,3 +79,16 @@ def test_grid_equals_transform_row_by_row(kernel_route, omegas):
     assert kcos.tolist() == pytest.approx([p.kcos for p in rows], rel=1e-14, abs=0.0)
     assert ksin.tolist() == pytest.approx([p.ksin for p in rows], rel=1e-14, abs=0.0)
     assert [p.route for p in rows] == ["closed_form" if w == 0.0 else route for w in omegas]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.05, 0.95), budget=st.integers(17, 80))
+def test_convergent_power_is_never_divergent(p, budget):
+    # Int_0^1 x**-p converges: the engine meets its tolerance or reports
+    # ToleranceNotMet when the budget runs out, never DivergentTail
+    cfg = QuadConfig(max_subdivisions=budget)
+    try:
+        val, _ = integrate_adaptive(lambda x: x ** -p, 0.0, 1.0, cfg)
+    except ToleranceNotMet:
+        return
+    assert val == pytest.approx(1.0 / (1.0 - p), rel=1e-7)

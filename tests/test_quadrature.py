@@ -208,10 +208,17 @@ def test_segment_budget_is_its_own():
     assert batch.value.error == alone.value.error
 
 
-def test_segment_divergent_tail_in_batch():
+def test_segment_out_of_budget_in_batch():
+    # the convergent x**-0.5 on [0, 1] uses up its 50 subdivisions: a
+    # batch raises ToleranceNotMet with the value the segment has alone
+    f = lambda x: x ** -0.5
     cfg = QuadConfig(max_subdivisions=50)
-    with pytest.raises(DivergentTail):
-        _adapt(lambda x: 1.0 / x, [(1.0, 2.0, None), (0.0, 1.0, None)], cfg)
+    with pytest.raises(ToleranceNotMet) as alone:
+        integrate_adaptive(f, 0.0, 1.0, cfg)
+    with pytest.raises(ToleranceNotMet) as batch:
+        _adapt(f, [(1.0, 2.0, None), (0.0, 1.0, None)], cfg)
+    assert batch.value.value == alone.value.value
+    assert batch.value.error == alone.value.error
 
 
 def test_nan_names_its_segment():

@@ -16,6 +16,7 @@ from gle_spectra import (
     PronyAccuracyError,
     SamplingGridError,
     SdeError,
+    UnrepresentableError,
     default_spectral_grid,
     ensemble_msd,
     kernel_eval,
@@ -63,6 +64,26 @@ def test_prony_propagates_a_fault_in_the_measure():
 
     with pytest.raises(TypeError, match="bug in the measure"):
         prony_fit(Broken(), 2, (1e-2, 1e2))
+
+
+@pytest.mark.parametrize("spec, n_atoms, sup", [("powerlaw:0.01", 1, 0.127), ("powerlaw:0.04", 2, 0.0895)])
+def test_prony_fits_an_unrepresentable_measure(spec, n_atoms, sup):
+    kernel = parse_kernel_spec(spec)
+    with pytest.raises(UnrepresentableError):
+        kernel.bernstein()
+    fit = prony_fit(kernel, 8, (0.1, 100.0))
+    assert len(fit.measure.atoms) == n_atoms
+    assert fit.sup_rel_error == pytest.approx(sup, abs=5e-4)
+
+
+def test_prony_first_round_failure_is_typed(monkeypatch):
+    def give_up(a, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(simulate, "nnls", give_up)
+    with pytest.raises(PronyAccuracyError) as ei:
+        prony_fit(parse_kernel_spec("powerlaw:0.5"), 8, (0.1, 100.0))
+    assert ei.value.achieved == math.inf
 
 
 def test_prony_accuracy_bound_enforced():

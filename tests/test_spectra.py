@@ -79,6 +79,14 @@ def test_r22_r12_at_large_frequency(w):
         assert v == pytest.approx(2e-160, rel=1e-14) and r11(ctx, w) == 0.0
 
 
+@pytest.mark.parametrize("spec", ["rouse:[1,2,4]", "gaussian:1"])
+def test_undamped_r11_at_huge_frequency(spec):
+    # with lam = 0, a = beta Kcos underflows to 0 where w*w overflows: r11
+    # is 0 there, not the NaN of inf*0
+    ctx = trapped_ctx(spec, lam=0.0)
+    assert r11(ctx, np.array([1e155, 1e300])).tolist() == [0.0, 0.0]
+
+
 def test_r22_free_particle_origin_guard():
     for spec in ("powerlaw:0.5", "one-plus-t-inverse", "cauchy:0.4,1"):
         with pytest.raises(TransformDomainError):
