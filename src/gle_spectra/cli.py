@@ -239,8 +239,8 @@ def _cmd_simulate(args):
     else:
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")
-        grid = default_spectral_grid(ctx, t_max=args.t_max)
         t_grid = sample_times(args.dt, args.t_max)
+        grid = default_spectral_grid(ctx, t_max=float(t_grid[-1]))
         ens = spectral_sample(ctx, grid, t_grid, args.n_paths, args.seed)
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
     quantity = "x_integral" if "x" in ens.labels else "v_integral"

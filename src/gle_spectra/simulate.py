@@ -14,11 +14,11 @@ rates and nonnegative-least-squares weights.
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
 from the spectral densities: independent Gaussian amplitudes on frequency
 cells, weighted by the rank-one factorization of the 2x2 cross-spectral
-matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid: every cell
-is summed there by one chirp-z transform per block of paths, the cells of
-equal width from the nodes of its frequency grid and the others spread onto
-those nodes by local interpolation, so memory does not grow with
-cells x times.
+matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid of step dt:
+every cell is spread onto a frequency lattice of step 2 pi/(M dt), where a
+node is an FFT bin (frequencies 2 pi/dt apart cannot be told apart on the
+grid), and one FFT of length M per path and coordinate sums the bins, so
+memory does not grow with cells x times.
 """
 
 from dataclasses import dataclass
@@ -300,14 +300,15 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
 
 
 def ensemble_msd(ens, quantity):
-    """Ensemble second moment of Int_0^t x ds or Int_0^t v ds.
+    """Ensemble second moment of Int_0^t x ds (``"x_integral"``) or
+    Int_0^t v ds (``"v_integral"``).
 
     Path integrals use the cumulative trapezoid rule on the saved grid;
     standard errors are across-path errors of the squared integral.
     """
-    if quantity in ("x_integral", POSITION_INTEGRAL):
+    if quantity == "x_integral":
         col, q = "x", POSITION_INTEGRAL
-    elif quantity in ("v_integral", VELOCITY_INTEGRAL):
+    elif quantity == "v_integral":
         col, q = "v", VELOCITY_INTEGRAL
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -341,12 +342,13 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     The amplitudes come from two Philox streams: the real parts of every path
     and cell (path-major) from the one keyed by ``seed``, the imaginary parts
     from the same key jumped by 2^128 draws.  They are drawn and summed in
-    blocks of paths, every cell by one chirp-z transform over a uniform
-    frequency grid (see ``_ChirpZ``): the K_u trailing cells of equal width
-    sit on its nodes, the K_d cells before them are spread onto q nodes each.
-    With N times the cost is O(n_paths ((K_u + N) log(K_u + N) + K_d q)) and
-    the memory O(block K + n_paths N), the block size set by a fixed byte
-    budget.
+    blocks of paths on the frequency lattice of the time step (see
+    ``_Lattice``): the K_on cells on a lattice node take that node, the K_off
+    others are spread onto q nodes each, and one FFT of length
+    M = ceil(8 t_span/dt) per path and coordinate sums the nodes.  The cost
+    is O(n_paths (M log M + K_on + q K_off)) and the memory
+    O(block (K + M + L) + n_paths N) for N times and L lattice nodes from the
+    lowest cell to the highest, the block size set by a fixed byte budget.
     """
     edges = np.asarray(omega_grid, dtype=float)
     if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0) or edges[0] < 0:
@@ -365,10 +367,10 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     dens = r11(ctx, mids)
     # sqrt(2) folds the real part of the complex amplitude sum into sigma
     sigma = np.sqrt(ctx.params.kbt / math.pi * dens * widths)
-    chirp = _ChirpZ(mids, sigma, t, _equal_width_start(mids, widths))
+    lattice = _Lattice(mids, sigma, t)
 
     data = np.zeros((n_paths, t.size, 2))
-    block = max(1, _BLOCK_BYTES // (16 * mids.size + chirp.bytes_per_path))
+    block = max(1, _BLOCK_BYTES // (16 * mids.size + lattice.bytes_per_path))
     xi_rng = np.random.Generator(np.random.Philox(key=seed))
     eta_rng = np.random.Generator(np.random.Philox(key=seed).jumped())
     draws = np.empty((2 * min(block, n_paths), mids.size))
@@ -377,7 +379,7 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
         rows = stop - start
         xi_rng.standard_normal(out=draws[:rows])
         eta_rng.standard_normal(out=draws[rows : 2 * rows])
-        data[start:stop, :, 0], data[start:stop, :, 1] = chirp(draws[: 2 * rows])
+        data[start:stop, :, 0], data[start:stop, :, 1] = lattice(draws[: 2 * rows])
     return Ensemble(times=t, data=data, labels=("x", "v"))
 
 
@@ -393,16 +395,6 @@ def _uniform_step(values):
     return step
 
 
-def _equal_width_start(mids, widths):
-    """First cell of the trailing run whose midpoints step uniformly, or
-    ``mids.size`` when that run has fewer than two cells."""
-    uneven = np.flatnonzero(np.abs(widths - widths[-1]) > 1e-9 * widths[-1])
-    start = uneven[-1] + 1 if uneven.size else 0
-    if mids.size - start < 2 or _uniform_step(mids[start:]) is None:
-        return mids.size
-    return start
-
-
 def _node_count(theta):
     """Smallest even q whose Lagrange remainder bound for exp(i w t) on q
     nodes h apart, theta^q/q! max prod_j |u - j| (theta = h t_span, u in the
@@ -414,103 +406,89 @@ def _node_count(theta):
     return q
 
 
-class _ChirpZ:
+class _Lattice:
     """x and v sums of the amplitudes a_k = sigma_k (xi_k - i eta_k) over
     cells w_k at times t_j = t_0 + j dt:
 
         x_j = Re sum_k a_k exp(i w_k t_j),   v_j = -Im sum_k w_k a_k exp(i w_k t_j).
 
-    Every cell is moved onto one frequency grid nu_m = nu_0 + m h.  The
-    trailing cells of equal width (from ``k0`` on) sit on every s-th node,
-    s = ceil(step t_span / (pi/4)), unless step t_span < pi/8; then, as
-    without such a tail, h = pi/(4 t_span).  Each other cell is spread onto
-    the q nodes around it by Lagrange interpolation of exp(i w t) in w, q from
-    ``_node_count(h t_span)``, as in the type-3 non-uniform FFT of Lee &
-    Greengard (J. Comput. Phys. 206:1, 2005); its v weight carries the cell's
-    own w_k.  The grid extends below the cells as far as their windows need.
+    Every cell is spread onto the frequency lattice nu_m = nu_0 + m h,
+    h = 2 pi/(M dt) with M = ceil(8 t_span/dt), anchored at the last cell:
+    onto the one node it lies within 1e-9 h of, or else onto the q nodes
+    around it by Lagrange interpolation of exp(i w t) in w, q from
+    ``_node_count(h t_span)`` (38 at h t_span = pi/4), as in the type-3
+    non-uniform FFT of Lee & Greengard (J. Comput. Phys. 206:1, 2005).  Its v
+    weight carries the cell's own w_k.
 
-    Bluestein's identity mj = (m^2 + j^2 - (j - m)^2)/2 turns the grid sums
-    into a convolution with the chirp exp(-i theta m^2/2), theta = h dt, done
-    by FFT (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17:86,
-    1969).  The tail step comes from its end points: one rounded cell width
-    times k would drift from the midpoints by k ulps.
+    On times dt apart nu_m and nu_{m+M} = nu_m + 2 pi/dt cannot be told
+    apart: exp(i m h j dt) = exp(2 pi i m j/M).  So node m, times the
+    pre-phase exp(i m h t_0), goes to bin m mod M; one inverse FFT of length
+    M per row sums the bins and the post-phase exp(i nu_0 t_j) finishes.  A
+    single time is the case M = 1 with h = pi/(4 t_span): every node falls
+    in the one bin.
     """
 
-    def __init__(self, omega, sigma, t, k0):
-        n, n_t = omega.size, t.size
+    def __init__(self, omega, sigma, t):
         t_span = float(np.max(np.abs(t)))
-        step = (omega[-1] - omega[k0]) / (n - 1 - k0) if k0 < n else 0.0
-        stride = 1
-        if step * t_span >= 0.125 * math.pi:
-            # h t_span lands in [pi/8, pi/4]: with cell widths <= pi/t_span
-            # the grid has at most 8 nodes per cell.  The slack keeps a
-            # rounding excess over pi/4 from doubling the grid
-            stride = max(1, math.ceil(step * t_span / (0.25 * math.pi) - 1e-9))
-            h, anchor = step / stride, omega[k0]
+        dt = _uniform_step(t)
+        if dt:
+            # the slack keeps a rounding excess over 8 t_span/dt from adding
+            # a bin, which would move the lattice off an equal-width tail
+            self.size = math.ceil(8.0 * t_span / abs(dt) * (1.0 - 1e-12))
+            h = 2.0 * math.pi / (self.size * dt)
         else:
-            # every cell spread: no equal-width tail, one too fine to carry the
-            # grid, or t = 0, where exp(i w t) = 1 and two nodes hold every cell
-            k0 = n
+            # one time: every node falls in the one bin.  At t = 0,
+            # exp(i w t) = 1 and two nodes hold every cell
+            self.size = 1
             h = 0.25 * math.pi / t_span if t_span > 0 else omega[-1] - omega[0]
-            anchor = omega[0]
-        q = _node_count(h * t_span)
-        # cell k's window: nodes first_k .. first_k + q - 1 counted from the
-        # anchor, with the cell in its middle gap
-        u = (omega[:k0] - anchor) / h
-        first = np.floor(u).astype(int) - (q // 2 - 1)
-        lo = min(0, first.min(initial=0))
-        n_low = first.max() + q - lo if k0 else 0
-        n_nodes = max(n_low, stride * (n - 1 - k0) - lo + 1)
-        gap = (u - first)[:, None] - np.arange(q)
-        # modified Lagrange form prod_i (u - i) b_j / (u - j), exact on a node
+        q = _node_count(abs(h) * t_span)
+        u = (omega - omega[-1]) / h
+        near = np.rint(u)
+        on_node = np.abs(u - near) <= 1e-9
+        on, off = np.flatnonzero(on_node), np.flatnonzero(~on_node)
+        # an off-node cell's window: nodes first .. first + q - 1 counted
+        # from the anchor, with the cell in its middle gap
+        first = np.floor(u[off]).astype(int) - (q // 2 - 1)
+        gap = (u[off] - first)[:, None] - np.arange(q)
+        # modified Lagrange form prod_i (u - i) b_j / (u - j)
         bary = np.array(
             [(-1.0) ** (q - 1 - j) / (math.factorial(j) * math.factorial(q - 1 - j)) for j in range(q)]
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lagrange = np.prod(gap, axis=1, keepdims=True) * bary / gap
-        lagrange[gap == 0.0] = 1.0
+        lagrange = np.prod(gap, axis=1, keepdims=True) * bary / gap
+        cells = np.concatenate([on, np.repeat(off, q)])
+        nodes = np.concatenate([near[on].astype(int), (first[:, None] + np.arange(q)).ravel()])
+        lo = nodes.min()
+        self.n_nodes = nodes.max() - lo + 1
         spread = sparse.csr_array(
-            ((sigma[:k0, None] * lagrange).ravel(), ((first - lo)[:, None] + np.arange(q)).ravel(),
-             q * np.arange(k0 + 1)),
-            shape=(k0, n_low),
+            (sigma[cells] * np.concatenate([np.ones(on.size), lagrange.ravel()]), (nodes - lo, cells)),
+            shape=(self.n_nodes, omega.size),
         )
-        # low nodes x spread cells: x weights (sigma) over v weights (sigma w_k)
-        self.weights = sparse.vstack([spread.T, (spread * omega[:k0, None]).T], format="csr")
-
-        nu_0 = anchor + lo * h
-        half_theta = 0.5 * h * _uniform_step(t)
-        m, j, lags = np.arange(n_nodes), np.arange(n_t), np.arange(1 - n_nodes, n_t)
-        self.size = sp_fft.next_fast_len(n_nodes + n_t - 1)
-        chirp = np.zeros(self.size, dtype=complex)
-        chirp[lags] = np.exp(-1j * half_theta * lags * lags)
-        self.chirp_fft = sp_fft.fft(chirp)
-        self.pre = np.exp(1j * (m * h * t[0] + half_theta * m * m))
-        self.post = np.exp(1j * (nu_0 * t + half_theta * j * j))
-        self.k0, self.tail_nodes = k0, slice(-lo, -lo + stride * (n - k0), stride)
-        pre = sigma[k0:] * self.pre[self.tail_nodes]
-        self.tail_weights = (pre, pre * omega[k0:])
-        # a path's padded x and v rows, two real temporaries, its sums
-        self.bytes_per_path = 16 * (2 * self.size + n + 2 * n_t)
+        # nodes x cells: x weights (sigma) over v weights (sigma w_k)
+        self.weights = sparse.vstack([spread, spread * omega], format="csr")
+        self.pre = np.exp(1j * np.arange(self.n_nodes) * h * t[0])
+        self.post = np.exp(1j * (omega[-1] + lo * h) * t)
+        self.folds = -(-self.n_nodes // self.size)
+        # a path's transposed draws, x and v node sums, x and v rows before
+        # and after folding (the FFT works in place), its x and v sums
+        # (complex, then real)
+        self.bytes_per_path = 16 * (
+            omega.size + 2 * self.n_nodes + 2 * (self.folds + 1) * self.size + 3 * t.size
+        )
 
     def __call__(self, draws):
         """x and v rows of the paths whose xi rows ``draws`` stacks over
         their eta rows."""
-        rows, k0 = draws.shape[0] // 2, self.k0
-        xi, eta = draws[:rows, k0:], draws[rows:, k0:]
-        spec = np.zeros((2 * rows, self.size), dtype=complex)
-        halves = (spec[:rows], spec[rows:])
-        for half, w in zip(halves, self.tail_weights):
-            tail = half[:, self.tail_nodes]
-            tail.real = xi * w.real + eta * w.imag
-            tail.imag = xi * w.imag - eta * w.real
-        # the spread cells: x over v nodes, each with the xi beside the eta paths
-        low = self.weights @ np.ascontiguousarray(draws[:, :k0].T)
-        n_low = low.shape[0] // 2
-        for half, sums in zip(halves, (low[:n_low], low[n_low:])):
-            half[:, :n_low] += (sums[:, :rows] - 1j * sums[:, rows:]).T * self.pre[:n_low]
-        spec = sp_fft.fft(spec, overwrite_x=True)
-        spec *= self.chirp_fft
-        sums = sp_fft.ifft(spec, overwrite_x=True)[:, : self.post.size] * self.post
+        rows, n = draws.shape[0] // 2, self.n_nodes
+        # x over v nodes, each with the xi beside the eta paths
+        sums = self.weights @ draws.T
+        spec = np.zeros((2 * rows, self.folds * self.size), dtype=complex)
+        for half, s in zip((spec[:rows, :n], spec[rows:, :n]), (sums[:n], sums[n:])):
+            half.real, half.imag = s[:, :rows].T, -s[:, rows:].T
+            half *= self.pre
+        if self.folds > 1:
+            spec = spec.reshape(2 * rows, self.folds, self.size).sum(axis=1)
+        # a single bin broadcasts over repeated times
+        sums = sp_fft.ifft(spec, norm="forward", overwrite_x=True)[:, : self.post.size] * self.post
         return sums[:rows].real, -sums[rows:].imag
 
 
@@ -531,5 +509,7 @@ def default_spectral_grid(ctx, t_max=0.0):
     if t_max > 0:
         wide = np.flatnonzero(np.diff(low) > math.pi / t_max)
         low = low[: wide[0] + 1] if wide.size else low
-    high = np.arange(low[-1] + step, omega_max + step, step)
+    # exact multiples: arange's spacing, the rounded (start + step) - start,
+    # would drift off the sampler's frequency lattice over the tail
+    high = low[-1] + step * np.arange(1, math.ceil((omega_max - low[-1]) / step) + 1)
     return np.concatenate([low, high])

@@ -293,6 +293,19 @@ def test_simulate_methods_share_one_time_grid(capsys):
     assert [float(t) for t in columns[0]] == pytest.approx([0.3, 0.6, 0.9], rel=1e-15)
 
 
+def test_spectral_grid_follows_the_last_sample(capsys):
+    # --t-max 20.05 samples up to 20.0, so its frequency grid (tail step
+    # pi/(4 t_max)) is the one of --t-max 20.0 and the output is the same
+    outputs = []
+    for t_max in ("20.05", "20.0"):
+        assert main([
+            "simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--method", "spectral",
+            "--n-paths", "4", "--dt", "0.1", "--t-max", t_max,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_deterministic_output(tmp_path):
     cfg = tmp_path / "r.json"
     cfg.write_text('{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1"}')

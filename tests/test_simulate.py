@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 from scipy import linalg
 
 from gle_spectra import simulate
@@ -13,10 +12,12 @@ from gle_spectra import (
     BernsteinMeasure,
     GleParams,
     MemoryKernel,
+    POSITION_INTEGRAL,
     PronyAccuracyError,
     SamplingGridError,
     SdeError,
     UnrepresentableError,
+    VELOCITY_INTEGRAL,
     default_spectral_grid,
     ensemble_msd,
     kernel_eval,
@@ -182,6 +183,13 @@ def test_simulate_zero_noise_msd():
     assert np.max(np.abs(curve.values)) == 0.0
 
 
+@pytest.mark.parametrize("quantity", [POSITION_INTEGRAL, VELOCITY_INTEGRAL, "x"])
+def test_ensemble_msd_takes_one_spelling(quantity):
+    ens = simulate_paths(_one_atom_sde(), dt=0.1, t_max=1.0, n_paths=3, seed=0)
+    with pytest.raises(ValueError, match="unknown quantity"):
+        ensemble_msd(ens, quantity)
+
+
 def test_sample_variance_matches_lyapunov():
     sde = _one_atom_sde()
     cov = lyapunov_stationary_cov(sde)
@@ -288,18 +296,31 @@ def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
     return x, v
 
 
+# times 3.0 .. 22.9 step 0.1: the sampler's lattice has M = ceil(8 * 22.9/0.1)
+# = 1832 bins and step h = 2 pi/(M dt), anchored at the last cell's midpoint
+OFFSET_TIMES = 3.0 + 0.1 * np.arange(200)
+LATTICE_STEP = 2.0 * math.pi / 183.2
+
+
+def _nodes_per_cell(lattice):
+    # the x half of the weights is the spread matrix, nodes x cells
+    return np.diff(lattice.weights[: lattice.n_nodes].tocsc().indptr)
+
+
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
 def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
-    # 59 log cells spread onto the chirp-z grid, 100 equal-width cells on it;
-    # theta_tail = 0.05 * 22.9 = 1.15 > pi/4 puts them on every second node.
-    # The small budget splits the 9 paths into several blocks
+    # 59 log cells and 100 equal-width cells 0.05 apart, off the lattice step
+    # 0.0343: every cell but the anchor is spread onto 38 nodes.  The small
+    # budget splits the 9 paths into several blocks
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
     ctx = trapped_ctx("powerlaw:0.5")
     edges = np.concatenate([np.geomspace(1e-3, 1.0, 60), np.arange(1.05, 6.025, 0.05)])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    assert simulate._equal_width_start(mids, np.diff(edges)) == 59
-    t = 3.0 + 0.1 * np.arange(200)
+    t = OFFSET_TIMES
+    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
+    assert (lattice.size, lattice.n_nodes) == (1832, 211)
+    assert np.array_equal(_nodes_per_cell(lattice), [38] * 158 + [1])
     ens = spectral_sample(ctx, edges, t, 9, seed=17)
     x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 9, seed=17)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
@@ -307,34 +328,40 @@ def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
 
 
 def _exact_node_edges():
-    # the tail's midpoints step 1/16 from 1.03125; at t_span 22.9 they sit on
-    # every second node, 1/32 apart, and the log cell [0.46875, 0.53125] has
-    # its midpoint 0.5 on the node 17 below the first tail cell
-    assert (0.5 - 1.03125) / (0.0625 / 2) == -17.0
+    # 80 tail cells 2h wide from 1.0 put their midpoints on every second node
+    # of the lattice, anchored at the last one, 1 + 159 h; the log cell
+    # [c - 0.03, c + 0.03] has its midpoint c = 1 - 15 h on the node 174 below
+    c = 1.0 - 15 * LATTICE_STEP
     return np.concatenate(
-        [np.geomspace(1e-3, 0.46875, 40), np.geomspace(0.53125, 1.0, 8), 1.0 + np.arange(1, 81) / 16]
+        [
+            np.geomspace(1e-3, c - 0.03, 40),
+            np.geomspace(c + 0.03, 1.0, 8),
+            1.0 + 2 * LATTICE_STEP * np.arange(1, 81),
+        ]
     )
 
 
 @pytest.mark.parametrize(
-    "edges, k0",
+    "edges, t, size, n_nodes, on_node",
     [
-        (np.geomspace(1e-3, 6.0, 500), 499),  # no equal-width tail: every cell spread
-        (_exact_node_edges(), 47),
-        (np.linspace(0.05, 6.0, 120), 0),  # equal widths only: nothing spread
-        # a tail step of 1e-6 would put a million nodes under the log cells;
-        # its three cells are spread like the others
-        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), 299),
+        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES, 1832, 209, 1),  # every cell but the anchor spread
+        (_exact_node_edges(), OFFSET_TIMES, 1832, 208, 81),
+        (0.05 + LATTICE_STEP * np.arange(176), OFFSET_TIMES, 1832, 175, 175),  # nothing spread
+        # cells 1e-6 apart are spread like the others
+        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), OFFSET_TIMES, 1832, 67, 1),
+        # one time: M = 1, h = pi/(4 t), and every node falls in the one bin
+        (np.geomspace(1e-3, 6.0, 500), np.array([5.0]), 1, 75, 1),
+        # dt = 1.5: the cells above pi/dt = 2.09 fold onto the bins below
+        (np.geomspace(1e-3, 6.0, 500), 1.5 * np.arange(15), 112, 195, 1),
     ],
-    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail"],
+    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail", "one-time", "folded"],
 )
-def test_spectral_sampler_grids_match_dense_sum(edges, k0):
+def test_spectral_sampler_grids_match_dense_sum(edges, t, size, n_nodes, on_node):
     ctx = trapped_ctx("powerlaw:0.5")
     mids = 0.5 * (edges[1:] + edges[:-1])
-    assert simulate._equal_width_start(mids, np.diff(edges)) == k0
-    t = 3.0 + 0.1 * np.arange(200)
-    chirp = simulate._ChirpZ(mids, np.ones(mids.size), t, k0)
-    assert chirp.size <= sp_fft.next_fast_len(8 * mids.size + 64 + t.size)
+    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
+    assert (lattice.size, lattice.n_nodes) == (size, n_nodes)
+    assert np.count_nonzero(_nodes_per_cell(lattice) == 1) == on_node
     ens = spectral_sample(ctx, edges, t, 5, seed=23)
     x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 5, seed=23)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
@@ -348,12 +375,25 @@ def test_spread_node_count():
     assert simulate._node_count(0.0) == 2
 
 
+def _equal_width_tail(edges):
+    # the trailing run of cells as wide as the last one
+    widths = np.diff(edges)
+    return np.flatnonzero(np.abs(widths - widths[-1]) > 1e-6 * widths[-1])[-1] + 1
+
+
 @pytest.mark.parametrize("t_max", [0.0, 100.0, 200.0, 500.0])
 def test_default_grid_unchanged_to_t_max_500(t_max):
+    # the tail is built from exact multiples of its step; the edges of
+    # np.arange(1.0 + step, 50.0 + step, step), which it replaced, differ by
+    # rounding only
     ctx = trapped_ctx("rouse:1")
     step = min(0.05, math.pi / (4.0 * t_max)) if t_max else 0.05
-    old = np.concatenate([np.geomspace(1e-6, 1.0, 2400), np.arange(1.0 + step, 50.0 + step, step)])
-    assert np.array_equal(default_spectral_grid(ctx, t_max=t_max), old)
+    tail = 1.0 + step * np.arange(1, math.ceil(49.0 / step) + 1)
+    old_tail = np.arange(1.0 + step, 50.0 + step, step)
+    assert tail.size == old_tail.size
+    assert np.abs(tail / old_tail - 1.0).max() <= 1e-13
+    edges = default_spectral_grid(ctx, t_max=t_max)
+    assert np.array_equal(edges, np.concatenate([np.geomspace(1e-6, 1.0, 2400), tail]))
 
 
 def test_default_grid_reaches_long_horizons():
@@ -365,9 +405,22 @@ def test_default_grid_reaches_long_horizons():
         widths = np.diff(edges)
         assert widths.max() <= math.pi / t_max
         assert edges[0] == 1e-6 and edges[-1] >= 50.0
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        k0 = simulate._equal_width_start(mids, widths)
+        k0 = _equal_width_tail(edges)
         assert widths[k0:].max() == pytest.approx(math.pi / (4.0 * t_max), rel=1e-9)
+
+
+@pytest.mark.parametrize("t_max, dt", [(100.0, 0.1), (1e3, 0.1), (1e4, 0.1), (333.3, 0.07)])
+def test_default_grid_tail_sits_on_the_lattice(t_max, dt):
+    # the CLI's grid for its time grid: the tail step pi/(4 t_N) is the
+    # lattice step 2 pi/(8 N dt), so each tail cell takes one node
+    ctx = trapped_ctx("rouse:1")
+    t = simulate.sample_times(dt, t_max)
+    edges = default_spectral_grid(ctx, t_max=float(t[-1]))
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
+    k0 = _equal_width_tail(edges)
+    assert mids.size - k0 > 6000
+    assert np.all(_nodes_per_cell(lattice)[k0:] == 1)
 
 
 def test_spectral_sampler_needs_uniform_times():
