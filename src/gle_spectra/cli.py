@@ -370,6 +370,9 @@ def main(argv=None):
     except GleError as exc:  # computational failure
         _emit_error(exc)
         return 1
+    except MemoryError as exc:  # arrays too large to allocate; numpy's subclass is private
+        _emit_error(MemoryError(str(exc)))
+        return 1
 
 
 def _emit_error(exc):

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DivergentTail,
+    GleError,
     OscillationPreconditionError,
     ToleranceNotMet,
     UnrepresentableError,
@@ -523,8 +524,9 @@ def _check_envelope_decay(f, z, half):
     The half-period sums converge to the improper integral only when the
     envelope eventually decreases to zero; a persistently growing probe
     sequence violates that precondition.  Local non-monotonicity (e.g. a
-    spectral resonance inside the early cells) is tolerated, and so is a row
-    whose probe is not finite.
+    spectral resonance inside the early cells) is tolerated, and so are a row
+    whose probe is not finite and an integrand that raises a GleError at the
+    probe distances; any other exception propagates.
     """
     multipliers = np.array((1.0, 4.0, 16.0, 64.0, 256.0))
     span = _MAX_CELLS * np.array(half)
@@ -532,7 +534,7 @@ def _check_envelope_decay(f, z, half):
     rows = np.repeat(np.arange(len(z)), multipliers.size).reshape(pts.shape)
     try:
         vals = np.abs(_values(f, pts, rows))
-    except Exception:
+    except GleError:  # e.g. a kernel that cannot be evaluated that far out
         return
     vals = vals[np.isfinite(vals).all(axis=1)]
     growing = np.all(np.diff(vals, axis=1) > 0, axis=1) & (vals[:, -1] > 4.0 * vals[:, 0])

@@ -283,19 +283,14 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
         # draws are the same numbers as one draw of all the steps
         steps_per_block = max(1, _BLOCK_BYTES // (8 * block * n_noise))
         noise = np.empty((block, min(steps_per_block, n_steps), n_noise))
-
-        def record(pos):
-            for c, idx in enumerate(obs_idx):
-                out[start:stop, pos, c] = states[:, idx]
-
-        record(0)
+        out[start:stop, 0] = states[:, obs_idx]
         for lo in range(0, n_steps, steps_per_block):
             hi = min(lo + steps_per_block, n_steps)
             for j, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[j, : hi - lo])
             for step in range(lo, hi):
                 states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
-                record(step + 1)
+                out[start:stop, step + 1] = states[:, obs_idx]
     return Ensemble(times=times, data=out, labels=tuple(obs_labels))
 
 
@@ -335,18 +330,20 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     amplitudes weighted by the cell frequency, which reproduces the full
     2x2 cross-spectral structure including Cov(x, v) = 0.
 
-    The grid must resolve the requested horizon: max cell width <= pi/t_max.
     ``t_grid`` must be a non-empty arithmetic progression (to rounding);
-    other time grids raise SamplingGridError.
+    other time grids raise SamplingGridError.  The paths are stationary, so
+    they are sampled at the lags t - t_0, and the grid must resolve the
+    longest of them, the span |t_N-1 - t_0|: max cell width <= pi/span.
+    ``Ensemble.times`` holds the given times, not the lags.
 
     The amplitudes come from two Philox streams: the real parts of every path
     and cell (path-major) from the one keyed by ``seed``, the imaginary parts
     from the same key jumped by 2^128 draws.  They are drawn and summed in
     blocks of paths on the frequency lattice of the time step (see
     ``_Lattice``): the K_on cells on a lattice node take that node, the K_off
-    others are spread onto q nodes each, and one FFT of length
-    M = ceil(8 t_span/dt) per path and coordinate sums the nodes.  The cost
-    is O(n_paths (M log M + K_on + q K_off)) and the memory
+    others are spread onto q nodes each, and one FFT of length M = 8 (N - 1)
+    per path and coordinate sums the nodes.  The cost is
+    O(n_paths (M log M + K_on + q K_off)) and the memory
     O(block (K + M + L) + n_paths N) for N times and L lattice nodes from the
     lowest cell to the highest, the block size set by a fixed byte budget.
     """
@@ -357,11 +354,11 @@ def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
     if t.ndim != 1 or t.size == 0 or _uniform_step(t) is None:
         raise SamplingGridError("time grid must be a non-empty arithmetic progression")
     widths = np.diff(edges)
-    t_span = float(np.max(np.abs(t)))
-    if t_span > 0 and widths.max() > math.pi / t_span:
+    span = abs(float(t[-1] - t[0]))
+    if span > 0 and widths.max() > math.pi / span:
         raise SamplingGridError(
-            f"omega grid too coarse for t_max={t_span:g}: "
-            f"max cell width {widths.max():.3g} > pi/t_max = {math.pi / t_span:.3g}"
+            f"omega grid too coarse for a time span of {span:g}: "
+            f"max cell width {widths.max():.3g} > pi/span = {math.pi / span:.3g}"
         )
     mids = 0.5 * (edges[1:] + edges[:-1])
     dens = r11(ctx, mids)
@@ -397,7 +394,7 @@ def _uniform_step(values):
 
 def _node_count(theta):
     """Smallest even q whose Lagrange remainder bound for exp(i w t) on q
-    nodes h apart, theta^q/q! max prod_j |u - j| (theta = h t_span, u in the
+    nodes h apart, theta^q/q! max prod_j |u - j| (theta = h span, u in the
     middle gap), is at most 2^-53."""
     q, bound = 2, theta * theta / 8.0
     while bound > 2.0**-53:
@@ -408,40 +405,33 @@ def _node_count(theta):
 
 class _Lattice:
     """x and v sums of the amplitudes a_k = sigma_k (xi_k - i eta_k) over
-    cells w_k at times t_j = t_0 + j dt:
+    cells w_k at the lags tau_j = t_j - t_0 = j dt of N times t_j:
 
-        x_j = Re sum_k a_k exp(i w_k t_j),   v_j = -Im sum_k w_k a_k exp(i w_k t_j).
+        x_j = Re sum_k a_k exp(i w_k tau_j),   v_j = -Im sum_k w_k a_k exp(i w_k tau_j).
 
+    The paths are stationary, so their law at t_j is their law at tau_j.
     Every cell is spread onto the frequency lattice nu_m = nu_0 + m h,
-    h = 2 pi/(M dt) with M = ceil(8 t_span/dt), anchored at the last cell:
-    onto the one node it lies within 1e-9 h of, or else onto the q nodes
-    around it by Lagrange interpolation of exp(i w t) in w, q from
-    ``_node_count(h t_span)`` (38 at h t_span = pi/4), as in the type-3
-    non-uniform FFT of Lee & Greengard (J. Comput. Phys. 206:1, 2005).  Its v
-    weight carries the cell's own w_k.
+    h = 2 pi/(M dt) with M = 8 (N - 1), anchored at the last cell: onto the
+    one node it lies within 1e-9 h of, or else onto the q nodes around it by
+    Lagrange interpolation of exp(i w tau) in w, q from
+    ``_node_count(h span)`` (38 at h span = pi/4 for the span |t_N-1 - t_0|),
+    as in the type-3 non-uniform FFT of Lee & Greengard (J. Comput. Phys.
+    206:1, 2005).  Its v weight carries the cell's own w_k.
 
-    On times dt apart nu_m and nu_{m+M} = nu_m + 2 pi/dt cannot be told
-    apart: exp(i m h j dt) = exp(2 pi i m j/M).  So node m, times the
-    pre-phase exp(i m h t_0), goes to bin m mod M; one inverse FFT of length
-    M per row sums the bins and the post-phase exp(i nu_0 t_j) finishes.  A
-    single time is the case M = 1 with h = pi/(4 t_span): every node falls
-    in the one bin.
+    On lags dt apart nu_m and nu_{m+M} = nu_m + 2 pi/dt cannot be told
+    apart: exp(i m h j dt) = exp(2 pi i m j/M).  So node m goes to bin
+    m mod M; one inverse FFT of length M per row sums the bins and the
+    post-phase exp(i nu_0 tau_j) finishes.  One time, or a zero step, is the
+    case M = 1: every lag is 0, and every node falls in the one bin.
     """
 
     def __init__(self, omega, sigma, t):
-        t_span = float(np.max(np.abs(t)))
         dt = _uniform_step(t)
-        if dt:
-            # the slack keeps a rounding excess over 8 t_span/dt from adding
-            # a bin, which would move the lattice off an equal-width tail
-            self.size = math.ceil(8.0 * t_span / abs(dt) * (1.0 - 1e-12))
-            h = 2.0 * math.pi / (self.size * dt)
-        else:
-            # one time: every node falls in the one bin.  At t = 0,
-            # exp(i w t) = 1 and two nodes hold every cell
-            self.size = 1
-            h = 0.25 * math.pi / t_span if t_span > 0 else omega[-1] - omega[0]
-        q = _node_count(abs(h) * t_span)
+        span = abs(t[-1] - t[0])
+        self.size = 8 * (t.size - 1) if dt else 1
+        # at lag 0 any h works: exp(i w 0) = 1, and two nodes hold every cell
+        h = 2.0 * math.pi / (self.size * dt) if dt else omega[-1] - omega[0]
+        q = _node_count(abs(h) * span)
         u = (omega - omega[-1]) / h
         near = np.rint(u)
         on_node = np.abs(u - near) <= 1e-9
@@ -465,8 +455,7 @@ class _Lattice:
         )
         # nodes x cells: x weights (sigma) over v weights (sigma w_k)
         self.weights = sparse.vstack([spread, spread * omega], format="csr")
-        self.pre = np.exp(1j * np.arange(self.n_nodes) * h * t[0])
-        self.post = np.exp(1j * (omega[-1] + lo * h) * t)
+        self.post = np.exp(1j * (omega[-1] + lo * h) * (t - t[0]))
         self.folds = -(-self.n_nodes // self.size)
         # a path's transposed draws, x and v node sums, x and v rows before
         # and after folding (the FFT works in place), its x and v sums
@@ -484,7 +473,6 @@ class _Lattice:
         spec = np.zeros((2 * rows, self.folds * self.size), dtype=complex)
         for half, s in zip((spec[:rows, :n], spec[rows:, :n]), (sums[:n], sums[n:])):
             half.real, half.imag = s[:, :rows].T, -s[:, rows:].T
-            half *= self.pre
         if self.folds > 1:
             spec = spec.reshape(2 * rows, self.folds, self.size).sum(axis=1)
         # a single bin broadcasts over repeated times

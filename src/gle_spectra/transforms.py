@@ -31,6 +31,7 @@ from .kernels import (
     ROUTE_CLOSED,
     ROUTE_CM,
     ROUTE_NUMERIC,
+    PowerLaw,
     TailClass,
     kernel_eval,
 )
@@ -252,15 +253,6 @@ def transform_complex(kernel, z, sign="minus"):
     return complex(0.5 * SQRT_PI * np.sum(mw / np.sqrt(x) * faddeeva(arg)))
 
 
-@lru_cache(maxsize=64)
-def oscillatory_power_constant(alpha, phase):
-    """Int_0^oo cos(u)/u^alpha du (or sin), by oscillatory quadrature."""
-    val, _ = integrate_oscillatory(
-        lambda u: u ** (-alpha), 1.0, phase, 0.0, DEFAULT_QUAD, left_exponent=-alpha
-    )
-    return val
-
-
 @dataclass(frozen=True)
 class AbelianAsymptote:
     """Small-frequency behavior of (Kcos, Ksin) with its limit constants.
@@ -293,16 +285,12 @@ def abelian_limits(kernel, quad=DEFAULT_QUAD):
     integrable: (Kcos, Ksin) -> (Int_0^oo K, 0);
     critical:   Kcos ~ c1 |log w|,  Ksin -> c1 pi/2;
     power law:  w^(1-alpha) (Kcos, Ksin) -> c_alpha (Int cos(u)/u^alpha,
-                Int sin(u)/u^alpha).
+                Int sin(u)/u^alpha), the closed form of u^-alpha at w = 1.
     """
     tc = kernel.tail_class()
     if tc.kind == TailClass.INTEGRABLE:
         return AbelianAsymptote(tc, _kernel_integral(kernel, quad), 0.0, sharp=("kcos",))
     if tc.kind == TailClass.CRITICAL:
         return AbelianAsymptote(tc, tc.constant, tc.constant * 0.5 * math.pi, sharp=("ksin",))
-    return AbelianAsymptote(
-        tc,
-        tc.constant * oscillatory_power_constant(tc.alpha, "cos"),
-        tc.constant * oscillatory_power_constant(tc.alpha, "sin"),
-        sharp=("kcos", "ksin"),
-    )
+    kcos, ksin = PowerLaw(tc.alpha).closed_pair(1.0)
+    return AbelianAsymptote(tc, tc.constant * kcos, tc.constant * ksin, sharp=("kcos", "ksin"))

@@ -54,7 +54,6 @@ def clear_caches():
     moments._r11_integral.cache_clear()
     moments._r22_integral.cache_clear()
     transforms._measure_nodes.cache_clear()
-    transforms.oscillatory_power_constant.cache_clear()
 
 
 def test_criterion_1_equipartition_trapped():

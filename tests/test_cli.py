@@ -659,6 +659,27 @@ def test_kernel_overflow_is_one_envelope(argv):
     assert json.loads(lines[0])["error"]["type"] == "UnrepresentableError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--method", "markovian",
+         "--n-paths", "1000000000000", "--t-max", "5"],
+        ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--method", "spectral",
+         "--n-paths", "1000000000000", "--t-max", "5"],
+        ["transform", "--kernel", "rouse:1", "--omega", "log:1:2:1000000000000000"],
+    ],
+    ids=["markovian", "spectral", "transform"],
+)
+def test_unallocatable_request_is_one_envelope(argv):
+    # 742 TiB of paths and 7.1 PiB of frequencies: both past a 47-bit address
+    # space, so the allocation fails without touching memory
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "MemoryError"
+
+
 def _msd_csv(tmp_path, rows):
     path = tmp_path / "msd.csv"
     path.write_text("".join(f"{row}\n" for row in rows))

@@ -130,6 +130,29 @@ def test_oscillatory_precondition_failure():
         integrate_oscillatory(lambda t: 1.0 + t / (1.0 + 0.0 * t), 1.0, "cos", 0.0)
 
 
+def _exp_raising_past(limit, error):
+    # e^-t, raising where the envelope probe looks (t from 400 pi at w = 1)
+    # and never where the half-period sums go
+    def env(t):
+        if np.any(np.asarray(t) > limit):
+            raise error("not evaluated that far out")
+        return np.exp(-t)
+
+    return env
+
+
+def test_envelope_probe_propagates_programming_errors():
+    with pytest.raises(RuntimeError, match="that far out"):
+        integrate_oscillatory(_exp_raising_past(2000.0, RuntimeError), 1.0, "cos", 0.0)
+
+
+def test_envelope_probe_skips_typed_errors():
+    from gle_spectra import KernelDomainError
+
+    val, _ = integrate_oscillatory(_exp_raising_past(2000.0, KernelDomainError), 1.0, "cos", 0.0)
+    assert val == pytest.approx(0.5, rel=1e-10)
+
+
 def test_linearity(rng):
     f = lambda x: np.exp(-x) * np.sin(3.0 * x)
     g = lambda x: 1.0 / (1.0 + x * x)

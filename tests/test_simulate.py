@@ -263,7 +263,7 @@ def test_spectral_sampler_zero_temperature():
 def test_spectral_sampler_nyquist_guard():
     ctx = trapped_ctx("rouse:1")
     with pytest.raises(SamplingGridError):
-        spectral_sample(ctx, np.array([0.1, 2.0, 4.0]), [100.0], 5, seed=0)
+        spectral_sample(ctx, np.array([0.1, 2.0, 4.0]), [0.0, 100.0], 5, seed=0)
 
 
 def test_spectral_sampler_free_particle_rejected():
@@ -296,10 +296,11 @@ def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
     return x, v
 
 
-# times 3.0 .. 22.9 step 0.1: the sampler's lattice has M = ceil(8 * 22.9/0.1)
-# = 1832 bins and step h = 2 pi/(M dt), anchored at the last cell's midpoint
+# times 3.0 .. 22.9 step 0.1, sampled at the lags t - 3.0: the sampler's
+# lattice has M = 8 * 199 = 1592 bins and step h = 2 pi/(M dt), anchored at
+# the last cell's midpoint
 OFFSET_TIMES = 3.0 + 0.1 * np.arange(200)
-LATTICE_STEP = 2.0 * math.pi / 183.2
+LATTICE_STEP = 2.0 * math.pi / 159.2
 
 
 def _nodes_per_cell(lattice):
@@ -310,7 +311,7 @@ def _nodes_per_cell(lattice):
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
 def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
     # 59 log cells and 100 equal-width cells 0.05 apart, off the lattice step
-    # 0.0343: every cell but the anchor is spread onto 38 nodes.  The small
+    # 0.0395: every cell but the anchor is spread onto 38 nodes.  The small
     # budget splits the 9 paths into several blocks
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
@@ -319,10 +320,10 @@ def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
     mids = 0.5 * (edges[1:] + edges[:-1])
     t = OFFSET_TIMES
     lattice = simulate._Lattice(mids, np.ones(mids.size), t)
-    assert (lattice.size, lattice.n_nodes) == (1832, 211)
+    assert (lattice.size, lattice.n_nodes) == (1592, 188)
     assert np.array_equal(_nodes_per_cell(lattice), [38] * 158 + [1])
     ens = spectral_sample(ctx, edges, t, 9, seed=17)
-    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 9, seed=17)
+    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t - t[0], 9, seed=17)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -344,17 +345,20 @@ def _exact_node_edges():
 @pytest.mark.parametrize(
     "edges, t, size, n_nodes, on_node",
     [
-        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES, 1832, 209, 1),  # every cell but the anchor spread
-        (_exact_node_edges(), OFFSET_TIMES, 1832, 208, 81),
-        (0.05 + LATTICE_STEP * np.arange(176), OFFSET_TIMES, 1832, 175, 175),  # nothing spread
+        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES, 1592, 186, 1),  # every cell but the anchor spread
+        (_exact_node_edges(), OFFSET_TIMES, 1592, 204, 81),
+        (0.05 + LATTICE_STEP * np.arange(176), OFFSET_TIMES, 1592, 175, 175),  # nothing spread
         # cells 1e-6 apart are spread like the others
-        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), OFFSET_TIMES, 1832, 67, 1),
-        # one time: M = 1, h = pi/(4 t), and every node falls in the one bin
-        (np.geomspace(1e-3, 6.0, 500), np.array([5.0]), 1, 75, 1),
+        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), OFFSET_TIMES, 1592, 63, 1),
+        # one time: lag 0, M = 1, h the cells' range, and the first and last
+        # cells on the two nodes that hold every cell
+        (np.geomspace(1e-3, 6.0, 500), np.array([5.0]), 1, 2, 2),
         # dt = 1.5: the cells above pi/dt = 2.09 fold onto the bins below
         (np.geomspace(1e-3, 6.0, 500), 1.5 * np.arange(15), 112, 195, 1),
+        # dt = -0.1: negative lags, and the lattice runs the other way
+        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES[::-1], 1592, 186, 1),
     ],
-    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail", "one-time", "folded"],
+    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail", "one-time", "folded", "decreasing"],
 )
 def test_spectral_sampler_grids_match_dense_sum(edges, t, size, n_nodes, on_node):
     ctx = trapped_ctx("powerlaw:0.5")
@@ -363,9 +367,32 @@ def test_spectral_sampler_grids_match_dense_sum(edges, t, size, n_nodes, on_node
     assert (lattice.size, lattice.n_nodes) == (size, n_nodes)
     assert np.count_nonzero(_nodes_per_cell(lattice) == 1) == on_node
     ens = spectral_sample(ctx, edges, t, 5, seed=23)
-    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t, 5, seed=23)
+    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t - t[0], 5, seed=23)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_spectral_sampler_offset_grid_samples_its_lags():
+    # t = 1e5 + 0.1 j samples the paths of its lags 0.1 j: the lattice follows
+    # the grid's length and step, not max |t| (which gave 8,000,073 bins)
+    ctx = trapped_ctx("rouse:1")
+    t = 1e5 + 0.1 * np.arange(10)
+    edges = default_spectral_grid(ctx, t_max=0.9)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
+    assert lattice.size == 72 and lattice.bytes_per_path < 2**20
+    tracemalloc.start()
+    try:
+        ens = spectral_sample(ctx, edges, t, 200, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(ens.times, t)
+    lags = spectral_sample(ctx, edges, 0.1 * np.arange(10), 200, seed=5)
+    for label in ("x", "v"):
+        got, ref = ens.column(label), lags.column(label)
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_spread_node_count():

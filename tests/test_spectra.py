@@ -227,7 +227,7 @@ NEAR_ZERO = {
         "0x1.897c5d1a9d700p-9",
     ),
     "powerlaw:0.5": (
-        "powerlaw", "-0x1.0000000000000p-1", "0x1.3f615b4517bd6p-1", "0x1.40d931ff61fcep-1",
+        "powerlaw", "-0x1.0000000000000p-1", "0x1.3f615b4517bd6p-1", "0x1.40d931ff62705p-1",
         "0x1.621c4ca268400p-10",
     ),
 }

@@ -225,8 +225,8 @@ ABELIAN = {
         ("0x1.26bb1bbb55515p+3", "0x1.921fb54442d18p+0"),
     ),
     "powerlaw:0.5": (
-        "powerlaw", ("0x1.40d931ff61fcep+0", "0x1.40d931ff6230ap+0"), ("kcos", "ksin"),
-        ("0x1.f5535e1f091b2p+6", "0x1.f5535e1f096c0p+6"),
+        "powerlaw", ("0x1.40d931ff62705p+0", "0x1.40d931ff62706p+0"), ("kcos", "ksin"),
+        ("0x1.f5535e1f09cf8p+6", "0x1.f5535e1f09cf9p+6"),
     ),
 }
 
@@ -238,6 +238,16 @@ def test_abelian_limits_bitwise(spec):
     assert ab.kind == kind and ab.sharp == sharp
     assert (float(ab.kcos_constant).hex(), float(ab.ksin_constant).hex()) == constants
     assert tuple(float(v).hex() for v in ab.predict(1e-4)) == predicted
+
+
+@pytest.mark.parametrize("spec", ["powerlaw:0.1", "powerlaw:0.5", "powerlaw:0.9", "cauchy:0.3,2"])
+def test_abelian_power_constants_are_the_closed_form(spec):
+    # Int_0^oo (cos, sin)(u) u^-alpha du are the closed-form transforms of
+    # u^-alpha at w = 1, times the tail constant c
+    tail = parse_kernel_spec(spec).tail_class()
+    ab = abelian_limits(parse_kernel_spec(spec))
+    kcos, ksin = PowerLaw(tail.alpha).closed_pair(1.0)
+    assert (ab.kcos_constant, ab.ksin_constant) == (tail.constant * kcos, tail.constant * ksin)
 
 
 class _Triangle(MemoryKernel):
