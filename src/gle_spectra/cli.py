@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GleError
-from .kernels import ROUTE_CLOSED, GleParams, kernel_eval, parse_kernel_spec, validate_kernel
+from .kernels import (
+    ROUTE_CLOSED, ROUTES, GleParams, kernel_eval, parse_kernel_spec, validate_kernel
+)
 from .moments import (
     POSITION_INTEGRAL,
     VELOCITY_INTEGRAL,
@@ -39,7 +41,7 @@ from .simulate import (
     spectral_sample,
 )
 from .spectra import SpectralDensityCtx, r22, trapped_densities
-from .transforms import kcos_ksin_grid
+from .transforms import kcos_ksin_grid, resolve_route
 
 
 def parse_config(text):
@@ -142,9 +144,10 @@ def _cmd_kernel(args):
 def _cmd_transform(args):
     kernel = parse_kernel_spec(args.kernel)
     omegas = _parse_grid(args.omega)
-    kcos, ksin = kcos_ksin_grid(kernel, omegas, route=args.route)
+    route = resolve_route(kernel, args.route)
+    kcos, ksin = kcos_ksin_grid(kernel, omegas, route=route)
     # the origin rows are labelled closed_form, as transform labels them
-    routes = np.where(omegas == 0.0, ROUTE_CLOSED, args.route or kernel.routes[0])
+    routes = np.where(omegas == 0.0, ROUTE_CLOSED, route)
     _emit_csv("omega,kcos,ksin,route", (omegas, kcos, ksin, routes), args.output)
     return 0
 
@@ -316,7 +319,7 @@ def build_parser():
     t = sub.add_parser("transform", help="cosine/sine transforms on a frequency grid")
     t.add_argument("--kernel", required=True)
     t.add_argument("--omega", required=True, help="comma list or log:<a>:<b>:<n>")
-    t.add_argument("--route", choices=["closed_form", "cm_measure", "phi_t2_faddeeva", "numeric"])
+    t.add_argument("--route", choices=ROUTES)
     t.add_argument("-o", "--output")
     t.set_defaults(fn=_cmd_transform)
 

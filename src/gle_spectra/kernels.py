@@ -27,6 +27,7 @@ ROUTE_CLOSED = "closed_form"
 ROUTE_CM = "cm_measure"
 ROUTE_PHI = "phi_t2_faddeeva"
 ROUTE_NUMERIC = "numeric"
+ROUTES = (ROUTE_CLOSED, ROUTE_CM, ROUTE_PHI, ROUTE_NUMERIC)
 _CM_ROUTES = (ROUTE_CLOSED, ROUTE_CM, ROUTE_NUMERIC)
 _PHI_ROUTES = (ROUTE_PHI, ROUTE_NUMERIC)
 

@@ -9,7 +9,8 @@ stationary covariance solves a Lyapunov equation exactly and paths can be
 propagated with the exact one-step Gaussian transition.
 
 General kernels enter through a Prony approximation with fixed log-spaced
-rates and nonnegative-least-squares weights.
+rates and nonnegative weights that minimize the largest relative error, one
+linear program.
 
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
 from the spectral densities: independent Gaussian amplitudes on frequency
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import linalg
 from scipy import sparse
-from scipy.optimize import nnls
+from scipy.optimize import linprog
 
 from .errors import GleError, PronyAccuracyError, SamplingGridError, SdeError
 from .kernels import BernsteinMeasure, kernel_eval
@@ -74,14 +75,15 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     Kernels that already are finite exponential sums with at most n_modes
     atoms are returned exactly.  Otherwise the rates are fixed log-spaced
     across the reciprocal time window and only the weights are fitted, by
-    nonnegative least squares iteratively reweighted toward the minimax
-    relative error.  A kernel whose ``bernstein()`` raises a GleError
+    one linear program: minimize s subject to |sum_j w_j exp(-t x_j)/K(t) - 1|
+    <= s and w >= 0 on a 700-point log grid, the grid the error is reported
+    on.  A kernel whose ``bernstein()`` raises a GleError
     (NoBernsteinRepresentation, UnrepresentableError) is fitted; any other
-    exception from it propagates.  A reweighting round in which nnls runs
-    out of iterations ends the fit with the best earlier round.
-    PronyAccuracyError is raised where K is not positive on the window (the
-    error is relative to K), where the first round fails, and where ``rtol``
-    is given and the achieved sup-relative error exceeds it.
+    exception from it propagates.  Where no nonnegative sum beats the zero
+    kernel the fit has no atoms and error 1.  PronyAccuracyError is raised
+    where K is not positive on the grid (the error is relative to K), where
+    the solver fails, and where ``rtol`` is given and the achieved
+    sup-relative error exceeds it.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (0 < t_lo < t_hi):
@@ -89,6 +91,8 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
 
+    ts = np.geomspace(t_lo, t_hi, 700)
+    kv = kernel_eval(kernel, ts)
     try:
         measure = kernel.bernstein()
         exact_atoms = (
@@ -98,51 +102,39 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
         )
     except GleError:  # no measure, or one past the double range
         exact_atoms = False
-    if exact_atoms:
-        dense = np.geomspace(t_lo, t_hi, 400)
-        err = float(np.max(np.abs(measure.laplace(dense) / kernel_eval(kernel, dense) - 1.0)))
-        return PronyFit(measure=measure, sup_rel_error=err)
-
-    rates = np.geomspace(0.3 / t_hi, 1.5 / t_lo, n_modes)
-    ts = np.geomspace(t_lo, t_hi, 90)
-    kv = kernel_eval(kernel, ts)
-    if not np.all(kv > 0):  # the fit is relative to K
-        i = int(np.argmin(kv > 0))
-        raise PronyAccuracyError(
-            f"prony fit needs K > 0 on its window; K({ts[i]:g}) = {kv[i]:g}",
-            achieved=math.inf,
+    if not exact_atoms:
+        if not np.all(kv > 0):  # the fit is relative to K
+            i = int(np.argmin(kv > 0))
+            raise PronyAccuracyError(
+                f"prony fit needs K > 0 on its window; K({ts[i]:g}) = {kv[i]:g}",
+                achieved=math.inf,
+            )
+        rates = np.geomspace(0.3 / t_hi, 1.5 / t_lo, n_modes)
+        design = np.exp(-np.outer(ts, rates)) / kv[:, None]
+        # unit columns: HiGHS rejects a model whose entries span too many decades
+        scale = design.max(axis=0)
+        design /= scale
+        ones = np.ones((ts.size, 1))
+        lp = linprog(
+            np.append(np.zeros(n_modes), 1.0),
+            A_ub=np.block([[design, -ones], [-design, -ones]]),
+            b_ub=np.concatenate([np.ones(ts.size), -np.ones(ts.size)]),
+            method="highs",
         )
-    design = np.exp(-np.outer(ts, rates)) / kv[:, None]
-    gam = np.ones(ts.size)
-    best = None
-    for _ in range(25):
-        g = np.sqrt(gam)
-        try:
-            weights, _ = nnls(design * g[:, None], g)
-        except RuntimeError:  # nnls ran out of iterations
-            if best is None:
-                raise PronyAccuracyError(
-                    "prony fit failed: nnls did not converge", achieved=math.inf
-                )
-            break
-        resid = np.abs(design @ weights - 1.0)
-        sup = float(resid.max())
-        if best is None or sup < best[0]:
-            best = (sup, weights.copy())
-        gam = gam * (resid + 1e-12)
-        gam /= gam.mean()
-    weights = best[1]
-    active = weights > 0
-    dense = np.geomspace(t_lo, t_hi, 700)
-    approx = np.exp(-np.outer(dense, rates[active])) @ weights[active]
-    err = float(np.max(np.abs(approx / kernel_eval(kernel, dense) - 1.0)))
+        if lp.status != 0:
+            raise PronyAccuracyError(f"prony fit failed: {lp.message}", achieved=math.inf)
+        weights = lp.x[:n_modes] / scale
+        keep = weights > 0
+        measure = BernsteinMeasure(atoms=tuple(zip(rates[keep].tolist(), weights[keep].tolist())))
+    # where K underflows to 0 the exact atoms underflow with it
+    pos = kv > 0
+    err = float(np.max(np.abs(measure.laplace(ts[pos]) / kv[pos] - 1.0), initial=0.0))
     if rtol is not None and err > rtol:
         raise PronyAccuracyError(
             f"prony accuracy not met: achieved {err:.3e} > requested {rtol:.3e}",
             achieved=err,
         )
-    atoms = tuple((float(x), float(w)) for x, w in zip(rates[active], weights[active]))
-    return PronyFit(measure=BernsteinMeasure(atoms=atoms), sup_rel_error=err)
+    return PronyFit(measure=measure, sup_rel_error=err)
 
 
 def markovian_embedding(params, measure):

@@ -154,7 +154,7 @@ def _numeric_pair(kernel, w, quad):
     return kcos, ksin, kcos_err, ksin_err
 
 
-def _route(kernel, route):
+def resolve_route(kernel, route):
     """The requested route, or the kernel's default; TransformDomainError if
     the kernel does not offer it."""
     route = route or kernel.routes[0]
@@ -183,7 +183,7 @@ def kcos_ksin_grid(kernel, omegas, route=None, quad=DEFAULT_QUAD):
     frequencies take the route.
     """
     omegas = np.asarray(omegas, dtype=float)
-    route = _route(kernel, route)
+    route = resolve_route(kernel, route)
     if not np.isfinite(omegas).all():
         raise ValueError("omega must be finite")
     w = np.abs(omegas)
@@ -213,7 +213,7 @@ def transform(kernel, omega, route=None, quad=DEFAULT_QUAD):
     one-row case of kcos_ksin_grid, whose origin row is labelled
     closed_form whatever route was asked for."""
     omega = float(omega)
-    route = _route(kernel, route)
+    route = resolve_route(kernel, route)
     kcos, ksin = kcos_ksin_grid(kernel, np.array([omega]), route=route, quad=quad)
     return TransformPair(
         kcos=float(kcos[0]), ksin=float(ksin[0]), route=ROUTE_CLOSED if omega == 0.0 else route

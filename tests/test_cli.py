@@ -715,10 +715,10 @@ def test_fit_exponent_bad_input_is_one_envelope(tmp_path, rows, window, model, k
     assert error["type"] == kind and message in error["message"]
 
 
-def _simulate_markovian(tmp_path, spec):
+def _simulate_markovian(tmp_path, spec, *extra, lam=1):
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"m": 1, "lambda": 1, "beta": 1, "gamma": 2, "kbt": 1, "kernel": spec}))
-    return run_cli("simulate", "--config", str(cfg), "--n-paths", "10")
+    cfg.write_text(json.dumps({"m": 1, "lambda": lam, "beta": 1, "gamma": 2, "kbt": 1, "kernel": spec}))
+    return run_cli("simulate", "--config", str(cfg), "--n-paths", "10", *extra)
 
 
 def test_markovian_simulate_kernel_underflow_is_one_envelope(tmp_path):
@@ -730,8 +730,27 @@ def test_markovian_simulate_kernel_underflow_is_one_envelope(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["powerlaw:0.98", "powerlaw:0.99"])
-def test_markovian_simulate_keeps_the_best_prony_round(tmp_path, spec):
-    # nnls runs out of iterations in a later reweighting round of these fits
+def test_markovian_simulate_fits_power_laws_near_one(tmp_path, spec):
+    # a reweighted nnls fit runs out of iterations on these kernels
     code, out, err = _simulate_markovian(tmp_path, spec)
     assert code == 0 and err == ""
     assert json.loads(out.splitlines()[-1])["method"] == "markovian"
+
+
+def test_markovian_simulate_where_the_kernel_underflows_is_quiet(tmp_path):
+    # exp(-t) underflows inside the fit window (1, 1000); the exact atom
+    # underflows with it, and the fit's error there is not NaN
+    code, out, err = _simulate_markovian(tmp_path, "rouse:1", "--dt", "1", "--t-max", "1000")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("lam, code, kind", [(1, 0, None), (0, 1, "SdeError")])
+def test_markovian_simulate_with_the_zero_surrogate(tmp_path, lam, code, kind):
+    # the fit of gaussian:0.01 has no atoms: with lambda = 0 nothing damps
+    # the trap, and it has no stationary law
+    got, out, err = _simulate_markovian(tmp_path, "gaussian:0.01", lam=lam)
+    assert got == code
+    if kind:
+        assert out == "" and json.loads(err)["error"]["type"] == kind
+    else:
+        assert err == "" and json.loads(out.splitlines()[-1])["method"] == "markovian"
