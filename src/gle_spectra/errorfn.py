@@ -10,7 +10,6 @@ All entry points accept scalars or ndarrays and are elementwise.
 """
 
 import numpy as np
-from scipy import special
 
 from .errors import UnrepresentableError
 
@@ -42,6 +41,8 @@ def faddeeva(z):
         raise UnrepresentableError(
             "faddeeva unrepresentable: exp(-z^2) overflows in the lower half-plane"
         )
+    from scipy import special
+
     w = special.wofz(z)
     return complex(w) if z.ndim == 0 else w
 
@@ -49,6 +50,8 @@ def faddeeva(z):
 def dawson(x):
     """Dawson integral exp(-x^2) * Int_0^x exp(t^2) dt for real x, elementwise."""
     x = _finite(x, float, "dawson")
+    from scipy import special
+
     d = special.dawsn(x)
     return float(d) if x.ndim == 0 else d
 
@@ -62,5 +65,7 @@ def erfc_complex(z):
     z = _finite(z, complex, "erfc_complex")
     if np.any(z.imag ** 2 - z.real ** 2 > _EXP_ARG_MAX):
         raise UnrepresentableError("erfc unrepresentable: exp(-z^2) overflows")
+    from scipy import special
+
     vals = special.erfc(z)
     return complex(vals) if z.ndim == 0 else vals

@@ -15,7 +15,6 @@ import json
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import KernelDomainError, NoBernsteinRepresentation, UnrepresentableError
 from .quad import DEFAULT_QUAD, integrate_oscillatory
@@ -252,6 +251,8 @@ class PowerLaw(MemoryKernel):
 
     def closed_pair(self, w):
         """Gamma(1 - alpha) w^(alpha-1) (sin, cos)(pi alpha/2)."""
+        from scipy import special
+
         a = self.alpha
         g = special.gamma(1.0 - a)
         scale = w ** (a - 1.0)
@@ -267,6 +268,8 @@ class PowerLaw(MemoryKernel):
         return TailClass(TailClass.POWERLAW, alpha=self.alpha, constant=1.0)
 
     def bernstein(self):
+        from scipy import special
+
         a = self.alpha
         # density x^(a-1)/Gamma(a); cutoffs chosen so both the missing mass
         # below x_lo (~ x_lo^a) and the x^(a-2) tail beyond x_hi fall below
@@ -405,6 +408,8 @@ class Cauchy(MemoryKernel):
         return TailClass(TailClass.POWERLAW, alpha=two_a, constant=c)
 
     def bernstein(self):
+        from scipy import special
+
         # phi(s) = (1 + s/sigma^2)^-alpha has the density
         # sigma^2a x^(a-1) e^(-sigma^2 x)/Gamma(a); the bottom cutoff keeps
         # the missing x^(alpha-1) mass below 1e-12
@@ -421,6 +426,8 @@ class Cauchy(MemoryKernel):
     def integral(self):
         if 2.0 * self.alpha <= 1.0:
             return None
+        from scipy import special
+
         a, s = self.alpha, self.scale
         return float(
             0.5 * s * math.sqrt(math.pi) * special.gamma(a - 0.5) / special.gamma(a)
@@ -452,6 +459,8 @@ class OnePlusTInverse(MemoryKernel):
         r = 1/w, whose powers underflow to the right limit rather than
         overflow.
         """
+        from scipy import special
+
         w = np.asarray(w, dtype=float)
         kcos, ksin = np.empty(w.shape), np.empty(w.shape)
         near = w < _AUX_SWITCH

@@ -26,10 +26,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import linalg
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import GleError, PronyAccuracyError, SamplingGridError, SdeError
 from .kernels import BernsteinMeasure, kernel_eval
@@ -103,6 +99,8 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     except GleError:  # no measure, or one past the double range
         exact_atoms = False
     if not exact_atoms:
+        from scipy.optimize import linprog
+
         if not np.all(kv > 0):  # the fit is relative to K
             i = int(np.argmin(kv > 0))
             raise PronyAccuracyError(
@@ -189,6 +187,8 @@ def lyapunov_stationary_cov(sde):
             f"no stationary covariance: drift spectral abscissa "
             f"{sde.spectral_abscissa():.3e} is not negative"
         )
+    from scipy import linalg
+
     q = sde.noise @ sde.noise.T
     cov = linalg.solve_continuous_lyapunov(sde.drift, -q)
     cov = 0.5 * (cov + cov.T)
@@ -251,6 +251,8 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
     Each path consumes an independent counter-based substream of the master
     seed, so a path does not depend on the block it is drawn in.
     """
+    from scipy import linalg
+
     times = sample_times(dt, t_max)
     n_steps = len(times) - 1
     dim = sde.dim()
@@ -387,7 +389,13 @@ def _uniform_step(values):
 def _node_count(theta):
     """Smallest even q whose Lagrange remainder bound for exp(i w t) on q
     nodes h apart, theta^q/q! max prod_j |u - j| (theta = h span, u in the
-    middle gap), is at most 2^-53."""
+    middle gap), is at most 2^-53.
+
+    Each step multiplies the bound by theta^2 (q+1)/(4 (q+2)), which tends to
+    theta^2/4, so from theta = 2 on no q reaches it: ValueError.
+    """
+    if not 0.0 <= theta < 2.0:
+        raise ValueError(f"no node count reaches 2^-53 at h span = {theta:g}; it must lie in [0, 2)")
     q, bound = 2, theta * theta / 8.0
     while bound > 2.0**-53:
         bound *= theta * theta * (q + 1) / (4.0 * (q + 2))
@@ -418,6 +426,8 @@ class _Lattice:
     """
 
     def __init__(self, omega, sigma, t):
+        from scipy import sparse
+
         dt = _uniform_step(t)
         span = abs(t[-1] - t[0])
         self.size = 8 * (t.size - 1) if dt else 1
@@ -468,7 +478,7 @@ class _Lattice:
         if self.folds > 1:
             spec = spec.reshape(2 * rows, self.folds, self.size).sum(axis=1)
         # a single bin broadcasts over repeated times
-        sums = sp_fft.ifft(spec, norm="forward", overwrite_x=True)[:, : self.post.size] * self.post
+        sums = np.fft.ifft(spec, norm="forward", out=spec)[:, : self.post.size] * self.post
         return sums[:rows].real, -sums[rows:].imag
 
 

@@ -82,7 +82,8 @@ def test_prony_solver_failure_is_typed(monkeypatch):
     def give_up(*args, **kwargs):
         return OptimizeResult(status=4, message="Numerical difficulties encountered.")
 
-    monkeypatch.setattr(simulate, "linprog", give_up)
+    # prony_fit imports linprog when it fits, so the patch is what it finds
+    monkeypatch.setattr("scipy.optimize.linprog", give_up)
     with pytest.raises(PronyAccuracyError) as ei:
         prony_fit(parse_kernel_spec("powerlaw:0.5"), 8, (0.1, 100.0))
     assert ei.value.achieved == math.inf
@@ -437,7 +438,12 @@ def test_spread_node_count():
     # Lagrange remainder of exp(i w t) below 2^-53 on the default grids (theta
     # = pi/4), and the two nodes that carry every cell at t = 0
     assert simulate._node_count(math.pi / 4) == 38
+    assert simulate._node_count(math.pi / 8) == 22
     assert simulate._node_count(0.0) == 2
+    # from theta = 2 on the remainder bound never falls to 2^-53
+    for theta in (2.0, math.pi, math.nan):
+        with pytest.raises(ValueError):
+            simulate._node_count(theta)
 
 
 def _equal_width_tail(edges):
@@ -509,14 +515,47 @@ def test_spectral_sampler_memory_bounded():
     assert peak < 72 * 2**20
 
 
-def test_cli_import_skips_scipy_signal():
-    # every request imports the CLI, so each scipy subpackage it loads adds
-    # to the set-up time; scipy.signal alone costs about as much as the rest
-    code = "import sys, gle_spectra.cli; print(*sys.modules)"
+# every request imports the CLI, so each scipy subpackage it loads adds to
+# the set-up time: the package imports scipy where it is used
+def _scipy_modules(*argv):
+    """scipy modules a fresh interpreter holds after importing the CLI and,
+    given argv, running that one request."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from gle_spectra.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(rc, *(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, check=True
-    ).stdout
-    loaded = {name.split(".")[1] for name in out.split() if name.startswith("scipy.")}
+        [sys.executable, "-c", code, *argv], env=SRC_ENV, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "0"
+    return set(out[1:])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules() == set()
+
+
+def test_transform_of_an_exponential_kernel_loads_no_scipy():
+    assert _scipy_modules("transform", "--kernel", "rouse:1", "--omega", "1,2") == set()
+
+
+def test_transform_of_the_gaussian_loads_only_special():
+    modules = _scipy_modules("transform", "--kernel", "gaussian:1", "--omega", "1,2")
+    names = {name.split(".")[1] for name in modules if name.startswith("scipy.")}
     # scipy.version is a module, not a subpackage
-    public = {name for name in loaded if not name.startswith("_")} - {"version"}
-    assert public <= {"constants", "fft", "linalg", "optimize", "sparse", "spatial", "special"}
+    assert {name for name in names if not name.startswith("_")} - {"version"} == {"special"}
+
+
+@pytest.mark.parametrize("method", ["markovian", "spectral"])
+def test_simulate_of_exact_atoms_skips_optimize(tmp_path, method):
+    # a kernel that is its own Prony fit needs no linear program
+    cfg = tmp_path / "rouse.json"
+    cfg.write_text('{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1"}')
+    modules = _scipy_modules(
+        "simulate", "--config", str(cfg), "--method", method,
+        "--n-paths", "4", "--dt", "0.5", "--t-max", "2",
+    )
+    assert "scipy.optimize" not in modules
