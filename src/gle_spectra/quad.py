@@ -6,7 +6,10 @@ worst interval of every segment that has not met its tolerance and evaluates
 all the new halves with one call of the integrand.  Every segment keeps its
 own tolerance, subdivision budget and subdivision sequence, so a batch gives
 the values its segments give one by one.  The panels of a geometric
-partition and the half-periods of an oscillator are such batches.
+partition and the half-periods of an oscillator are such batches.  The
+engine's state is numpy arrays, not Python objects: the intervals of all
+open segments sit in flat arrays, and one lexsort a round finds the worst
+interval of every segment (least rank = -error, then left and right end).
 
 A call may also integrate many rows at once: the integration limits (and the
 frequency of an oscillatory integral) may be arrays, each element one
@@ -23,15 +26,15 @@ Semi-infinite ranges are folded onto (0, 1) with the rational substitution
 w = a + u/(1-u).  Improper Fourier-type integrals with a slowly decaying
 envelope are summed over half-periods of the oscillator and accelerated by
 iterated averaging of the alternating partial sums: the engine takes 12
-half-periods of every open row a round, and the accelerated sum of all the
-half-periods of a row so far is tested against the tolerance once per round.
+half-periods of every open row a round, the open rows in lockstep, and the
+accelerated sum of all the half-periods of each open row so far, one array
+of cells for all of them, is tested against the tolerance once per round.
 Integrands that decay only in oscillatory mean, such as (1 - cos u)/u^2, are
 split by the caller into an oscillatory part and an absolutely integrable
 rest.
 """
 
 from dataclasses import dataclass
-import heapq
 import math
 
 import numpy as np
@@ -85,6 +88,9 @@ _CELL_BATCH = 12
 _MAX_CELLS = 400
 # decades integrate_geometric's partition spans toward the left endpoint
 _GEOMETRIC_LEVELS = 10
+# cuts of a geometric partition at 10**-k of its width, k = 10 ... 1, by
+# Python's float power: numpy's vectorised one can round differently
+_DECADES = np.array([10.0 ** -k for k in range(_GEOMETRIC_LEVELS, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -174,15 +180,17 @@ def _values(f, x, rows):
 
 
 def _broadcast(*args):
-    """The common shape of the row arguments and each as a list of floats,
-    one per row."""
+    """The common shape of the row arguments and each as a flat float array,
+    one element per row; ValueError unless every element is finite."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    return arrays[0].shape, [a.ravel().tolist() for a in arrays]
+    if not np.isfinite(arrays).all():
+        raise ValueError("integration limits and frequencies must be finite")
+    return arrays[0].shape, [x.ravel() for x in arrays]
 
 
 def _shaped(values, shape):
     """Per-row results as a float for a scalar call, else an array."""
-    return values[0] if shape == () else np.array(values).reshape(shape)
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
@@ -207,55 +215,54 @@ def integrate_adaptive(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     broadcast shape
     """
     shape, (a, b) = _broadcast(a, b)
-    if not all(math.isfinite(x) and math.isfinite(y) and x < y for x, y in zip(a, b)):
+    if not (a < b).all():
         raise ValueError("need finite a < b")
-    vals, errs = _adapt(f, [(x, y, left_exponent) for x, y in zip(a, b)], cfg, range(len(a)))
+    exponent = np.full(a.size, np.nan if left_exponent is None else left_exponent)
+    vals, errs = _adapt(f, a, b, np.arange(a.size), exponent, cfg)
     return _shaped(vals, shape), _shaped(errs, shape)
 
 
-def _adapt(f, segments, cfg, rows=None):
+def _adapt(f, a, b, rows, left_exponent, cfg):
     """Globally adaptive G7/K15 on a batch of segments, one call of f a round.
 
-    ``segments`` lists (a, b, left_exponent) with a < b; a left exponent in
-    (-1, 0) selects integrate_adaptive's endpoint substitution for that
-    segment.  ``rows`` gives the row of each segment (all 0 by default),
-    which f sees as the ``rows`` of its Nodes.  Each segment has its own
-    interval heap, tolerance, ``cfg.max_subdivisions`` budget and
-    roundoff-width branch.  A round bisects the worst interval of every open
-    segment and evaluates all the new halves together, so each segment is
-    subdivided as it would be alone.  Returns (values, errors), lists in
-    segment order; the first segment that fails raises: a segment that uses
-    up its budget raises ToleranceNotMet with its own value and error.
+    Segment i is [a[i], b[i]], a[i] < b[i], in row rows[i], which f sees as
+    the ``rows`` of its Nodes; a left exponent in (-1, 0) selects
+    integrate_adaptive's endpoint substitution, NaN none.  The intervals of
+    the open segments live in flat arrays: segment, ends, value, error and
+    rank, which is -error, or 0 once the interval is at roundoff width.  A
+    round bisects the interval of least (rank, a, b) of every open segment
+    and evaluates all the new halves together; each segment has its own
+    tolerance and ``cfg.max_subdivisions`` budget, so it is subdivided as it
+    would be alone.  Returns (values, errors) in segment order; the first
+    segment that uses up its budget raises ToleranceNotMet with its own
+    value and error.
     """
-    n = len(segments)
-    row_of = np.zeros(n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
-    origin = np.array([float(a) for a, _, _ in segments])
+    n = a.size
+    sub = (-1.0 < left_exponent) & (left_exponent < 0.0)
     power = np.zeros(n)  # 0 marks a segment without substitution
-    lo, hi = np.empty(n), np.empty(n)
-    for i, (a, b, exponent) in enumerate(segments):
-        if exponent is not None and -1.0 < exponent < 0.0:
-            power[i] = 1.0 / (1.0 + exponent)
-            lo[i], hi[i] = 0.0, (b - a) ** (1.0 + exponent)
-        else:
-            lo[i], hi[i] = a, b
+    power[sub] = 1.0 / (1.0 + left_exponent[sub])
+    lo, hi = np.where(sub, 0.0, a), b.copy()
+    # Python's float power: numpy's vectorised one can round an element
+    # differently by its place in the array
+    hi[sub] = (b[sub] - a[sub]).astype(object) ** (1.0 + left_exponent[sub]).astype(object)
 
     def integrand(x, seg):
         # f at the nodes x of intervals of segments `seg`, substituting
         # w = a + u**p on the segments that have a power p
-        node_rows = np.repeat(row_of[seg], x.shape[1]).reshape(x.shape)
+        node_rows = np.repeat(rows[seg], x.shape[1]).reshape(x.shape)
         sub = power[seg] > 0.0
         if not sub.any():
             return _values(f, x, node_rows)
-        p, a, u = power[seg[sub], None], origin[seg[sub], None], x[sub]
+        p, a0, u = power[seg[sub], None], a[seg[sub], None], x[sub]
         s = u ** p
         w = x.copy()
-        w[sub] = a + s
-        lost = (w[sub] == a).any(axis=1)
+        w[sub] = a0 + s
+        lost = (w[sub] == a0).any(axis=1)
         if lost.any():
             k = seg[sub][lost][0]
             raise UnrepresentableError(
                 f"endpoint substitution underflows for left exponent "
-                f"{segments[k][2]:g}: a + u**{power[k]:g} rounds to a = {origin[k]:g}"
+                f"{left_exponent[k]:g}: a + u**{power[k]:g} rounds to a = {a[k]:g}"
             )
         y = _values(f, w, node_rows).copy()
         y[sub] = y[sub] * p * s / u
@@ -263,50 +270,47 @@ def _adapt(f, segments, cfg, rows=None):
 
     seg = np.arange(n)
     val, err = _kronrod_batch(lambda x: integrand(x, seg), lo, hi)
-    total_val, total_err = val.tolist(), err.tolist()
-    heaps = [
-        [(-e, a, b, v, e)]
-        for a, b, v, e in zip(lo.tolist(), hi.tolist(), total_val, total_err)
-    ]
-    rounds = 0
-    active = list(range(n))
-    while active:
-        still, split = [], []
-        for i in active:
-            if total_err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val[i])):
-                continue
-            if rounds == cfg.max_subdivisions:
-                raise ToleranceNotMet(
-                    f"tolerance not met after {cfg.max_subdivisions} subdivisions "
-                    f"(value={float(total_val[i])}, err={float(total_err[i])})",
-                    value=total_val[i],
-                    error=total_err[i],
-                )
-            still.append(i)
-            _, a, b, v, e = heapq.heappop(heaps[i])
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:  # interval at roundoff width
-                heapq.heappush(heaps[i], (0.0, a, b, v, e))
-                total_err[i] = sum(item[4] for item in heaps[i])
-                continue
-            split.append((i, a, mid, b, v, e))
+    total_val, total_err = val.copy(), err.copy()
+    # a column per interval of the open segments: segment, ends, value, error, rank
+    table = np.array((seg, lo, hi, val, err, -err))
+    open_seg, rounds = seg, 0
+    while True:
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val[open_seg]))
+        still = ~(total_err[open_seg] <= tol)
+        if not still.all():
+            open_seg = open_seg[still]
+            table = table[:, np.isin(table[0], open_seg)]
+        if not open_seg.size:
+            return total_val, total_err
+        if rounds == cfg.max_subdivisions:
+            v, e = float(total_val[open_seg[0]]), float(total_err[open_seg[0]])
+            raise ToleranceNotMet(
+                f"tolerance not met after {cfg.max_subdivisions} subdivisions "
+                f"(value={v}, err={e})", value=v, error=e
+            )
         rounds += 1
-        active = still
-        if not split:
-            continue
-        k = len(split)
-        seg = np.array([s[0] for s in split] * 2)
-        los = np.array([s[1] for s in split] + [s[2] for s in split])
-        his = np.array([s[2] for s in split] + [s[3] for s in split])
-        vals, errs = _kronrod_batch(lambda x: integrand(x, seg), los, his)
-        vals, errs = vals.tolist(), errs.tolist()
-        for j, (i, a, mid, b, v, e) in enumerate(split):
-            v1, v2, e1, e2 = vals[j], vals[j + k], errs[j], errs[j + k]
-            total_val[i] += (v1 + v2) - v
-            total_err[i] += (e1 + e2) - e
-            heapq.heappush(heaps[i], (-e1, a, mid, v1, e1))
-            heapq.heappush(heaps[i], (-e2, mid, b, v2, e2))
-    return total_val, total_err
+        iseg, ia, ib, iv, ie, rank = table
+        order = np.lexsort((ib, ia, rank, iseg))
+        # the interval to bisect of each open segment, in segment order
+        j = order[np.searchsorted(iseg[order], open_seg)]
+        a0, b0 = ia[j], ib[j]
+        mid = 0.5 * (a0 + b0)
+        stuck = (mid <= a0) | (mid >= b0)  # interval at roundoff width
+        s = open_seg
+        if stuck.any():
+            rank[j[stuck]] = 0.0
+            total_err[s[stuck]] = np.bincount(iseg.astype(int), weights=ie, minlength=n)[s[stuck]]
+            s, j, a0, mid, b0 = (x[~stuck] for x in (s, j, a0, mid, b0))
+            if not s.size:
+                continue
+        k, halves = s.size, np.concatenate((s, s))
+        lo, hi = np.concatenate((a0, mid)), np.concatenate((mid, b0))
+        vals, errs = _kronrod_batch(lambda x: integrand(x, halves), lo, hi)
+        v1, v2, e1, e2 = vals[:k], vals[k:], errs[:k], errs[k:]
+        total_val[s] += (v1 + v2) - iv[j]
+        total_err[s] += (e1 + e2) - ie[j]
+        table[2:, j] = mid, v1, e1, -e1
+        table = np.concatenate((table, (s, mid, b0, v2, e2, -e2)), axis=1)
 
 
 def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
@@ -322,10 +326,10 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
     oscillatory mean is out of reach: split it, as moments.msd_x does, into
     an integrate_oscillatory part and an absolutely integrable rest.
     """
-    shape, (a,) = _broadcast(a)
-    origin = np.array(a)
+    shape, (origin,) = _broadcast(a)
+    n = origin.size
     u_cap = np.nextafter(1.0, 0.0)  # keep the mapped abscissa finite
-    tail = _dropped_tail(f, origin, u_cap / (1.0 - u_cap)).tolist()
+    tail = _dropped_tail(f, origin, u_cap / (1.0 - u_cap))
 
     def g(u):
         rows = u.rows
@@ -333,16 +337,15 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
         w = origin[rows] + u / (1.0 - u)
         return f(_nodes(w, rows)) / (1.0 - u) ** 2
 
-    vals, errs = _adapt(g, [(0.0, 1.0, None)] * len(a), cfg, range(len(a)))
-    errs = [e + t for e, t in zip(errs, tail)]
-    for value, error in zip(vals, errs):
-        if error > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            raise ToleranceNotMet(
-                "tolerance not met with the estimated tail past the fold cap "
-                f"(value={float(value)}, err={float(error)})",
-                value=value,
-                error=error,
-            )
+    vals, errs = _adapt(g, np.zeros(n), np.ones(n), np.arange(n), np.full(n, np.nan), cfg)
+    errs = errs + tail
+    failed = np.flatnonzero(errs > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals)))
+    if failed.size:
+        v, e = float(vals[failed[0]]), float(errs[failed[0]])
+        raise ToleranceNotMet(
+            "tolerance not met with the estimated tail past the fold cap "
+            f"(value={v}, err={e})", value=v, error=e
+        )
     return _shaped(vals, shape), _shaped(errs, shape)
 
 
@@ -387,24 +390,20 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     of their broadcast shape.
     """
     shape, (freq, a) = _broadcast(freq, a)
-    if 0.0 in freq:
+    if (freq == 0.0).any():
         raise ValueError("freq must be nonzero")
     if phase not in ("cos", "sin"):
         raise ValueError("phase must be 'cos' or 'sin'")
-    n = len(freq)
-    wfreq = [abs(fr) for fr in freq]
-    sign = [1.0 if (fr > 0 or phase == "cos") else -1.0 for fr in freq]
-    half = [math.pi / w for w in wfreq]
+    n = freq.size
+    wfreq = np.abs(freq)
+    sign = np.where((freq > 0) | (phase == "cos"), 1.0, -1.0)
+    half = math.pi / wfreq
     # first zero of each row's oscillator at or beyond its a
-    z = []
-    for w, h, a0 in zip(wfreq, half, a):
-        if phase == "cos":
-            k0 = math.floor((a0 * w / math.pi - 0.5)) + 1
-            zr = (k0 + 0.5) * h
-        else:
-            k0 = math.floor(a0 * w / math.pi) + 1
-            zr = k0 * h
-        z.append(zr + h if zr <= a0 else zr)
+    if phase == "cos":
+        z = (np.floor(a * wfreq / math.pi - 0.5) + 1.5) * half
+    else:
+        z = (np.floor(a * wfreq / math.pi) + 1.0) * half
+    z = np.where(z <= a, z + half, z)
     _check_envelope_decay(f, z, half)
 
     cell_cfg = QuadConfig(
@@ -413,50 +412,44 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         max_subdivisions=max(60, cfg.max_subdivisions // 10),
     )
     osc = np.cos if phase == "cos" else np.sin
-    row_freq = np.array(wfreq)
 
     def g(t):
-        return f(t) * osc(row_freq[t.rows] * t.view(np.ndarray))
+        return f(t) * osc(wfreq[t.rows] * t.view(np.ndarray))
 
-    head, head_err = [0.0] * n, [0.0] * n
-    cells, cell_errs = [[] for _ in range(n)], [0.0] * n
-    value, error = [0.0] * n, [0.0] * n
-    lo = list(z)  # start of each row's next cell
-    open_rows, first = list(range(n)), True
-    while open_rows:
-        segments, rows, spans = [], [], []
-        for r in open_rows:
-            start = len(segments)
-            if first:
-                segments += _geometric_segments(a[r], z[r], 8, left_exponent)
-            n_head = len(segments) - start
-            for _ in range(min(_CELL_BATCH, _MAX_CELLS - len(cells[r]))):
-                segments.append((lo[r], lo[r] + half[r], None))
-                lo[r] += half[r]
-            rows += [r] * (len(segments) - start)
-            spans.append((r, start, start + n_head, len(segments)))
-        vals, errs = _adapt(g, segments, cell_cfg, rows)
-        still = []
-        for r, start, mid, end in spans:
-            if first:
-                head[r], head_err[r] = sum(vals[start:mid]), sum(errs[start:mid])
-            cells[r] += vals[mid:end]
-            cell_errs[r] += sum(errs[mid:end])
-            est, acc_err = _accelerate(cells[r])
-            total = head[r] + est
-            if acc_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                value[r] = sign[r] * total
-                error[r] = acc_err + cell_errs[r] + head_err[r]
-            elif len(cells[r]) == _MAX_CELLS:
-                raise ToleranceNotMet(
-                    "tolerance not met in oscillatory sum "
-                    f"(value={float(sign[r] * total)}, err={float(acc_err)})",
-                    value=sign[r] * total,
-                    error=acc_err,
-                )
-            else:
-                still.append(r)
-        open_rows, first = still, False
+    head = _geometric_segments(a, z, 8, left_exponent)  # the first round's panels
+    value, error, head_val, head_err = np.zeros((4, n))
+    # the open rows, the start of each one's next cell, its cells and their error
+    rows, start, cells, cell_err = np.arange(n), z, np.empty((n, 0)), np.zeros(n)
+    while rows.size:
+        m, take = rows.size, min(_CELL_BATCH, _MAX_CELLS - cells.shape[1])
+        edges = np.cumsum(np.column_stack([start] + [half[rows]] * take), axis=1)
+        start = edges[:, -1]
+        batch = (edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(rows, take),
+                 np.full(m * take, np.nan))
+        segments = [np.concatenate(pair) for pair in zip(head, batch)]
+        order = np.argsort(segments[2], kind="stable")  # a row's head before its cells
+        vals, errs = _adapt(g, *(x[order] for x in segments), cell_cfg)
+        is_head = order < head[0].size
+        if is_head.any():
+            head_rows = segments[2][order[is_head]]
+            head_val, head_err = (
+                np.bincount(head_rows, weights=x[is_head], minlength=n) for x in (vals, errs)
+            )
+            head = [x[:0] for x in head]
+        cell_err = cell_err + np.bincount(np.repeat(np.arange(m), take), weights=errs[~is_head])
+        cells = np.hstack((cells, vals[~is_head].reshape(m, take)))
+        est, acc_err = _accelerate(cells)
+        total = head_val[rows] + est
+        done = acc_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if cells.shape[1] == _MAX_CELLS and not done.all():
+            r = np.argmin(done)  # the first row not accepted
+            v, e = float(sign[rows[r]] * total[r]), float(acc_err[r])
+            raise ToleranceNotMet(
+                f"tolerance not met in oscillatory sum (value={v}, err={e})", value=v, error=e
+            )
+        value[rows[done]] = sign[rows[done]] * total[done]
+        error[rows[done]] = acc_err[done] + cell_err[done] + head_err[rows[done]]
+        rows, start, cells, cell_err = (x[~done] for x in (rows, start, cells, cell_err))
     return _shaped(value, shape), _shaped(error, shape)
 
 
@@ -471,50 +464,55 @@ def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     applies to the first panel of each row.
     """
     shape, (a, b) = _broadcast(a, b)
-    segments, rows = [], []
-    for r, (x, y) in enumerate(zip(a, b)):
-        panels = _geometric_segments(x, y, _GEOMETRIC_LEVELS, left_exponent)
-        segments += panels
-        rows += [r] * len(panels)
-    vals, errs = _adapt(f, segments, cfg, rows)
+    lo, hi, rows, exponent = _geometric_segments(a, b, _GEOMETRIC_LEVELS, left_exponent)
+    vals, errs = _adapt(f, lo, hi, rows, exponent, cfg)
     # bincount adds the panels of each row in segment order
-    val, err = (np.bincount(rows, weights=x).tolist() for x in (vals, errs))
+    val, err = (np.bincount(rows, weights=x, minlength=a.size) for x in (vals, errs))
     return _shaped(val, shape), _shaped(err, shape)
 
 
 def _geometric_segments(a, b, levels, left_exponent):
-    """Engine segments for the panels of [a, b] refined toward a over
-    ``levels`` decades; the left exponent goes with the first panel."""
-    width = b - a
-    cuts = [a + width * 10.0 ** (-k) for k in range(levels, 0, -1)]
-    pts = [a] + [c for c in cuts if c > a] + [b]
-    return [
-        (lo, hi, left_exponent if i == 0 else None)
-        for i, (lo, hi) in enumerate(zip(pts[:-1], pts[1:]))
-    ]
+    """Engine segments (a, b, rows, left exponent) for the panels of each
+    [a[r], b[r]] refined toward a[r] over ``levels`` decades, row by row:
+    cuts that round to a[r] are dropped, and the left exponent goes with
+    the first panel of each row."""
+    pts = np.column_stack((a, a[:, None] + (b - a)[:, None] * _DECADES[-levels:], b))
+    keep = pts > a[:, None]
+    keep[:, 0] = keep[:, -1] = True
+    pts, rows = pts[keep], np.repeat(np.arange(a.size), keep.sum(axis=1))
+    panel = rows[:-1] == rows[1:]  # consecutive points of one row
+    first = np.r_[True, rows[1:-1] != rows[:-2]]
+    exponent = np.where(first, np.nan if left_exponent is None else left_exponent, np.nan)
+    return pts[:-1][panel], pts[1:][panel], rows[:-1][panel], exponent[panel]
 
 
 def _accelerate(cells):
-    """Iterated averaging of the partial sums of an alternating cell series.
+    """Iterated averaging of the partial sums of alternating cell series,
+    one series per row of the array ``cells``.
 
-    Starts the averaging table past the cell of largest magnitude so that a
-    non-monotone head (e.g. a spectral resonance) is summed directly; the
-    reported value/error come from the averaging level where the last-column
-    increments are smallest.  ``cells`` holds at least one round's 12.
+    Starts a row's averaging table past its cell of largest magnitude (but
+    no later than six cells before the end) so that a non-monotone head
+    (e.g. a spectral resonance) is summed directly; the reported value and
+    error come from the averaging level where the last-column increments are
+    smallest.  The last entry of level l reads only the last l + 1 partial
+    sums, so the rows share one table and each reads its own levels from
+    it.  Every row holds at least one round's 12 cells.  Returns (values,
+    errors), one per row.
     """
-    mags = [abs(c) for c in cells]
-    peak = int(np.argmax(mags))
-    if peak > len(cells) - 6:
-        peak = max(0, len(cells) - 6)
-    direct = math.fsum(cells[:peak])
-    row = np.cumsum(cells[peak:])
-    candidates = [row[-1]]
-    while len(row) >= 2:
-        row = 0.5 * (row[:-1] + row[1:])
-        candidates.append(row[-1])
-    diffs = np.abs(np.diff(candidates))
-    i = int(np.argmin(diffs))
-    return direct + float(candidates[i + 1]), float(diffs[i])
+    k, m = cells.shape
+    peak = np.minimum(np.argmax(np.abs(cells), axis=1), max(0, m - 6))
+    direct = np.array([math.fsum(c[:p]) for c, p in zip(cells.tolist(), peak.tolist())])
+    # -0.0 before the peak: the partial sums from the peak on are the row's own
+    level = np.cumsum(np.where(np.arange(m) >= peak[:, None], cells, -0.0), axis=1)
+    candidates = [level[:, -1]]
+    while level.shape[1] >= 2:
+        level = 0.5 * (level[:, :-1] + level[:, 1:])
+        candidates.append(level[:, -1])
+    candidates = np.column_stack(candidates)
+    diffs = np.abs(np.diff(candidates, axis=1))
+    diffs[np.arange(m - 1) >= (m - 1 - peak)[:, None]] = np.inf  # past the row's levels
+    i, rows = np.argmin(diffs, axis=1), np.arange(k)
+    return direct + candidates[rows, i + 1], diffs[rows, i]
 
 
 def _check_envelope_decay(f, z, half):

@@ -234,8 +234,8 @@ def _sqrt_psd(mat):
 def sample_times(dt, t_max):
     """The time grid 0, dt, 2 dt, ..., n dt of both samplers: the most steps
     n whose last sample does not pass t_max, to rounding."""
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        raise ValueError("dt and t_max must be finite and positive")
     return np.arange(math.floor(t_max / dt * (1.0 + 4.0 * np.finfo(float).eps)) + 1) * dt
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,7 +227,8 @@ def test_segment_budget_is_its_own():
     with pytest.raises(ToleranceNotMet) as alone:
         integrate_adaptive(f, 1.0, 2.0, cfg)
     with pytest.raises(ToleranceNotMet) as batch:
-        _adapt(f, [(0.0, 1.0, None), (1.0, 2.0, None)], cfg)
+        _adapt(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2, int),
+               np.full(2, np.nan), cfg)
     assert batch.value.value == alone.value.value
     assert batch.value.error == alone.value.error
 
@@ -239,7 +241,8 @@ def test_segment_out_of_budget_in_batch():
     with pytest.raises(ToleranceNotMet) as alone:
         integrate_adaptive(f, 0.0, 1.0, cfg)
     with pytest.raises(ToleranceNotMet) as batch:
-        _adapt(f, [(1.0, 2.0, None), (0.0, 1.0, None)], cfg)
+        _adapt(f, np.array([1.0, 0.0]), np.array([2.0, 1.0]), np.zeros(2, int),
+               np.full(2, np.nan), cfg)
     assert batch.value.value == alone.value.value
     assert batch.value.error == alone.value.error
 
@@ -247,7 +250,8 @@ def test_segment_out_of_budget_in_batch():
 def test_nan_names_its_segment():
     f = lambda x: np.where(x > 2.0, np.nan, 1.0)
     with pytest.raises(ToleranceNotMet) as ei:
-        _adapt(f, [(0.0, 1.0, None), (1.0, 2.0, None), (2.0, 3.0, None)], QuadConfig())
+        _adapt(f, np.arange(3.0), np.arange(1.0, 4.0), np.zeros(3, int), np.full(3, np.nan),
+               QuadConfig())
     lo, hi = map(float, str(ei.value).split("(")[1].rstrip(")").split(","))
     assert 2.0 <= lo < hi <= 3.0
 
@@ -267,14 +271,87 @@ def test_oscillatory_head_and_first_cells_share_one_call():
     assert sizes == [5, (9 + 12) * 15]
 
 
+def _accelerate_alone(cells):
+    """Reference accelerator of one series, a list of cells: quad._accelerate
+    gives each row of its array these bits."""
+    mags = [abs(c) for c in cells]
+    peak = int(np.argmax(mags))
+    if peak > len(cells) - 6:
+        peak = max(0, len(cells) - 6)
+    direct = math.fsum(cells[:peak])
+    row = np.cumsum(cells[peak:])
+    candidates = [row[-1]]
+    while len(row) >= 2:
+        row = 0.5 * (row[:-1] + row[1:])
+        candidates.append(row[-1])
+    diffs = np.abs(np.diff(candidates))
+    i = int(np.argmin(diffs))
+    return direct + float(candidates[i + 1]), float(diffs[i])
+
+
+@pytest.mark.parametrize("m", [12, 13, 37, 400])
+def test_accelerate_rows_equal_one_row_calls(m):
+    # alternating decaying series whose largest cell is first, in the middle,
+    # last, and either side of the clip at m - 6, and rows with no planted peak
+    rng = np.random.default_rng(m)
+    k = np.arange(m)
+    decay = (1.0 + k) ** rng.uniform(0.5, 2.0, (9, 1))
+    cells = rng.normal(1.0, 0.3, size=(9, m)) * (-1.0) ** k / decay
+    for r, at in enumerate((0, m // 2, m - 1, m - 7, m - 6, m - 5)):
+        cells[r, at] = 20.0 * (-1.0) ** at
+    values, errors = quad._accelerate(cells)
+    alone = [_accelerate_alone(row) for row in cells.tolist()]
+    assert values.tolist() == [v for v, _ in alone]
+    assert errors.tolist() == [e for _, e in alone]
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: integrate_adaptive(f, 0.0, np.inf),
+    lambda f: integrate_adaptive(f, np.array([0.0, np.nan]), 1.0),
+    lambda f: integrate_to_infinity(f, np.inf),
+    lambda f: integrate_to_infinity(f, np.array([1.0, np.nan])),
+    lambda f: integrate_geometric(f, 0.0, np.inf),
+    lambda f: integrate_geometric(f, np.nan, 1.0),
+    lambda f: integrate_oscillatory(f, np.inf, "cos", 0.0),
+    lambda f: integrate_oscillatory(f, np.array([1.0, np.nan]), "sin", 0.0),
+    lambda f: integrate_oscillatory(f, 1.0, "cos", np.inf),
+    lambda f: integrate_oscillatory(f, 1.0, "sin", -np.inf),
+])
+def test_non_finite_rows_rejected(call):
+    # every entry point refuses a non-finite limit or frequency before it
+    # evaluates the integrand
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.exp(-np.abs(x))
+
+    with pytest.raises(ValueError, match="must be finite"):
+        call(f)
+    assert seen == []
+
+
+def test_oscillatory_rows_keep_only_open_cells():
+    # 4000 rows of (1 + t)^-2: the cells of a row are dropped once it closes
+    w = np.geomspace(1e-2, 1e2, 4000)
+    tracemalloc.start()
+    try:
+        vals, _ = integrate_oscillatory(lambda t: (1.0 + t) ** -2.0, w, "cos", 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 63.9 * 2**20
+    assert vals[-1] == pytest.approx(2e-4 - 2.4e-7, rel=1e-5)  # -f'(0)/w^2 + f'''(0)/w^4
+
+
 @pytest.fixture
 def accelerated(monkeypatch):
-    """Lengths of the cell lists quad._accelerate is called on."""
+    """Numbers of cells per row quad._accelerate is called on."""
     seen = []
     accelerate = quad._accelerate
 
     def counted(cells):
-        seen.append(len(cells))
+        seen.append(cells.shape[1])
         return accelerate(cells)
 
     monkeypatch.setattr(quad, "_accelerate", counted)
@@ -313,6 +390,11 @@ def test_rows_equal_one_row_calls():
     assert vals.tolist() == [integrate_geometric(alone(s), 0.0, 2.0, left_exponent=-0.3)[0] for s in scales]
     vals, _ = integrate_to_infinity(batched, hi)
     assert vals.tolist() == [integrate_to_infinity(alone(s), 2.0)[0] for s in scales]
+    ends = np.array([1.0, 2.0, 4.0])
+    vals, _ = integrate_adaptive(batched, lo, ends, left_exponent=-0.3)
+    assert vals.tolist() == [
+        integrate_adaptive(alone(s), 0.0, e, left_exponent=-0.3)[0] for s, e in zip(scales, ends)
+    ]
     freqs = np.array([0.7, -2.0, 5.0])
     vals, _ = integrate_oscillatory(batched, freqs, "sin", 0.0, left_exponent=-0.3)
     assert vals.tolist() == [

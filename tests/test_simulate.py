@@ -494,6 +494,14 @@ def test_default_grid_tail_sits_on_the_lattice(t_max, dt):
     assert np.all(_nodes_per_cell(lattice)[k0:] == 1)
 
 
+@pytest.mark.parametrize("dt, t_max", [
+    (0.1, math.inf), (0.1, math.nan), (math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0), (0.1, -1.0),
+])
+def test_sample_times_rejects_bad_step_or_horizon(dt, t_max):
+    with pytest.raises(ValueError, match="dt and t_max must be finite and positive"):
+        simulate.sample_times(dt, t_max)
+
+
 def test_spectral_sampler_needs_uniform_times():
     ctx = trapped_ctx("rouse:1")
     with pytest.raises(SamplingGridError):

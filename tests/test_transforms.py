@@ -372,6 +372,16 @@ def test_numeric_grid_equals_per_frequency_calls(spec):
     assert ksin.tolist() == [p.ksin for p in alone]
 
 
+def test_numeric_grid_of_many_rows_equals_per_frequency_calls():
+    # 32 rows: more than one SIMD block of numpy's vectorised exp and pow
+    kernel = PowerLaw(0.5)
+    omegas = np.geomspace(1e-2, 1e2, 32) * np.resize([1.0, -1.0], 32)
+    kcos, ksin = kcos_ksin_grid(kernel, omegas, route="numeric")
+    alone = [transform(kernel, w, route="numeric") for w in omegas]
+    assert kcos.tolist() == [p.kcos for p in alone]
+    assert ksin.tolist() == [p.ksin for p in alone]
+
+
 def test_numeric_pair_returns_its_errors():
     kernel = parse_kernel_spec("rouse:[1,2]")
     w = np.array([0.5, 2.0])
