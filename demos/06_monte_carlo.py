@@ -5,7 +5,8 @@ A sum-of-exponentials kernel is embedded as a linear SDE whose stationary
 covariance solves a Lyapunov equation exactly; sampled paths (exact one-step
 transitions, stationary initialization) then reproduce the quadrature MSD.
 A power-law kernel enters through its Prony surrogate, and the spectral
-sampler synthesizes stationary (x, v) draws straight from r11.
+sampler synthesizes stationary (x, v) paths straight from r11 on the FFT
+bins of their time grid.
 """
 
 import numpy as np
@@ -13,13 +14,14 @@ import numpy as np
 from gle_spectra import (
     GleParams,
     SpectralDensityCtx,
-    default_spectral_grid,
     ensemble_msd,
+    integrate_oscillatory,
     lyapunov_stationary_cov,
     markovian_embedding,
     msd_x,
     parse_kernel_spec,
     prony_fit,
+    r12,
     simulate_paths,
     spectral_sample,
     var_v0,
@@ -53,9 +55,12 @@ surrogate_sde = markovian_embedding(params, fit.measure)
 scov = lyapunov_stationary_cov(surrogate_sde)
 print(f"  surrogate equipartition: gamma Var(x)/kbt = {params.gamma * scov[0, 0]:.8f}")
 
-print("\nspectral sampler (8000 stationary draws of (x(0), v(0))):")
-ens2 = spectral_sample(ctx, default_spectral_grid(ctx), [0.0], 8000, seed=5)
-x0, v0 = ens2.column("x")[:, 0], ens2.column("v")[:, 0]
-print(f"  Var(x0) sample {x0.var(ddof=1):.5f}   quadrature {var_x0(ctx):.5f}")
-print(f"  Var(v0) sample {v0.var(ddof=1):.5f}   quadrature {var_v0(ctx):.5f}")
-print(f"  Cov(x0, v0) sample {np.cov(x0, v0)[0, 1]:+.5f}   theory 0")
+print("\nspectral sampler (8000 stationary paths on t = 0, 0.1, ..., 10):")
+ens2 = spectral_sample(ctx, 0.1 * np.arange(101), 8000, seed=5)
+x, v = ens2.column("x"), ens2.column("v")
+# E[x(0) v(1)] = d/dt C_xx(1) = -(kbt/pi) Int w r11(w) sin(w) dw
+xv1 = -params.kbt / np.pi * integrate_oscillatory(lambda w: r12(ctx, w).imag, 1.0, "sin", 0.0)[0]
+print(f"  Var(x(0))    sample {x[:, 0].var(ddof=1):.5f}   quadrature {var_x0(ctx):.5f}")
+print(f"  Var(v(10))   sample {v[:, -1].var(ddof=1):.5f}   quadrature {var_v0(ctx):.5f}")
+print(f"  Cov(x0, v0)  sample {np.cov(x[:, 0], v[:, 0])[0, 1]:+.5f}   theory 0")
+print(f"  E[x(0)v(1)]  sample {np.mean(x[:, 0] * v[:, 10]):+.5f}   quadrature {xv1:+.5f}")

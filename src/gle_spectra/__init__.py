@@ -65,7 +65,6 @@ from .simulate import (
     Ensemble,
     LinearSde,
     PronyFit,
-    default_spectral_grid,
     ensemble_msd,
     lyapunov_stationary_cov,
     markovian_embedding,

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, GleError
+from .errors import ConfigError, GleError, PronyAccuracyError
 from .kernels import (
     ROUTE_CLOSED, ROUTES, GleParams, kernel_eval, parse_kernel_spec, validate_kernel
 )
@@ -31,7 +31,6 @@ from .moments import (
 )
 from .quad import DEFAULT_QUAD, QuadConfig
 from .simulate import (
-    default_spectral_grid,
     ensemble_msd,
     lyapunov_stationary_cov,
     markovian_embedding,
@@ -227,10 +226,15 @@ def _cmd_simulate(args):
         raise ValueError("--dt must not exceed --t-max")
     ctx = parse_config(_read(args.config))
     if args.method == "markovian":
-        measure = prony_fit(
-            ctx.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max))
-        ).measure
-        sde = markovian_embedding(ctx.params, measure)
+        fit = prony_fit(ctx.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max)))
+        if not fit.measure.atoms:
+            # a memoryless SDE would stand in for the kernel
+            raise PronyAccuracyError(
+                f"prony fit kept no atoms: no nonnegative sum of {args.prony_modes} "
+                "exponentials beats the zero kernel",
+                achieved=fit.sup_rel_error,
+            )
+        sde = markovian_embedding(ctx.params, fit.measure)
         ens = simulate_paths(
             sde, dt=args.dt, t_max=args.t_max, n_paths=args.n_paths, seed=args.seed
         )
@@ -242,9 +246,7 @@ def _cmd_simulate(args):
     else:
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")
-        t_grid = sample_times(args.dt, args.t_max)
-        grid = default_spectral_grid(ctx, t_max=float(t_grid[-1]))
-        ens = spectral_sample(ctx, grid, t_grid, args.n_paths, args.seed)
+        ens = spectral_sample(ctx, sample_times(args.dt, args.t_max), args.n_paths, args.seed)
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
     quantity = "x_integral" if "x" in ens.labels else "v_integral"
     curve = ensemble_msd(ens, quantity)

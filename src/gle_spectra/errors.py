@@ -53,7 +53,8 @@ class PronyAccuracyError(GleError):
 
 
 class SamplingGridError(GleError):
-    """Frequency grid too coarse for the requested time horizon."""
+    """Time grid the spectral sampler cannot sample: not a non-empty
+    arithmetic progression."""
 
 
 class FitRejectedError(GleError):

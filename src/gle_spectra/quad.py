@@ -464,6 +464,8 @@ def integrate_geometric(f, a, b, cfg=DEFAULT_QUAD, left_exponent=None):
     applies to the first panel of each row.
     """
     shape, (a, b) = _broadcast(a, b)
+    if not (a < b).all():
+        raise ValueError("need finite a < b")
     lo, hi, rows, exponent = _geometric_segments(a, b, _GEOMETRIC_LEVELS, left_exponent)
     vals, errs = _adapt(f, lo, hi, rows, exponent, cfg)
     # bincount adds the panels of each row in segment order

@@ -13,13 +13,13 @@ rates and nonnegative weights that minimize the largest relative error, one
 linear program.
 
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
-from the spectral densities: independent Gaussian amplitudes on frequency
-cells, weighted by the rank-one factorization of the 2x2 cross-spectral
-matrix (1, i w)^T r11 (1, -i w).  It needs a uniform time grid of step dt:
-every cell is spread onto a frequency lattice of step 2 pi/(M dt), where a
-node is an FFT bin (frequencies 2 pi/dt apart cannot be told apart on the
-grid), and one FFT of length M per path and coordinate sums the bins, so
-memory does not grow with cells x times.
+from the spectral densities on a uniform time grid of step dt.  Frequencies
+2 pi/dt apart cannot be told apart on that grid, so the frequency cells are
+the bins of one FFT: each bin holds the exact folded 2x2 spectral mass
+kbt/(2 pi) Int r11 (1, i w)^T (1, -i w) dw of its band and of the band's alias
+images, factored in closed form, and one inverse FFT per path pair and
+coordinate sums the bins (circulant embedding, Wood & Chan, J. Comput.
+Graph. Stat. 3:409, 1994).
 """
 
 from dataclasses import dataclass
@@ -29,14 +29,17 @@ import numpy as np
 
 from .errors import GleError, PronyAccuracyError, SamplingGridError, SdeError
 from .kernels import BernsteinMeasure, kernel_eval
-from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve
-from .spectra import r11
+from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve, var_v0, var_x0
+from .quad import integrate_geometric, integrate_to_infinity
+from .spectra import trapped_densities
 
 # Work arrays of one block of paths or of time steps stay near this many bytes.
 _BLOCK_BYTES = 32 << 20
 # The Markovian sampler draws at most this many paths at a time: it bounds
 # the per-path Philox generators, each larger than a short path's output.
 _PATH_BLOCK = 2000
+# The spectral sampler's alias images on each side of the band, one node a bin.
+_IMAGES = 4
 
 
 @dataclass(frozen=True)
@@ -315,63 +318,50 @@ def ensemble_msd(ens, quantity):
     )
 
 
-def spectral_sample(ctx, omega_grid, t_grid, n_paths, seed):
+def spectral_sample(ctx, t_grid, n_paths, seed):
     """Synthesize stationary (x, v) paths directly from the spectral density.
 
-    ``omega_grid`` holds increasing positive cell edges; each cell carries an
-    independent complex Gaussian amplitude with variance
-    kbt/(2 pi) r11(mid) * width, and the velocity coordinate rides the same
-    amplitudes weighted by the cell frequency, which reproduces the full
-    2x2 cross-spectral structure including Cov(x, v) = 0.
-
-    ``t_grid`` must be a non-empty arithmetic progression (to rounding);
-    other time grids raise SamplingGridError.  The paths are stationary, so
-    they are sampled at the lags t - t_0, and the grid must resolve the
-    longest of them, the span |t_N-1 - t_0|: max cell width <= pi/span.
-    ``Ensemble.times`` holds the given times, not the lags.
-
-    The amplitudes come from two Philox streams: the real parts of every path
-    and cell (path-major) from the one keyed by ``seed``, the imaginary parts
-    from the same key jumped by 2^128 draws.  They are drawn and summed in
-    blocks of paths on the frequency lattice of the time step (see
-    ``_Lattice``): the K_on cells on a lattice node take that node, the K_off
-    others are spread onto q nodes each, and one FFT of length M = 8 (N - 1)
-    per path and coordinate sums the nodes.  The cost is
-    O(n_paths (M log M + K_on + q K_off)) and the memory
-    O(block (K + M + L) + n_paths N) for N times and L lattice nodes from the
-    lowest cell to the highest, the block size set by a fixed byte budget.
+    ``t_grid`` must be a non-empty arithmetic progression (to rounding), or
+    SamplingGridError is raised; the paths are sampled at the lags t - t_0,
+    and ``Ensemble.times`` holds the given times.  A pair of paths scales two
+    complex normals per FFT bin by the Cholesky factor [[sqrt a, 0],
+    [i b/sqrt a, sqrt(d - b^2/a)]] of the bin's ``_bin_blocks`` block and
+    sums the bins with one inverse FFT per coordinate: the real part is one
+    path, the imaginary part an independent other.  Pair p takes normals
+    4 M p to 4 M (p + 1) of the Philox stream keyed by ``seed``, whatever
+    the block of pairs.  Cost O(n_paths M log M), memory O(M + n_paths N).
     """
-    edges = np.asarray(omega_grid, dtype=float)
-    if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0) or edges[0] < 0:
-        raise SamplingGridError("omega grid must be increasing, positive cell edges")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.ndim != 1 or t.size == 0 or _uniform_step(t) is None:
+    dt = _uniform_step(t) if t.ndim == 1 and t.size else None
+    if dt is None:
         raise SamplingGridError("time grid must be a non-empty arithmetic progression")
-    widths = np.diff(edges)
-    span = abs(float(t[-1] - t[0]))
-    if span > 0 and widths.max() > math.pi / span:
-        raise SamplingGridError(
-            f"omega grid too coarse for a time span of {span:g}: "
-            f"max cell width {widths.max():.3g} > pi/span = {math.pi / span:.3g}"
-        )
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    dens = r11(ctx, mids)
-    # sqrt(2) folds the real part of the complex amplitude sum into sigma
-    sigma = np.sqrt(ctx.params.kbt / math.pi * dens * widths)
-    lattice = _Lattice(mids, sigma, t)
-
-    data = np.zeros((n_paths, t.size, 2))
-    block = max(1, _BLOCK_BYTES // (16 * mids.size + lattice.bytes_per_path))
-    xi_rng = np.random.Generator(np.random.Philox(key=seed))
-    eta_rng = np.random.Generator(np.random.Philox(key=seed).jumped())
-    draws = np.empty((2 * min(block, n_paths), mids.size))
-    for start in range(0, n_paths, block):
-        stop = min(start + block, n_paths)
-        rows = stop - start
-        xi_rng.standard_normal(out=draws[:rows])
-        eta_rng.standard_normal(out=draws[rows : 2 * rows])
-        data[start:stop, :, 0], data[start:stop, :, 1] = lattice(draws[: 2 * rows])
-    return Ensemble(times=t, data=data, labels=("x", "v"))
+    # the output first: allocated after the bins' temporaries, it raised the
+    # peak RSS of the CLI's 500-path requests
+    data = np.empty((n_paths + n_paths % 2, t.size, 2))
+    a, b, d = _bin_blocks(ctx, t.size, dt)
+    # a d >= b^2 up to rounding: each block sums rank-one matrices with
+    # positive weights
+    lxx = np.sqrt(a)
+    lvx = np.divide(b, lxx, out=np.zeros(b.shape), where=lxx > 0)
+    lvv, ivx = np.sqrt(np.maximum(d - lvx * lvx, 0.0)), 1j * lvx
+    # a pair works on 48 M bytes, its 4 M normals and a complex temporary of
+    # M; at half the budget the blocks stay below the CLI's ensemble MSD
+    pairs, size = data.shape[0] // 2, a.size
+    block = max(1, min(pairs, _BLOCK_BYTES // (2 * 48 * size)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = np.empty((block, 2, 2 * size))
+    for start in range(0, pairs, block):
+        rows = min(block, pairs - start)
+        # two complex normals a bin: the x factor's and v's own
+        z = rng.standard_normal(out=draws[:rows]).view(complex)
+        z[:, 1] *= lvv
+        z[:, 1] += ivx * z[:, 0]
+        z[:, 0] *= lxx
+        # a single bin broadcasts over repeated times
+        paths = np.moveaxis(np.fft.ifft(z, norm="forward", out=z)[..., : t.size], 1, 2)
+        out = data[2 * start : 2 * (start + rows)].reshape(rows, 2, t.size, 2)
+        out[:, 0], out[:, 1] = paths.real, paths.imag
+    return Ensemble(times=t, data=data[:n_paths], labels=("x", "v"))
 
 
 def _uniform_step(values):
@@ -386,120 +376,44 @@ def _uniform_step(values):
     return step
 
 
-def _node_count(theta):
-    """Smallest even q whose Lagrange remainder bound for exp(i w t) on q
-    nodes h apart, theta^q/q! max prod_j |u - j| (theta = h span, u in the
-    middle gap), is at most 2^-53.
+def _bin_blocks(ctx, n, dt):
+    """The blocks [[a, -i b], [i b, d]] of the FFT bins of n times dt apart.
 
-    Each step multiplies the bound by theta^2 (q+1)/(4 (q+2)), which tends to
-    theta^2/4, so from theta = 2 on no q reaches it: ValueError.
+    On lags dt apart w and w + 2 pi/dt cannot be told apart, so the M =
+    8 (n - 1) bins h = 2 pi/(M |dt|) wide hold all of kbt/(2 pi) r11(w)
+    (1, i w)^T (1, -i w) dw: bin m every w within h/2 of m h + 2 pi k/dt.
+    On w > 0: integrate_geometric on [0, h/2], Gauss-Legendre nodes on the
+    bins to pi/|dt| + h/2, one node a bin on _IMAGES periods past them, and
+    the rest of the r11 and r22 mass (r22 decays only like w^-2) spread
+    evenly.  A negative w holds the conjugate block, and a negative dt
+    reverses b.  One time, or a zero step, has one bin: the variances.
     """
-    if not 0.0 <= theta < 2.0:
-        raise ValueError(f"no node count reaches 2^-53 at h span = {theta:g}; it must lie in [0, 2)")
-    q, bound = 2, theta * theta / 8.0
-    while bound > 2.0**-53:
-        bound *= theta * theta * (q + 1) / (4.0 * (q + 2))
-        q += 2
-    return q
+    if not dt:
+        return np.array([var_x0(ctx)]), np.zeros(1), np.array([var_v0(ctx)])
+    size = 8 * (n - 1)
+    half, h = size // 2, 2.0 * math.pi / (size * abs(dt))
+    tail = (2 * _IMAGES + 1) * half  # the first bin past the last image
+    sums = np.zeros((3, size))  # of r11, r22, w r11 = Im r12
+    # 4 Gauss-Legendre nodes on bins 1 .. half and one node a bin past them,
+    # as offsets from the bin's centre in bin widths, 2^15 nodes at a time
+    band = [0.5 * c for c in np.polynomial.legendre.leggauss(4)]
+    rules = ((1, half + 1, *band), (half + 1, tail, np.zeros(1), np.ones(1)))
+    for first, stop, nodes, weights in rules:
+        chunk = 2**15 // nodes.size
+        for lo in range(first, stop, chunk):
+            k = np.arange(lo, min(lo + chunk, stop))
+            dens = trapped_densities(ctx, ((k[:, None] + nodes) * h).ravel())
+            for total, r in zip(sums, dens):
+                total += np.bincount(k % size, r.reshape(k.size, -1) @ weights, minlength=size)
 
+    def r11_r22(w):  # row 0 integrates r11, row 1 r22
+        return np.where(w.rows == 0, *trapped_densities(ctx, w)[:2])
 
-class _Lattice:
-    """x and v sums of the amplitudes a_k = sigma_k (xi_k - i eta_k) over
-    cells w_k at the lags tau_j = t_j - t_0 = j dt of N times t_j:
-
-        x_j = Re sum_k a_k exp(i w_k tau_j),   v_j = -Im sum_k w_k a_k exp(i w_k tau_j).
-
-    The paths are stationary, so their law at t_j is their law at tau_j.
-    Every cell is spread onto the frequency lattice nu_m = nu_0 + m h,
-    h = 2 pi/(M dt) with M = 8 (N - 1), anchored at the last cell: onto the
-    one node it lies within 1e-9 h of, or else onto the q nodes around it by
-    Lagrange interpolation of exp(i w tau) in w, q from
-    ``_node_count(h span)`` (38 at h span = pi/4 for the span |t_N-1 - t_0|),
-    as in the type-3 non-uniform FFT of Lee & Greengard (J. Comput. Phys.
-    206:1, 2005).  Its v weight carries the cell's own w_k.
-
-    On lags dt apart nu_m and nu_{m+M} = nu_m + 2 pi/dt cannot be told
-    apart: exp(i m h j dt) = exp(2 pi i m j/M).  So node m goes to bin
-    m mod M; one inverse FFT of length M per row sums the bins and the
-    post-phase exp(i nu_0 tau_j) finishes.  One time, or a zero step, is the
-    case M = 1: every lag is 0, and every node falls in the one bin.
-    """
-
-    def __init__(self, omega, sigma, t):
-        from scipy import sparse
-
-        dt = _uniform_step(t)
-        span = abs(t[-1] - t[0])
-        self.size = 8 * (t.size - 1) if dt else 1
-        # at lag 0 any h works: exp(i w 0) = 1, and two nodes hold every cell
-        h = 2.0 * math.pi / (self.size * dt) if dt else omega[-1] - omega[0]
-        q = _node_count(abs(h) * span)
-        u = (omega - omega[-1]) / h
-        near = np.rint(u)
-        on_node = np.abs(u - near) <= 1e-9
-        on, off = np.flatnonzero(on_node), np.flatnonzero(~on_node)
-        # an off-node cell's window: nodes first .. first + q - 1 counted
-        # from the anchor, with the cell in its middle gap
-        first = np.floor(u[off]).astype(int) - (q // 2 - 1)
-        gap = (u[off] - first)[:, None] - np.arange(q)
-        # modified Lagrange form prod_i (u - i) b_j / (u - j)
-        bary = np.array(
-            [(-1.0) ** (q - 1 - j) / (math.factorial(j) * math.factorial(q - 1 - j)) for j in range(q)]
-        )
-        lagrange = np.prod(gap, axis=1, keepdims=True) * bary / gap
-        cells = np.concatenate([on, np.repeat(off, q)])
-        nodes = np.concatenate([near[on].astype(int), (first[:, None] + np.arange(q)).ravel()])
-        lo = nodes.min()
-        self.n_nodes = nodes.max() - lo + 1
-        spread = sparse.csr_array(
-            (sigma[cells] * np.concatenate([np.ones(on.size), lagrange.ravel()]), (nodes - lo, cells)),
-            shape=(self.n_nodes, omega.size),
-        )
-        # nodes x cells: x weights (sigma) over v weights (sigma w_k)
-        self.weights = sparse.vstack([spread, spread * omega], format="csr")
-        self.post = np.exp(1j * (omega[-1] + lo * h) * (t - t[0]))
-        self.folds = -(-self.n_nodes // self.size)
-        # a path's transposed draws, x and v node sums, x and v rows before
-        # and after folding (the FFT works in place), its x and v sums
-        # (complex, then real)
-        self.bytes_per_path = 16 * (
-            omega.size + 2 * self.n_nodes + 2 * (self.folds + 1) * self.size + 3 * t.size
-        )
-
-    def __call__(self, draws):
-        """x and v rows of the paths whose xi rows ``draws`` stacks over
-        their eta rows."""
-        rows, n = draws.shape[0] // 2, self.n_nodes
-        # x over v nodes, each with the xi beside the eta paths
-        sums = self.weights @ draws.T
-        spec = np.zeros((2 * rows, self.folds * self.size), dtype=complex)
-        for half, s in zip((spec[:rows, :n], spec[rows:, :n]), (sums[:n], sums[n:])):
-            half.real, half.imag = s[:, :rows].T, -s[:, rows:].T
-        if self.folds > 1:
-            spec = spec.reshape(2 * rows, self.folds, self.size).sum(axis=1)
-        # a single bin broadcasts over repeated times
-        sums = np.fft.ifft(spec, norm="forward", out=spec)[:, : self.post.size] * self.post
-        return sums[:rows].real, -sums[rows:].imag
-
-
-def default_spectral_grid(ctx, t_max=0.0):
-    """Frequency cell edges adequate for var/cov estimation up to t_max.
-
-    Log-spaced cells resolve the near-origin region down to 1e-6; above
-    omega = 1 the spacing is capped by the horizon's resolution requirement,
-    up to 50 or ten times the trap frequency sqrt(gamma/m).  Past t_max of
-    about 547 the widest log cells would exceed the sampler's pi/t_max bound,
-    so the log cells end before the first of them and the capped step
-    continues from there.
-    """
-    p = ctx.params
-    omega_max = max(50.0, 10.0 * math.sqrt(p.gamma / p.m))
-    low = np.geomspace(1e-6, 1.0, 2400)
-    step = min(0.05, math.pi / (4.0 * t_max)) if t_max > 0 else 0.05
-    if t_max > 0:
-        wide = np.flatnonzero(np.diff(low) > math.pi / t_max)
-        low = low[: wide[0] + 1] if wide.size else low
-    # exact multiples: arange's spacing, the rounded (start + step) - start,
-    # would drift off the sampler's frequency lattice over the tail
-    high = low[-1] + step * np.arange(1, math.ceil((omega_max - low[-1]) / step) + 1)
-    return np.concatenate([low, high])
+    hint = ctx.kernel.tail_class().exponent
+    sums *= h
+    sums[:2, 0] += integrate_geometric(r11_r22, 0.0, [0.5 * h] * 2, ctx.quad, left_exponent=hint)[0]
+    rest, _ = integrate_to_infinity(r11_r22, np.full(2, (tail - 0.5) * h), ctx.quad)
+    mirror = np.roll(sums[:, ::-1], 1, axis=1)  # bin -m is bin M - m
+    scale = ctx.params.kbt / (2.0 * math.pi)
+    a, d = scale * (sums[:2] + mirror[:2] + 2.0 * rest[:, None] / size)
+    return a, math.copysign(scale, dt) * (sums[2] - mirror[2]), d

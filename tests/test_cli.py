@@ -294,8 +294,8 @@ def test_simulate_methods_share_one_time_grid(capsys):
 
 
 def test_spectral_grid_follows_the_last_sample(capsys):
-    # --t-max 20.05 samples up to 20.0, so its frequency grid (tail step
-    # pi/(4 t_max)) is the one of --t-max 20.0 and the output is the same
+    # --t-max 20.05 samples up to 20.0, so its FFT bins are those of
+    # --t-max 20.0 and the output is the same
     outputs = []
     for t_max in ("20.05", "20.0"):
         assert main([
@@ -321,7 +321,8 @@ def test_simulate_deterministic_output(tmp_path):
 
 
 def test_simulate_spectral_long_horizon(capsys):
-    # the default grid's widest log cell (0.00574) exceeded pi/t_max = 0.00314
+    # 1001 times 1 apart: 8000 bins of width pi/4000, whose alias images
+    # reach past w = 28
     argv = ["simulate", "--config", str(CONFIGS / "trapped_powerlaw.json"), "--method", "spectral",
             "--t-max", "1000", "--dt", "1", "--n-paths", "4"]
     assert main(argv) == 0
@@ -744,13 +745,17 @@ def test_markovian_simulate_where_the_kernel_underflows_is_quiet(tmp_path):
     assert code == 0 and err == ""
 
 
-@pytest.mark.parametrize("lam, code, kind", [(1, 0, None), (0, 1, "SdeError")])
-def test_markovian_simulate_with_the_zero_surrogate(tmp_path, lam, code, kind):
-    # the fit of gaussian:0.01 has no atoms: with lambda = 0 nothing damps
-    # the trap, and it has no stationary law
-    got, out, err = _simulate_markovian(tmp_path, "gaussian:0.01", lam=lam)
-    assert got == code
-    if kind:
-        assert out == "" and json.loads(err)["error"]["type"] == kind
-    else:
-        assert err == "" and json.loads(out.splitlines()[-1])["method"] == "markovian"
+@pytest.mark.parametrize(
+    "spec, lam, extra",
+    [("gaussian:0.01", 1, ()), ("gaussian:0.01", 0, ()), ("rouse:[1,2,4]", 1, ("--prony-modes", "2"))],
+    ids=["gaussian-lambda-1", "gaussian-lambda-0", "rouse-3-atoms-2-modes"],
+)
+def test_markovian_simulate_refuses_the_zero_surrogate(tmp_path, spec, lam, extra):
+    # no nonnegative sum of the fit's exponentials beats 0 for these kernels:
+    # a memoryless SDE would stand in for the kernel (and with lambda = 0
+    # nothing would damp the trap)
+    code, out, err = _simulate_markovian(tmp_path, spec, *extra, lam=lam)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "PronyAccuracyError"
+    assert "kept no atoms" in error["message"]

@@ -331,6 +331,23 @@ def test_non_finite_rows_rejected(call):
     assert seen == []
 
 
+@pytest.mark.parametrize("a, b, exponent", [
+    (1.0, 0.0, None), (1.0, 0.0, -0.5), (1.0, 1.0, None), (np.array([0.0, 2.0]), 1.0, None),
+], ids=["reversed", "reversed-substituted", "equal", "one-row-reversed"])
+def test_geometric_limits_must_increase(a, b, exponent):
+    # reversed limits gave the negated integral with a zero error estimate,
+    # or, under the substitution, a TypeError from a complex power
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.exp(-x)
+
+    with pytest.raises(ValueError, match="need finite a < b"):
+        integrate_geometric(f, a, b, left_exponent=exponent)
+    assert seen == []
+
+
 def test_oscillatory_rows_keep_only_open_cells():
     # 4000 rows of (1 + t)^-2: the cells of a row are dropped once it closes
     w = np.geomspace(1e-2, 1e2, 4000)

@@ -9,6 +9,8 @@ from scipy import linalg
 from scipy.optimize import OptimizeResult
 
 from gle_spectra import simulate
+from gle_spectra.quad import integrate_oscillatory
+from gle_spectra.spectra import r11, r22, trapped_densities
 from gle_spectra import (
     BernsteinMeasure,
     GleParams,
@@ -19,7 +21,6 @@ from gle_spectra import (
     SdeError,
     UnrepresentableError,
     VELOCITY_INTEGRAL,
-    default_spectral_grid,
     ensemble_msd,
     kernel_eval,
     lyapunov_stationary_cov,
@@ -27,7 +28,6 @@ from gle_spectra import (
     msd_x,
     parse_kernel_spec,
     prony_fit,
-    r11,
     simulate_paths,
     spectral_sample,
     var_v0,
@@ -272,8 +272,7 @@ def test_ensemble_msd_v_saturates_to_2varx():
 
 def test_spectral_sampler_moments():
     ctx = trapped_ctx("rouse:1")
-    grid = default_spectral_grid(ctx)
-    ens = spectral_sample(ctx, grid, [0.0], 8000, seed=3)
+    ens = spectral_sample(ctx, [0.0], 8000, seed=3)
     x0 = ens.column("x")[:, 0]
     v0 = ens.column("v")[:, 0]
     vx, vv = var_x0(ctx), var_v0(ctx)
@@ -284,33 +283,28 @@ def test_spectral_sampler_moments():
 
 
 def test_spectral_grid_discretization_bias():
+    # the FFT bins hold the whole spectral mass, alias images and the w^-2
+    # tail of r22 included
     ctx = trapped_ctx("rouse:1")
-    edges = default_spectral_grid(ctx)
-    from gle_spectra import r11
-
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    mass = (ctx.params.kbt / math.pi) * float(np.sum(r11(ctx, mids) * np.diff(edges)))
-    assert mass == pytest.approx(var_x0(ctx), rel=2e-3)
+    a, b, d = simulate._bin_blocks(ctx, 1001, 0.1)
+    assert a.sum() == pytest.approx(var_x0(ctx), rel=1e-9)
+    assert d.sum() == pytest.approx(var_v0(ctx), rel=1e-9)
+    assert abs(b.sum()) < 1e-12
 
 
 def test_spectral_sampler_zero_temperature():
     ctx = trapped_ctx("rouse:1", kbt=0.0)
-    ens = spectral_sample(ctx, default_spectral_grid(ctx), [0.0, 1.0], 10, seed=0)
+    ens = spectral_sample(ctx, [0.0, 1.0], 10, seed=0)
     assert np.all(ens.data == 0.0)
-
-
-def test_spectral_sampler_nyquist_guard():
-    ctx = trapped_ctx("rouse:1")
-    with pytest.raises(SamplingGridError):
-        spectral_sample(ctx, np.array([0.1, 2.0, 4.0]), [0.0, 100.0], 5, seed=0)
 
 
 def test_spectral_sampler_free_particle_rejected():
     from gle_spectra import TransformDomainError
 
     ctx = free_ctx("rouse:1")
-    with pytest.raises(TransformDomainError):
-        spectral_sample(ctx, default_spectral_grid(ctx), [0.0], 5, seed=0)
+    for t in ([0.0], [0.0, 0.5, 1.0]):
+        with pytest.raises(TransformDomainError):
+            spectral_sample(ctx, t, 5, seed=0)
 
 
 def test_simulate_time_blocks_bitwise(monkeypatch):
@@ -322,176 +316,139 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
     assert np.array_equal(whole.data, split.data)
 
 
-def _dense_spectral_paths(ctx, edges, t, n_paths, seed):
-    """The cells x times cos/sin synthesis on the same Philox draws: xi from
-    the stream keyed by the seed, eta from that key jumped by 2^128 draws."""
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    sigma = np.sqrt(ctx.params.kbt / (2.0 * math.pi) * r11(ctx, mids) * np.diff(edges))
-    xi = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, mids.size))
-    eta = np.random.Generator(np.random.Philox(key=seed).jumped()).standard_normal((n_paths, mids.size))
-    cos_t, sin_t = np.cos(np.outer(mids, t)), np.sin(np.outer(mids, t))
-    x = math.sqrt(2.0) * ((xi * sigma) @ cos_t + (eta * sigma) @ sin_t)
-    v = math.sqrt(2.0) * ((eta * sigma * mids) @ cos_t - (xi * sigma * mids) @ sin_t)
-    return x, v
+def _dense_spectral_paths(ctx, t, n_paths, seed):
+    """The bins x times sum of the sampler's Philox normals, each bin's pair
+    of complex normals scaled by numpy's Cholesky factor of its block."""
+    step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
+    a, b, d = simulate._bin_blocks(ctx, t.size, step)
+    blocks = np.stack([np.stack([a, -1j * b], -1), np.stack([1j * b, d], -1)], -2)
+    factor = np.linalg.cholesky(blocks)
+    pairs = -(-n_paths // 2)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.standard_normal((pairs, 2, 2 * a.size)).view(complex)
+    amplitudes = np.einsum("mij,pjm->pim", factor, z)
+    lags = np.arange(t.size) % a.size
+    phases = np.exp(2j * math.pi * np.outer(np.arange(a.size), lags) / a.size)
+    sums = amplitudes @ phases  # pairs x (x, v) x times
+    paths = np.stack([sums.real, sums.imag], axis=1).reshape(2 * pairs, 2, t.size)
+    return paths[:n_paths, 0], paths[:n_paths, 1]
 
 
-# times 3.0 .. 22.9 step 0.1, sampled at the lags t - 3.0: the sampler's
-# lattice has M = 8 * 199 = 1592 bins and step h = 2 pi/(M dt), anchored at
-# the last cell's midpoint
+# times 3.0 .. 22.9 step 0.1, sampled at the lags t - 3.0: M = 8 * 199 = 1592
+# bins of width h = 2 pi/(M dt)
 OFFSET_TIMES = 3.0 + 0.1 * np.arange(200)
-LATTICE_STEP = 2.0 * math.pi / 159.2
-
-
-def _nodes_per_cell(lattice):
-    # the x half of the weights is the spread matrix, nodes x cells
-    return np.diff(lattice.weights[: lattice.n_nodes].tocsc().indptr)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
 def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
-    # 59 log cells and 100 equal-width cells 0.05 apart, off the lattice step
-    # 0.0395: every cell but the anchor is spread onto 38 nodes.  The small
-    # budget splits the 9 paths into several blocks
+    # the small budget draws one pair of the 9 paths a block
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
     ctx = trapped_ctx("powerlaw:0.5")
-    edges = np.concatenate([np.geomspace(1e-3, 1.0, 60), np.arange(1.05, 6.025, 0.05)])
-    mids = 0.5 * (edges[1:] + edges[:-1])
     t = OFFSET_TIMES
-    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
-    assert (lattice.size, lattice.n_nodes) == (1592, 188)
-    assert np.array_equal(_nodes_per_cell(lattice), [38] * 158 + [1])
-    ens = spectral_sample(ctx, edges, t, 9, seed=17)
-    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t - t[0], 9, seed=17)
+    ens = spectral_sample(ctx, t, 9, seed=17)
+    x_ref, v_ref = _dense_spectral_paths(ctx, t, 9, seed=17)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
-
-
-def _exact_node_edges():
-    # 80 tail cells 2h wide from 1.0 put their midpoints on every second node
-    # of the lattice, anchored at the last one, 1 + 159 h; the log cell
-    # [c - 0.03, c + 0.03] has its midpoint c = 1 - 15 h on the node 174 below
-    c = 1.0 - 15 * LATTICE_STEP
-    return np.concatenate(
-        [
-            np.geomspace(1e-3, c - 0.03, 40),
-            np.geomspace(c + 0.03, 1.0, 8),
-            1.0 + 2 * LATTICE_STEP * np.arange(1, 81),
-        ]
-    )
 
 
 @pytest.mark.parametrize(
-    "edges, t, size, n_nodes, on_node",
+    "t",
     [
-        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES, 1592, 186, 1),  # every cell but the anchor spread
-        (_exact_node_edges(), OFFSET_TIMES, 1592, 204, 81),
-        (0.05 + LATTICE_STEP * np.arange(176), OFFSET_TIMES, 1592, 175, 175),  # nothing spread
-        # cells 1e-6 apart are spread like the others
-        (np.concatenate([np.geomspace(1e-3, 1.0, 300), 1.0 + 1e-6 * np.arange(1, 5)]), OFFSET_TIMES, 1592, 63, 1),
-        # one time: lag 0, M = 1, h the cells' range, and the first and last
-        # cells on the two nodes that hold every cell
-        (np.geomspace(1e-3, 6.0, 500), np.array([5.0]), 1, 2, 2),
-        # dt = 1.5: the cells above pi/dt = 2.09 fold onto the bins below
-        (np.geomspace(1e-3, 6.0, 500), 1.5 * np.arange(15), 112, 195, 1),
-        # dt = -0.1: negative lags, and the lattice runs the other way
-        (np.geomspace(1e-3, 6.0, 500), OFFSET_TIMES[::-1], 1592, 186, 1),
+        np.array([5.0]),  # one time: lag 0, one bin
+        1.5 * np.arange(15),  # dt = 1.5: frequencies above pi/dt fold onto the bins below
+        OFFSET_TIMES[::-1],  # dt = -0.1: negative lags, the lags run backward
+        np.full(4, 2.0),  # a zero step: one bin for four equal times
     ],
-    ids=["log-only", "midpoint-on-node", "tail-only", "fine-tail", "one-time", "folded", "decreasing"],
+    ids=["one-time", "folded", "decreasing", "zero-step"],
 )
-def test_spectral_sampler_grids_match_dense_sum(edges, t, size, n_nodes, on_node):
+def test_spectral_sampler_grids_match_dense_sum(t):
     ctx = trapped_ctx("powerlaw:0.5")
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
-    assert (lattice.size, lattice.n_nodes) == (size, n_nodes)
-    assert np.count_nonzero(_nodes_per_cell(lattice) == 1) == on_node
-    ens = spectral_sample(ctx, edges, t, 5, seed=23)
-    x_ref, v_ref = _dense_spectral_paths(ctx, edges, t - t[0], 5, seed=23)
+    ens = spectral_sample(ctx, t, 5, seed=23)
+    x_ref, v_ref = _dense_spectral_paths(ctx, t, 5, seed=23)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def test_spectral_sampler_blocks_bitwise(monkeypatch):
+    # pair p takes its own slice of the Philox stream, whatever the block
+    ctx = trapped_ctx("rouse:1")
+    whole = spectral_sample(ctx, OFFSET_TIMES, 9, seed=4)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 1592)  # 3 pairs a block
+    split = spectral_sample(ctx, OFFSET_TIMES, 9, seed=4)
+    assert np.array_equal(whole.data, split.data)
+    assert np.array_equal(spectral_sample(ctx, OFFSET_TIMES, 4, seed=4).data, whole.data[:4])
+
+
+def test_spectral_sampler_time_direction():
+    # E[x(0) v(1)] = C_xx'(1) = -(kbt/pi) Int w r11 sin w dw = -0.383; the
+    # time-reversed process reads +0.383
+    ctx = trapped_ctx("rouse:1")
+    ens = spectral_sample(ctx, 0.1 * np.arange(101), 4000, seed=8)
+    prod = ens.column("x")[:, 0] * ens.column("v")[:, 10]
+    ref, _ = integrate_oscillatory(lambda w: trapped_densities(ctx, w)[2], 1.0, "sin", 0.0)
+    ref *= -ctx.params.kbt / math.pi
+    assert ref == pytest.approx(-0.3834, abs=1e-4)
+    assert abs(prod.mean() - ref) < 5.0 * prod.std(ddof=1) / math.sqrt(prod.size)
+
+
+_LAW_CASES = [(spec, dt) for spec in ("rouse:1", "gaussian:1", "powerlaw:0.5") for dt in (0.1, 0.5)]
+_LAW_CASES += [(spec, 0.1) for spec in ("powerlaw:0.2", "powerlaw:0.8", "one-plus-t-inverse")]
+
+
+@pytest.mark.parametrize("spec, dt", _LAW_CASES)
+def test_spectral_bins_match_engine_covariances(spec, dt):
+    # the law the sampler draws, Gamma(j dt) = sum_m block_m exp(2 pi i m j/M)
+    # by one inverse FFT, against the engine's cosine and sine transforms
+    ctx = trapped_ctx(spec)
+    n = round(100.0 / dt) + 1
+    a, b, d = simulate._bin_blocks(ctx, n, dt)
+    lags = np.array([1, 10, (n - 1) // 10, (n - 1) // 2, n - 1])
+    gxx, gvv = (np.fft.ifft(c, norm="forward").real[lags] for c in (a, d))
+    # Cov(x(t + tau), v(t)) = sum_m -i b_m exp(2 pi i m j/M)
+    gxv = np.fft.ifft(-1j * b, norm="forward").real[lags]
+    vx, vv = var_x0(ctx), var_v0(ctx)
+    hint = ctx.kernel.tail_class().exponent
+    scale = ctx.params.kbt / math.pi
+    taus = lags * dt
+    cxx = scale * integrate_oscillatory(lambda w: r11(ctx, w), taus, "cos", 0.0, left_exponent=hint)[0]
+    cvv = scale * integrate_oscillatory(lambda w: r22(ctx, w), taus, "cos", 0.0)[0]
+    cxv = scale * integrate_oscillatory(lambda w: trapped_densities(ctx, w)[2], taus, "sin", 0.0)[0]
+    assert abs(a.sum() - vx) <= 1e-3 * vx and np.abs(gxx - cxx).max() <= 1e-3 * vx
+    assert abs(d.sum() - vv) <= 1e-3 * vv and np.abs(gvv - cvv).max() <= 1e-3 * vv
+    assert abs(b.sum()) <= 1e-4 * math.sqrt(vx * vv)
+    assert np.abs(gxv - cxv).max() <= 1e-4 * math.sqrt(vx * vv)
+
+
 def test_spectral_sampler_offset_grid_samples_its_lags():
-    # t = 1e5 + 0.1 j samples the paths of its lags 0.1 j: the lattice follows
-    # the grid's length and step, not max |t| (which gave 8,000,073 bins)
+    # t = 1e5 + 0.1 j samples the paths of its lags 0.1 j: the bins follow
+    # the grid's length and step, not max |t|
     ctx = trapped_ctx("rouse:1")
     t = 1e5 + 0.1 * np.arange(10)
-    edges = default_spectral_grid(ctx, t_max=0.9)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
-    assert lattice.size == 72 and lattice.bytes_per_path < 2**20
+    assert simulate._bin_blocks(ctx, t.size, 0.1)[0].size == 72
     tracemalloc.start()
     try:
-        ens = spectral_sample(ctx, edges, t, 200, seed=5)
+        ens = spectral_sample(ctx, t, 200, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 2**20
     assert np.array_equal(ens.times, t)
-    lags = spectral_sample(ctx, edges, 0.1 * np.arange(10), 200, seed=5)
+    lags = spectral_sample(ctx, 0.1 * np.arange(10), 200, seed=5)
     for label in ("x", "v"):
         got, ref = ens.column(label), lags.column(label)
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-def test_spread_node_count():
-    # Lagrange remainder of exp(i w t) below 2^-53 on the default grids (theta
-    # = pi/4), and the two nodes that carry every cell at t = 0
-    assert simulate._node_count(math.pi / 4) == 38
-    assert simulate._node_count(math.pi / 8) == 22
-    assert simulate._node_count(0.0) == 2
-    # from theta = 2 on the remainder bound never falls to 2^-53
-    for theta in (2.0, math.pi, math.nan):
-        with pytest.raises(ValueError):
-            simulate._node_count(theta)
-
-
-def _equal_width_tail(edges):
-    # the trailing run of cells as wide as the last one
-    widths = np.diff(edges)
-    return np.flatnonzero(np.abs(widths - widths[-1]) > 1e-6 * widths[-1])[-1] + 1
-
-
-@pytest.mark.parametrize("t_max", [0.0, 100.0, 200.0, 500.0])
-def test_default_grid_unchanged_to_t_max_500(t_max):
-    # the tail is built from exact multiples of its step; the edges of
-    # np.arange(1.0 + step, 50.0 + step, step), which it replaced, differ by
-    # rounding only
-    ctx = trapped_ctx("rouse:1")
-    step = min(0.05, math.pi / (4.0 * t_max)) if t_max else 0.05
-    tail = 1.0 + step * np.arange(1, math.ceil(49.0 / step) + 1)
-    old_tail = np.arange(1.0 + step, 50.0 + step, step)
-    assert tail.size == old_tail.size
-    assert np.abs(tail / old_tail - 1.0).max() <= 1e-13
-    edges = default_spectral_grid(ctx, t_max=t_max)
-    assert np.array_equal(edges, np.concatenate([np.geomspace(1e-6, 1.0, 2400), tail]))
-
-
-def test_default_grid_reaches_long_horizons():
-    # the widest log cell (0.00574) passes pi/t_max beyond t_max ~ 547; the
-    # capped step takes over where it would
-    ctx = trapped_ctx("rouse:1")
-    for t_max in (1000.0, 1e4):
-        edges = default_spectral_grid(ctx, t_max=t_max)
-        widths = np.diff(edges)
-        assert widths.max() <= math.pi / t_max
-        assert edges[0] == 1e-6 and edges[-1] >= 50.0
-        k0 = _equal_width_tail(edges)
-        assert widths[k0:].max() == pytest.approx(math.pi / (4.0 * t_max), rel=1e-9)
-
-
-@pytest.mark.parametrize("t_max, dt", [(100.0, 0.1), (1e3, 0.1), (1e4, 0.1), (333.3, 0.07)])
-def test_default_grid_tail_sits_on_the_lattice(t_max, dt):
-    # the CLI's grid for its time grid: the tail step pi/(4 t_N) is the
-    # lattice step 2 pi/(8 N dt), so each tail cell takes one node
-    ctx = trapped_ctx("rouse:1")
-    t = simulate.sample_times(dt, t_max)
-    edges = default_spectral_grid(ctx, t_max=float(t[-1]))
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    lattice = simulate._Lattice(mids, np.ones(mids.size), t)
-    k0 = _equal_width_tail(edges)
-    assert mids.size - k0 > 6000
-    assert np.all(_nodes_per_cell(lattice)[k0:] == 1)
+def test_spectral_bins_reach_long_horizons():
+    # t_max 1000 at dt 0.1: 80,000 bins 2 pi/8000 wide, each block positive
+    # semidefinite, holding both variances
+    ctx = trapped_ctx("powerlaw:0.5")
+    a, b, d = simulate._bin_blocks(ctx, 10001, 0.1)
+    assert a.size == 80000
+    assert np.all(a * d - b * b >= -1e-15 * (a * d).max())
+    assert a.sum() == pytest.approx(var_x0(ctx), rel=1e-6)
+    assert d.sum() == pytest.approx(var_v0(ctx), rel=1e-6)
 
 
 @pytest.mark.parametrize("dt, t_max", [
@@ -504,19 +461,19 @@ def test_sample_times_rejects_bad_step_or_horizon(dt, t_max):
 
 def test_spectral_sampler_needs_uniform_times():
     ctx = trapped_ctx("rouse:1")
-    with pytest.raises(SamplingGridError):
-        spectral_sample(ctx, default_spectral_grid(ctx, t_max=3.0), [0.0, 1.0, 3.0], 4, seed=0)
+    for t in ([0.0, 1.0, 3.0], [], [[0.0, 1.0]]):
+        with pytest.raises(SamplingGridError):
+            spectral_sample(ctx, t, 4, seed=0)
 
 
 def test_spectral_sampler_memory_bounded():
     # the cells x times cos/sin matrices of a dense synthesis trace 875 MiB
-    # here, direct sums of the log cells 98 MiB, this sampler 48 MiB
+    # here; this sampler holds its 16 MB of paths and a block of pairs
     ctx = trapped_ctx("rouse:1")
-    grid = default_spectral_grid(ctx, t_max=200.0)
     t = np.arange(0.0, 200.0 + 0.1, 0.1)
     tracemalloc.start()
     try:
-        spectral_sample(ctx, grid, t, 500, seed=2)
+        spectral_sample(ctx, t, 500, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,3 +524,6 @@ def test_simulate_of_exact_atoms_skips_optimize(tmp_path, method):
         "--n-paths", "4", "--dt", "0.5", "--t-max", "2",
     )
     assert "scipy.optimize" not in modules
+    if method == "spectral":
+        # scipy.sparse no longer, and rouse needs no special functions
+        assert modules == set()
