@@ -12,6 +12,7 @@ bins of their time grid.
 import numpy as np
 
 from gle_spectra import (
+    POSITION_INTEGRAL,
     GleParams,
     SpectralDensityCtx,
     ensemble_msd,
@@ -37,7 +38,7 @@ print(f"  Var(x) = {cov[0, 0]:.10f}  (kbt/gamma = {params.kbt / params.gamma})")
 print(f"  Var(v) = {cov[1, 1]:.10f}  (kbt/m     = {params.kbt / params.m})")
 
 ens = simulate_paths(sde, dt=0.1, t_max=60.0, n_paths=4000, seed=11)
-curve = ensemble_msd(ens, "x_integral")
+curve = ensemble_msd(ens, POSITION_INTEGRAL)
 ctx = SpectralDensityCtx(params, kernel)
 print("\nensemble MSD vs quadrature (4000 paths, exact integrator):")
 for target in (2.0, 10.0, 60.0):
@@ -56,7 +57,7 @@ scov = lyapunov_stationary_cov(surrogate_sde)
 print(f"  surrogate equipartition: gamma Var(x)/kbt = {params.gamma * scov[0, 0]:.8f}")
 
 print("\nspectral sampler (8000 stationary paths on t = 0, 0.1, ..., 10):")
-ens2 = spectral_sample(ctx, 0.1 * np.arange(101), 8000, seed=5)
+ens2 = spectral_sample(ctx, 0.1, 10.0, 8000, seed=5)
 x, v = ens2.column("x"), ens2.column("v")
 # E[x(0) v(1)] = d/dt C_xx(1) = -(kbt/pi) Int w r11(w) sin(w) dw
 xv1 = -params.kbt / np.pi * integrate_oscillatory(lambda w: r12(ctx, w).imag, 1.0, "sin", 0.0)[0]

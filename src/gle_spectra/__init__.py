@@ -17,7 +17,6 @@ from .errors import (
     OscillationPreconditionError,
     PronyAccuracyError,
     QuadratureError,
-    SamplingGridError,
     SdeError,
     ToleranceNotMet,
     TransformDomainError,

@@ -35,7 +35,6 @@ from .simulate import (
     lyapunov_stationary_cov,
     markovian_embedding,
     prony_fit,
-    sample_times,
     simulate_paths,
     spectral_sample,
 )
@@ -79,14 +78,17 @@ def parse_config(text):
         q = doc["quad"]
         if not isinstance(q, dict):
             raise ConfigError("quad", "must be an object")
+        values = {}
+        for key in ("rel_tol", "abs_tol", "max_subdivisions"):
+            try:
+                values[key] = float(q.get(key, getattr(DEFAULT_QUAD, key)))
+            except (TypeError, ValueError):
+                raise ConfigError("quad", f"{key} must be a number")
+        steps = values.pop("max_subdivisions")
+        if not steps.is_integer():
+            raise ConfigError("quad", "max_subdivisions must be a whole number")
         try:
-            quad = QuadConfig(
-                rel_tol=float(q.get("rel_tol", DEFAULT_QUAD.rel_tol)),
-                abs_tol=float(q.get("abs_tol", DEFAULT_QUAD.abs_tol)),
-                max_subdivisions=int(
-                    q.get("max_subdivisions", DEFAULT_QUAD.max_subdivisions)
-                ),
-            )
+            quad = QuadConfig(**values, max_subdivisions=int(steps))
         except ValueError as exc:
             raise ConfigError("quad", str(exc))
     return SpectralDensityCtx(GleParams(**fields), kernel, quad)
@@ -246,9 +248,9 @@ def _cmd_simulate(args):
     else:
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")
-        ens = spectral_sample(ctx, sample_times(args.dt, args.t_max), args.n_paths, args.seed)
+        ens = spectral_sample(ctx, args.dt, args.t_max, args.n_paths, args.seed)
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
-    quantity = "x_integral" if "x" in ens.labels else "v_integral"
+    quantity = POSITION_INTEGRAL if "x" in ens.labels else VELOCITY_INTEGRAL
     curve = ensemble_msd(ens, quantity)
     _emit_csv("t,msd,stderr", (curve.times, curve.values, curve.stderr), args.output)
     p = ctx.params

@@ -52,11 +52,6 @@ class PronyAccuracyError(GleError):
         self.achieved = achieved
 
 
-class SamplingGridError(GleError):
-    """Time grid the spectral sampler cannot sample: not a non-empty
-    arithmetic progression."""
-
-
 class FitRejectedError(GleError):
     pass
 

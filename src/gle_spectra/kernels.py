@@ -132,10 +132,10 @@ class BernsteinMeasure:
 
     def __post_init__(self):
         for x, w in self.atoms:
-            if x <= 0:
-                raise ValueError("atoms must sit at x > 0 (no mass at the origin)")
-            if w <= 0:
-                raise ValueError("atom weights must be positive")
+            if not 0 < x < math.inf:
+                raise ValueError("atoms must sit at finite x > 0 (no mass at the origin)")
+            if not 0 < w < math.inf:
+                raise ValueError("atom weights must be finite and positive")
 
     def nodes(self):
         """Quadrature representation (locations, weights) of the measure."""
@@ -335,8 +335,8 @@ class GeneralizedRouse(ExpMixture):
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        if len(self.taus) == 0 or any(t <= 0 for t in self.taus):
-            raise ValueError("relaxation times must be positive and nonempty")
+        if len(self.taus) == 0 or not all(0 < t < math.inf for t in self.taus):
+            raise ValueError("relaxation times must be finite, positive and nonempty")
         n = len(self.taus)
         atoms = tuple((1.0 / tau, 1.0 / n) for tau in self.taus)
         object.__setattr__(self, "measure", BernsteinMeasure(atoms=atoms))
@@ -358,8 +358,8 @@ class Gaussian(MemoryKernel):
     routes = _PHI_ROUTES
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("gaussian scale must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("gaussian scale must be finite and > 0")
 
     def eval(self, t):
         return np.exp(-self.scale * _abs_t(t) ** 2)
@@ -390,10 +390,10 @@ class Cauchy(MemoryKernel):
     routes = _PHI_ROUTES
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("cauchy alpha must be > 0")
-        if not self.scale > 0:
-            raise ValueError("cauchy scale must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("cauchy alpha must be finite and > 0")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("cauchy scale must be finite and > 0")
 
     def eval(self, t):
         return (1.0 + (_abs_t(t) / self.scale) ** 2) ** (-self.alpha)
@@ -605,7 +605,11 @@ def parse_kernel_spec(text):
             raise ValueError("expmix spec must reference a file: expmix:@atoms.json")
         with open(arg[1:], encoding="utf-8") as fh:
             pairs = json.load(fh)
-        return ExpMixture(
-            BernsteinMeasure(atoms=tuple((float(x), float(w)) for x, w in pairs))
-        )
+        try:
+            atoms = tuple((float(x), float(w)) for x, w in pairs)
+        except (TypeError, ValueError):
+            atoms = ()
+        if not atoms:
+            raise ValueError("expmix atom file must hold [[x, w], ...] numbers")
+        return ExpMixture(BernsteinMeasure(atoms=atoms))
     raise ValueError(f"unknown kernel spec {text!r}")

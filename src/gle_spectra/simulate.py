@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .errors import GleError, PronyAccuracyError, SamplingGridError, SdeError
-from .kernels import BernsteinMeasure, kernel_eval
+from .errors import PronyAccuracyError, SdeError
+from .kernels import BernsteinMeasure, ExpMixture, kernel_eval
 from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve, var_v0, var_x0
 from .quad import integrate_geometric, integrate_to_infinity
 from .spectra import trapped_densities
@@ -71,18 +71,15 @@ class PronyFit:
 def prony_fit(kernel, n_modes, t_range, rtol=None):
     """Approximate a kernel by n_modes exponential atoms on t_range.
 
-    Kernels that already are finite exponential sums with at most n_modes
-    atoms are returned exactly.  Otherwise the rates are fixed log-spaced
-    across the reciprocal time window and only the weights are fitted, by
-    one linear program: minimize s subject to |sum_j w_j exp(-t x_j)/K(t) - 1|
-    <= s and w >= 0 on a 700-point log grid, the grid the error is reported
-    on.  A kernel whose ``bernstein()`` raises a GleError
-    (NoBernsteinRepresentation, UnrepresentableError) is fitted; any other
-    exception from it propagates.  Where no nonnegative sum beats the zero
-    kernel the fit has no atoms and error 1.  PronyAccuracyError is raised
-    where K is not positive on the grid (the error is relative to K), where
-    the solver fails, and where ``rtol`` is given and the achieved
-    sup-relative error exceeds it.
+    An ExpMixture (GeneralizedRouse among them) with at most n_modes atoms
+    is returned exactly.  Otherwise the rates are fixed log-spaced across the
+    reciprocal time window and only the weights are fitted, by one linear
+    program: minimize s subject to |sum_j w_j exp(-t x_j)/K(t) - 1| <= s and
+    w >= 0 on a 700-point log grid, the grid the error is reported on.
+    Where no nonnegative sum beats the zero kernel the fit has no atoms and
+    error 1.  PronyAccuracyError is raised where K is not positive on the
+    grid (the error is relative to K), where the solver fails, and where
+    ``rtol`` is given and the achieved sup-relative error exceeds it.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (0 < t_lo < t_hi):
@@ -92,16 +89,9 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
 
     ts = np.geomspace(t_lo, t_hi, 700)
     kv = kernel_eval(kernel, ts)
-    try:
-        measure = kernel.bernstein()
-        exact_atoms = (
-            measure.density is None
-            and measure.measure_of == "kernel"
-            and 0 < len(measure.atoms) <= n_modes
-        )
-    except GleError:  # no measure, or one past the double range
-        exact_atoms = False
-    if not exact_atoms:
+    if isinstance(kernel, ExpMixture) and 0 < len(kernel.measure.atoms) <= n_modes:
+        measure = kernel.measure
+    else:
         from scipy.optimize import linprog
 
         if not np.all(kv > 0):  # the fit is relative to K
@@ -150,8 +140,6 @@ def markovian_embedding(params, measure):
     if measure.density is not None:
         raise SdeError("embedding needs a finite atom list (fit a Prony surrogate first)")
     atoms = measure.atoms
-    if any(x <= 0 or w <= 0 for x, w in atoms):
-        raise SdeError("invalid embedding: atom rates and weights must be positive")
     n = len(atoms)
     trapped = params.trapped
     dim = (2 if trapped else 1) + 2 * n
@@ -292,19 +280,16 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
 
 
 def ensemble_msd(ens, quantity):
-    """Ensemble second moment of Int_0^t x ds (``"x_integral"``) or
-    Int_0^t v ds (``"v_integral"``).
+    """Ensemble second moment of Int_0^t x ds (POSITION_INTEGRAL) or
+    Int_0^t v ds (VELOCITY_INTEGRAL), the quantities of compute_msd_curve.
 
     Path integrals use the cumulative trapezoid rule on the saved grid;
     standard errors are across-path errors of the squared integral.
     """
-    if quantity == "x_integral":
-        col, q = "x", POSITION_INTEGRAL
-    elif quantity == "v_integral":
-        col, q = "v", VELOCITY_INTEGRAL
-    else:
+    columns = {POSITION_INTEGRAL: "x", VELOCITY_INTEGRAL: "v"}
+    if quantity not in columns:
         raise ValueError(f"unknown quantity {quantity!r}")
-    y = ens.column(col)
+    y = ens.column(columns[quantity])
     t = np.asarray(ens.times, dtype=float)
     steps = np.diff(t)
     increments = 0.5 * (y[:, 1:] + y[:, :-1]) * steps
@@ -314,27 +299,24 @@ def ensemble_msd(ens, quantity):
     msd = sq.mean(axis=0) if ens.n_paths else np.zeros(t.size - 1)
     se = sq.std(axis=0, ddof=1) / math.sqrt(n) if ens.n_paths > 1 else np.zeros(t.size - 1)
     return MsdCurve(
-        times=tuple(t[1:]), values=tuple(msd), quantity=q, stderr=tuple(se)
+        times=tuple(t[1:]), values=tuple(msd), quantity=quantity, stderr=tuple(se)
     )
 
 
-def spectral_sample(ctx, t_grid, n_paths, seed):
+def spectral_sample(ctx, dt, t_max, n_paths, seed):
     """Synthesize stationary (x, v) paths directly from the spectral density.
 
-    ``t_grid`` must be a non-empty arithmetic progression (to rounding), or
-    SamplingGridError is raised; the paths are sampled at the lags t - t_0,
-    and ``Ensemble.times`` holds the given times.  A pair of paths scales two
-    complex normals per FFT bin by the Cholesky factor [[sqrt a, 0],
-    [i b/sqrt a, sqrt(d - b^2/a)]] of the bin's ``_bin_blocks`` block and
-    sums the bins with one inverse FFT per coordinate: the real part is one
-    path, the imaginary part an independent other.  Pair p takes normals
-    4 M p to 4 M (p + 1) of the Philox stream keyed by ``seed``, whatever
-    the block of pairs.  Cost O(n_paths M log M), memory O(M + n_paths N).
+    The paths hold the times sample_times(dt, t_max), those of
+    simulate_paths; a t_max below dt gives the one time 0, a stationary
+    (x, v) pair.  A pair of paths scales two complex normals per FFT bin by
+    the Cholesky factor [[sqrt a, 0], [i b/sqrt a, sqrt(d - b^2/a)]] of the
+    bin's ``_bin_blocks`` block and sums the bins with one inverse FFT per
+    coordinate: the real part is one path, the imaginary part an independent
+    other.  Pair p takes normals 4 M p to 4 M (p + 1) of the Philox stream
+    keyed by ``seed``, whatever the block of pairs.  Cost O(n_paths M log M),
+    memory O(M + n_paths N).
     """
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    dt = _uniform_step(t) if t.ndim == 1 and t.size else None
-    if dt is None:
-        raise SamplingGridError("time grid must be a non-empty arithmetic progression")
+    t = sample_times(dt, t_max)
     # the output first: allocated after the bins' temporaries, it raised the
     # peak RSS of the CLI's 500-path requests
     data = np.empty((n_paths + n_paths % 2, t.size, 2))
@@ -364,34 +346,22 @@ def spectral_sample(ctx, t_grid, n_paths, seed):
     return Ensemble(times=t, data=data[:n_paths], labels=("x", "v"))
 
 
-def _uniform_step(values):
-    """Step of ``values`` as an arithmetic progression, or None if it is not
-    one to rounding.  A single value has step 0."""
-    if values.size < 2:
-        return 0.0
-    step = (values[-1] - values[0]) / (values.size - 1)
-    line = values[0] + step * np.arange(values.size)
-    if np.abs(values - line).max() > 16 * np.finfo(float).eps * np.abs(values).max():
-        return None
-    return step
-
-
 def _bin_blocks(ctx, n, dt):
     """The blocks [[a, -i b], [i b, d]] of the FFT bins of n times dt apart.
 
     On lags dt apart w and w + 2 pi/dt cannot be told apart, so the M =
-    8 (n - 1) bins h = 2 pi/(M |dt|) wide hold all of kbt/(2 pi) r11(w)
+    8 (n - 1) bins h = 2 pi/(M dt) wide hold all of kbt/(2 pi) r11(w)
     (1, i w)^T (1, -i w) dw: bin m every w within h/2 of m h + 2 pi k/dt.
     On w > 0: integrate_geometric on [0, h/2], Gauss-Legendre nodes on the
-    bins to pi/|dt| + h/2, one node a bin on _IMAGES periods past them, and
+    bins to pi/dt + h/2, one node a bin on _IMAGES periods past them, and
     the rest of the r11 and r22 mass (r22 decays only like w^-2) spread
-    evenly.  A negative w holds the conjugate block, and a negative dt
-    reverses b.  One time, or a zero step, has one bin: the variances.
+    evenly.  A negative w holds the conjugate block.  One time has one bin:
+    the variances.
     """
-    if not dt:
+    if n == 1:
         return np.array([var_x0(ctx)]), np.zeros(1), np.array([var_v0(ctx)])
     size = 8 * (n - 1)
-    half, h = size // 2, 2.0 * math.pi / (size * abs(dt))
+    half, h = size // 2, 2.0 * math.pi / (size * dt)
     tail = (2 * _IMAGES + 1) * half  # the first bin past the last image
     sums = np.zeros((3, size))  # of r11, r22, w r11 = Im r12
     # 4 Gauss-Legendre nodes on bins 1 .. half and one node a bin past them,
@@ -416,4 +386,4 @@ def _bin_blocks(ctx, n, dt):
     mirror = np.roll(sums[:, ::-1], 1, axis=1)  # bin -m is bin M - m
     scale = ctx.params.kbt / (2.0 * math.pi)
     a, d = scale * (sums[:2] + mirror[:2] + 2.0 * rest[:, None] / size)
-    return a, math.copysign(scale, dt) * (sums[2] - mirror[2]), d
+    return a, scale * (sums[2] - mirror[2]), d

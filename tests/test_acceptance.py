@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 
 from gle_spectra import (
+    POSITION_INTEGRAL,
     GleParams,
     SpectralDensityCtx,
     abelian_limits,
@@ -271,7 +272,7 @@ def test_criterion_9_monte_carlo_consistency():
         f"sample Var(v) = {var_v:.4f} within 3 SE ({3 * se:.4f}) of kbt/m = 1 "
         f"and of Lyapunov {cov[1, 1]:.6f}",
     )
-    curve = ensemble_msd(ens, "x_integral")
+    curve = ensemble_msd(ens, POSITION_INTEGRAL)
     ctx = fresh_ctx("rouse:1")
     worst = 0.0
     for target in (1.0, 3.16, 10.0, 31.6, 100.0):
@@ -291,7 +292,7 @@ def test_criterion_9_monte_carlo_consistency():
 def test_criterion_10_spectral_sampler():
     ctx = fresh_ctx("rouse:1")
     n_paths = 10_000
-    ens = spectral_sample(ctx, [0.0], n_paths, seed=99)
+    ens = spectral_sample(ctx, 1.0, 0.5, n_paths, seed=99)  # the one time 0
     x0 = ens.column("x")[:, 0]
     v0 = ens.column("v")[:, 0]
     vx, vv = var_x0(ctx), var_v0(ctx)

@@ -100,6 +100,10 @@ def test_parse_config_field_errors():
         ({"kernel": "powerlaw:1.5"}, "kernel: powerlaw alpha must lie in (0, 1)"),
         ({"quad": 1e-9}, "quad: must be an object"),
         ({"quad": {"rel_tol": 0}}, "quad: tolerances must be positive"),
+        ({"quad": {"rel_tol": None}}, "quad: rel_tol must be a number"),
+        ({"quad": {"max_subdivisions": [3]}}, "quad: max_subdivisions must be a number"),
+        ({"quad": {"rel_tol": math.nan}}, "quad: tolerances must be positive"),
+        ({"quad": {"max_subdivisions": 2.7}}, "quad: max_subdivisions must be a whole number"),
     ],
 )
 def test_parse_config_error_paths_and_messages(change, message):
@@ -142,6 +146,34 @@ def test_expmix_atoms_file_read_once_per_request(argv, tmp_path, monkeypatch, ca
 def test_unknown_subcommand_usage_exit():
     code, _, err = run_cli("frobnicate")
     assert code == 2
+
+
+# kernel parameters that are not finite positive numbers, and atom files that
+# are not a non-empty list of such [x, w] pairs
+@pytest.mark.parametrize(
+    "spec, atoms",
+    [
+        ("rouse:nan", None),
+        ("cauchy:inf,1", None),
+        ("cauchy:1,inf", None),
+        ("gaussian:inf", None),
+        ("expmix:@", "[[NaN, 1]]"),
+        ("expmix:@", "[[1, Infinity]]"),
+        ("expmix:@", "[[1e400, 1]]"),
+        ("expmix:@", "[1, 2]"),
+        ("expmix:@", "[[1, null]]"),
+        ("expmix:@", "[]"),
+    ],
+)
+def test_transform_rejects_kernel_inputs_that_are_not_finite(spec, atoms, tmp_path, capsys):
+    if atoms is not None:
+        path = tmp_path / "atoms.json"
+        path.write_text(atoms)
+        spec += str(path)
+    assert main(["transform", "--kernel", spec, "--omega", "1,2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_transform_csv(tmp_path):
@@ -453,6 +485,17 @@ def test_simulate_without_statistics_rejected(extra, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_simulate_spectral_free_particle_rejected(free_cfg_file, capsys):
+    argv = ["simulate", "--config", free_cfg_file, "--method", "spectral", "--n-paths", "8",
+            "--t-max", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "spectral sampling needs gamma > 0"
+    }
 
 
 @pytest.mark.parametrize("method", ["markovian", "spectral"])

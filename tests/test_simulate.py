@@ -14,10 +14,8 @@ from gle_spectra.spectra import r11, r22, trapped_densities
 from gle_spectra import (
     BernsteinMeasure,
     GleParams,
-    MemoryKernel,
     POSITION_INTEGRAL,
     PronyAccuracyError,
-    SamplingGridError,
     SdeError,
     UnrepresentableError,
     VELOCITY_INTEGRAL,
@@ -53,19 +51,6 @@ def test_prony_powerlaw_two_percent():
     assert fit.sup_rel_error < 0.02
     assert all(x > 0 and w > 0 for x, w in fit.measure.atoms)
     assert len(fit.measure.atoms) <= 8
-
-
-def test_prony_propagates_a_fault_in_the_measure():
-    # only a GleError from bernstein() selects the fitted surrogate
-    class Broken(MemoryKernel):
-        def eval(self, t):
-            return np.exp(-np.abs(t))
-
-        def bernstein(self):
-            raise TypeError("bug in the measure")
-
-    with pytest.raises(TypeError, match="bug in the measure"):
-        prony_fit(Broken(), 2, (1e-2, 1e2))
 
 
 @pytest.mark.parametrize("spec, n_atoms, sup", [("powerlaw:0.01", 1, 0.127), ("powerlaw:0.04", 1, 0.0895)])
@@ -218,11 +203,11 @@ def test_simulate_zero_noise_msd():
     params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=0.0)
     sde = markovian_embedding(params, parse_kernel_spec("rouse:1").bernstein())
     ens = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=20, seed=0)
-    curve = ensemble_msd(ens, "x_integral")
+    curve = ensemble_msd(ens, POSITION_INTEGRAL)
     assert np.max(np.abs(curve.values)) == 0.0
 
 
-@pytest.mark.parametrize("quantity", [POSITION_INTEGRAL, VELOCITY_INTEGRAL, "x"])
+@pytest.mark.parametrize("quantity", ["x_integral", "v_integral", "x"])
 def test_ensemble_msd_takes_one_spelling(quantity):
     ens = simulate_paths(_one_atom_sde(), dt=0.1, t_max=1.0, n_paths=3, seed=0)
     with pytest.raises(ValueError, match="unknown quantity"):
@@ -254,7 +239,7 @@ def test_fluctuation_dissipation_of_noise():
 def test_ensemble_msd_matches_quadrature():
     sde = _one_atom_sde()
     ens = simulate_paths(sde, dt=0.05, t_max=50.0, n_paths=3000, seed=21)
-    curve = ensemble_msd(ens, "x_integral")
+    curve = ensemble_msd(ens, POSITION_INTEGRAL)
     ctx = trapped_ctx("rouse:1")
     for target in (2.0, 10.0, 50.0):
         i = int(np.argmin(np.abs(np.asarray(curve.times) - target)))
@@ -265,14 +250,14 @@ def test_ensemble_msd_v_saturates_to_2varx():
     sde = _one_atom_sde()
     cov = lyapunov_stationary_cov(sde)
     ens = simulate_paths(sde, dt=0.05, t_max=60.0, n_paths=3000, seed=22)
-    curve = ensemble_msd(ens, "v_integral")
+    curve = ensemble_msd(ens, VELOCITY_INTEGRAL)
     tail = np.asarray(curve.values)[np.asarray(curve.times) > 30.0]
     assert tail.mean() == pytest.approx(2.0 * cov[0, 0], rel=0.1)
 
 
 def test_spectral_sampler_moments():
     ctx = trapped_ctx("rouse:1")
-    ens = spectral_sample(ctx, [0.0], 8000, seed=3)
+    ens = spectral_sample(ctx, 1.0, 0.5, 8000, seed=3)  # the one time 0
     x0 = ens.column("x")[:, 0]
     v0 = ens.column("v")[:, 0]
     vx, vv = var_x0(ctx), var_v0(ctx)
@@ -294,7 +279,7 @@ def test_spectral_grid_discretization_bias():
 
 def test_spectral_sampler_zero_temperature():
     ctx = trapped_ctx("rouse:1", kbt=0.0)
-    ens = spectral_sample(ctx, [0.0, 1.0], 10, seed=0)
+    ens = spectral_sample(ctx, 1.0, 1.0, 10, seed=0)
     assert np.all(ens.data == 0.0)
 
 
@@ -302,9 +287,9 @@ def test_spectral_sampler_free_particle_rejected():
     from gle_spectra import TransformDomainError
 
     ctx = free_ctx("rouse:1")
-    for t in ([0.0], [0.0, 0.5, 1.0]):
+    for dt, t_max in ((1.0, 0.5), (0.5, 1.0)):
         with pytest.raises(TransformDomainError):
-            spectral_sample(ctx, t, 5, seed=0)
+            spectral_sample(ctx, dt, t_max, 5, seed=0)
 
 
 def test_simulate_time_blocks_bitwise(monkeypatch):
@@ -316,11 +301,11 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
     assert np.array_equal(whole.data, split.data)
 
 
-def _dense_spectral_paths(ctx, t, n_paths, seed):
+def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
     """The bins x times sum of the sampler's Philox normals, each bin's pair
     of complex normals scaled by numpy's Cholesky factor of its block."""
-    step = (t[-1] - t[0]) / (t.size - 1) if t.size > 1 else 0.0
-    a, b, d = simulate._bin_blocks(ctx, t.size, step)
+    t = simulate.sample_times(dt, t_max)
+    a, b, d = simulate._bin_blocks(ctx, t.size, dt)
     blocks = np.stack([np.stack([a, -1j * b], -1), np.stack([1j * b, d], -1)], -2)
     factor = np.linalg.cholesky(blocks)
     pairs = -(-n_paths // 2)
@@ -334,9 +319,8 @@ def _dense_spectral_paths(ctx, t, n_paths, seed):
     return paths[:n_paths, 0], paths[:n_paths, 1]
 
 
-# times 3.0 .. 22.9 step 0.1, sampled at the lags t - 3.0: M = 8 * 199 = 1592
-# bins of width h = 2 pi/(M dt)
-OFFSET_TIMES = 3.0 + 0.1 * np.arange(200)
+# times 0 .. 19.9 step 0.1: M = 8 * 199 = 1592 bins of width h = 2 pi/(M dt)
+GRID = (0.1, 19.9)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
@@ -345,27 +329,25 @@ def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
     ctx = trapped_ctx("powerlaw:0.5")
-    t = OFFSET_TIMES
-    ens = spectral_sample(ctx, t, 9, seed=17)
-    x_ref, v_ref = _dense_spectral_paths(ctx, t, 9, seed=17)
+    ens = spectral_sample(ctx, *GRID, 9, seed=17)
+    assert ens.times.size == 200
+    x_ref, v_ref = _dense_spectral_paths(ctx, *GRID, 9, seed=17)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(
-    "t",
+    "dt, t_max",
     [
-        np.array([5.0]),  # one time: lag 0, one bin
-        1.5 * np.arange(15),  # dt = 1.5: frequencies above pi/dt fold onto the bins below
-        OFFSET_TIMES[::-1],  # dt = -0.1: negative lags, the lags run backward
-        np.full(4, 2.0),  # a zero step: one bin for four equal times
+        (1.0, 0.5),  # one time: lag 0, one bin
+        (1.5, 21.0),  # dt = 1.5: frequencies above pi/dt fold onto the bins below
     ],
-    ids=["one-time", "folded", "decreasing", "zero-step"],
+    ids=["one-time", "folded"],
 )
-def test_spectral_sampler_grids_match_dense_sum(t):
+def test_spectral_sampler_grids_match_dense_sum(dt, t_max):
     ctx = trapped_ctx("powerlaw:0.5")
-    ens = spectral_sample(ctx, t, 5, seed=23)
-    x_ref, v_ref = _dense_spectral_paths(ctx, t, 5, seed=23)
+    ens = spectral_sample(ctx, dt, t_max, 5, seed=23)
+    x_ref, v_ref = _dense_spectral_paths(ctx, dt, t_max, 5, seed=23)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -373,18 +355,18 @@ def test_spectral_sampler_grids_match_dense_sum(t):
 def test_spectral_sampler_blocks_bitwise(monkeypatch):
     # pair p takes its own slice of the Philox stream, whatever the block
     ctx = trapped_ctx("rouse:1")
-    whole = spectral_sample(ctx, OFFSET_TIMES, 9, seed=4)
+    whole = spectral_sample(ctx, *GRID, 9, seed=4)
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 1592)  # 3 pairs a block
-    split = spectral_sample(ctx, OFFSET_TIMES, 9, seed=4)
+    split = spectral_sample(ctx, *GRID, 9, seed=4)
     assert np.array_equal(whole.data, split.data)
-    assert np.array_equal(spectral_sample(ctx, OFFSET_TIMES, 4, seed=4).data, whole.data[:4])
+    assert np.array_equal(spectral_sample(ctx, *GRID, 4, seed=4).data, whole.data[:4])
 
 
 def test_spectral_sampler_time_direction():
     # E[x(0) v(1)] = C_xx'(1) = -(kbt/pi) Int w r11 sin w dw = -0.383; the
     # time-reversed process reads +0.383
     ctx = trapped_ctx("rouse:1")
-    ens = spectral_sample(ctx, 0.1 * np.arange(101), 4000, seed=8)
+    ens = spectral_sample(ctx, 0.1, 10.0, 4000, seed=8)
     prod = ens.column("x")[:, 0] * ens.column("v")[:, 10]
     ref, _ = integrate_oscillatory(lambda w: trapped_densities(ctx, w)[2], 1.0, "sin", 0.0)
     ref *= -ctx.params.kbt / math.pi
@@ -420,26 +402,6 @@ def test_spectral_bins_match_engine_covariances(spec, dt):
     assert np.abs(gxv - cxv).max() <= 1e-4 * math.sqrt(vx * vv)
 
 
-def test_spectral_sampler_offset_grid_samples_its_lags():
-    # t = 1e5 + 0.1 j samples the paths of its lags 0.1 j: the bins follow
-    # the grid's length and step, not max |t|
-    ctx = trapped_ctx("rouse:1")
-    t = 1e5 + 0.1 * np.arange(10)
-    assert simulate._bin_blocks(ctx, t.size, 0.1)[0].size == 72
-    tracemalloc.start()
-    try:
-        ens = spectral_sample(ctx, t, 200, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert np.array_equal(ens.times, t)
-    lags = spectral_sample(ctx, 0.1 * np.arange(10), 200, seed=5)
-    for label in ("x", "v"):
-        got, ref = ens.column(label), lags.column(label)
-        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
-
-
 def test_spectral_bins_reach_long_horizons():
     # t_max 1000 at dt 0.1: 80,000 bins 2 pi/8000 wide, each block positive
     # semidefinite, holding both variances
@@ -455,25 +417,19 @@ def test_spectral_bins_reach_long_horizons():
     (0.1, math.inf), (0.1, math.nan), (math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0), (0.1, -1.0),
 ])
 def test_sample_times_rejects_bad_step_or_horizon(dt, t_max):
-    with pytest.raises(ValueError, match="dt and t_max must be finite and positive"):
-        simulate.sample_times(dt, t_max)
-
-
-def test_spectral_sampler_needs_uniform_times():
     ctx = trapped_ctx("rouse:1")
-    for t in ([0.0, 1.0, 3.0], [], [[0.0, 1.0]]):
-        with pytest.raises(SamplingGridError):
-            spectral_sample(ctx, t, 4, seed=0)
+    for sample in (simulate.sample_times, lambda dt, t_max: spectral_sample(ctx, dt, t_max, 4, 0)):
+        with pytest.raises(ValueError, match="dt and t_max must be finite and positive"):
+            sample(dt, t_max)
 
 
 def test_spectral_sampler_memory_bounded():
     # the cells x times cos/sin matrices of a dense synthesis trace 875 MiB
     # here; this sampler holds its 16 MB of paths and a block of pairs
     ctx = trapped_ctx("rouse:1")
-    t = np.arange(0.0, 200.0 + 0.1, 0.1)
     tracemalloc.start()
     try:
-        spectral_sample(ctx, t, 500, seed=2)
+        spectral_sample(ctx, 0.1, 200.0, 500, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
