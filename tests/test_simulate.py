@@ -13,10 +13,12 @@ from gle_spectra.quad import integrate_oscillatory
 from gle_spectra.spectra import r11, r22, trapped_densities
 from gle_spectra import (
     BernsteinMeasure,
+    ExpMixture,
     GleParams,
     POSITION_INTEGRAL,
     PronyAccuracyError,
     SdeError,
+    SpectralDensityCtx,
     UnrepresentableError,
     VELOCITY_INTEGRAL,
     ensemble_msd,
@@ -234,6 +236,36 @@ def test_fluctuation_dissipation_of_noise():
         for tau in (0.0, 1.0, 5.0):
             acf = e_s @ linalg.expm(sde.drift * tau) @ cov @ e_s / (TRAPPED.beta * TRAPPED.kbt)
             assert acf == pytest.approx(float(kernel_eval(kernel, tau)), abs=1e-10)
+
+
+def test_embedding_spectral_matrix_matches_densities():
+    # the spectral matrix S = (A - iw)^-1 B B^T (A - iw)^-H of the embedding
+    # is kbt times the densities of the kernel it embeds: r11, r22 and i Im r12
+    # on (x, v) in a trap, r22 on v for the free particle
+    surrogate = ExpMixture(prony_fit(parse_kernel_spec("powerlaw:0.5"), 8, (0.1, 100.0)).measure)
+    assert len(surrogate.measure.atoms) == 8
+    kernels = (parse_kernel_spec("rouse:1"), parse_kernel_spec("rouse:[1,2,3]"), surrogate)
+    omegas = np.array([0.05, 0.3, 1.0, 3.0, 20.0])
+    for kernel in kernels:
+        for m, lam, beta, gamma, kbt in ((1.0, 1.0, 1.0, 2.0, 1.0), (1.4, 0.6, 3.7, 2.3, 1.9)):
+            for trapped in (True, False):
+                params = GleParams(m=m, lam=lam, beta=beta, gamma=gamma if trapped else 0.0, kbt=kbt)
+                sde = markovian_embedding(params, kernel.bernstein())
+                ctx = SpectralDensityCtx(params, kernel)
+                eye = np.eye(sde.dim())
+                if trapped:
+                    want = kbt * np.array(trapped_densities(ctx, omegas))
+                else:
+                    want = kbt * r22(ctx, omegas)[None, :]
+                for i, w in enumerate(omegas):
+                    res = np.linalg.inv(sde.drift - 1j * w * eye)
+                    s = res @ sde.noise @ sde.noise.T @ res.conj().T
+                    if trapped:
+                        got = (s[0, 0], s[1, 1], -1j * s[1, 0])
+                    else:
+                        got = (s[0, 0],)
+                    for g, wv in zip(got, want[:, i]):
+                        assert abs(g - wv) <= 1e-12 * abs(wv), (kernel, params, w)
 
 
 def test_ensemble_msd_matches_quadrature():
