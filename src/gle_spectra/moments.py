@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import FitRejectedError, QuadratureError, TransformDomainError
 from .quad import (
-    integrate_adaptive,
     integrate_geometric,
     integrate_oscillatory,
     integrate_to_infinity,
@@ -156,29 +155,12 @@ def msd_v(ctx, t):
     return float(values) if t.ndim == 0 else values
 
 
-def cross_cov(ctx, t, diagnostic=False):
-    """E[Int_0^t x ds * Int_0^t v ds]: identically zero by parity.
-
-    With diagnostic=True the defining frequency integral is evaluated with a
-    quadrature rule applied symmetrically over +-w, so the returned magnitude
-    measures how well the numerical pipeline preserves the odd symmetry
-    (it should sit at roundoff level).
-    """
+def cross_cov(ctx, t):
+    """E[Int_0^t x ds * Int_0^t v ds]: identically zero by parity, since
+    r11 is even."""
     if not ctx.params.trapped:
         raise TransformDomainError("cross covariance needs gamma > 0")
-    if not diagnostic:
-        return 0.0
-    t = float(t)
-    cap = 50.0
-
-    def odd_pair_sum(w):
-        # weight |e^{itw} - 1|^2 / w^2 is even; w*r11(w) is odd, so the
-        # +-w contributions cancel pointwise iff r11 is evaluated evenly
-        weight = 4.0 * np.sin(0.5 * t * w) ** 2 / (w * w)
-        return weight * (w * r11(ctx, w) + (-w) * r11(ctx, -w))
-
-    val, _ = integrate_adaptive(odd_pair_sum, 1e-8, cap, ctx.quad)
-    return (ctx.params.kbt / (2.0 * math.pi)) * val
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -221,6 +203,16 @@ def equipartition_report(ctx):
     )
 
 
+def _check_times(times):
+    """Raise ValueError unless the times are a curve's: one axis of finite,
+    positive, strictly increasing values."""
+    t = np.asarray(times, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if t.ndim != 1 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
+        raise ValueError("times must be positive and strictly increasing")
+
+
 @dataclass(frozen=True)
 class MsdCurve:
     """Tabulated E|Int_0^t (.) ds|^2 on an increasing time grid.
@@ -239,11 +231,9 @@ class MsdCurve:
     def __post_init__(self):
         if self.quantity not in (POSITION_INTEGRAL, VELOCITY_INTEGRAL):
             raise ValueError(f"unknown quantity {self.quantity!r}")
-        t = np.asarray(self.times)
-        if not (np.isfinite(t).all() and np.isfinite(self.values).all()):
-            raise ValueError("times and values must be finite")
-        if t.ndim != 1 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
-            raise ValueError("times must be positive and strictly increasing")
+        _check_times(self.times)
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     def window(self, t_min, t_max):
         t = np.asarray(self.times)
@@ -253,8 +243,11 @@ class MsdCurve:
 
 def compute_msd_curve(ctx, times, quantity=POSITION_INTEGRAL):
     """The MSD curve of ``quantity`` on the times, evaluated as one batch,
-    with the quadrature error of every point."""
-    t, values, errors = _msd(ctx, np.atleast_1d(np.asarray(times, dtype=float)), quantity)
+    with the quadrature error of every point.  The times are checked
+    before any quadrature runs."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_times(t)
+    t, values, errors = _msd(ctx, t, quantity)
     return MsdCurve(
         times=tuple(t.tolist()),
         values=tuple(values.tolist()),

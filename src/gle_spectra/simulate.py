@@ -1,12 +1,13 @@
 """Monte Carlo cross-validation of the stationary theory.
 
 A sum-of-exponentials kernel K(t) = sum_n w_n exp(-x_n |t|) admits an exact
-Markovian embedding: auxiliary memory states z_n realize the convolution
-beta Int K(t-s) v(s) ds through dz_n = (v - x_n z_n) dt, and independent
-Ornstein-Uhlenbeck factors realize the thermal force with autocovariance
-beta*kbt*K(t-s).  The embedded system is a stable linear SDE, so its
-stationary covariance solves a Lyapunov equation exactly and paths can be
-propagated with the exact one-step Gaussian transition.
+Markovian embedding with one Ornstein-Uhlenbeck state u_n per atom,
+du_n = -(x_n u_n + beta w_n v) dt + sqrt(2 x_n beta kbt w_n) dW_n: the sum of
+the u_n is the memory force -beta Int K(t-s) v(s) ds plus a thermal force of
+autocovariance beta*kbt*K(t-s) (Ottobre & Pavliotis, Nonlinearity 24:1629,
+2011), and the state is (x, v, u_1..u_n).  The embedded system is a stable
+linear SDE, so its stationary covariance solves a Lyapunov equation exactly
+and paths can be propagated with the exact one-step Gaussian transition.
 
 General kernels enter through a Prony approximation with fixed log-spaced
 rates and nonnegative weights that minimize the largest relative error, one
@@ -132,38 +133,35 @@ def markovian_embedding(params, measure):
     """Linear SDE whose (x, v) marginal is the Langevin system with kernel
     K = sum w_n exp(-x_n |t|).
 
-    State layout: (x, v, z_1..z_N, s_1..s_N) in the trapped case, with x
-    dropped when gamma = 0.  The s_n are Ornstein-Uhlenbeck factors scaled so
-    that their sum has autocovariance beta*kbt*K(t-s); at kbt = 0 the noise
-    matrix vanishes.
+    State layout: (x, v, u_1..u_N), with x dropped when gamma = 0.  Atom
+    (x_n, w_n) adds the Ornstein-Uhlenbeck state
+    du_n = -(x_n u_n + beta w_n v) dt + sqrt(2 x_n beta kbt w_n) dW_n, and v
+    feels the force sum_n u_n / m: the memory force
+    -beta Int K(t-s) v(s) ds plus a thermal force of autocovariance
+    beta*kbt*K(t-s).  At kbt = 0 the noise matrix vanishes.  SdeError is
+    raised for a measure with a density part and for the measure of the
+    outer function of a phi(t^2) kernel.
     """
+    if measure.measure_of != "kernel":
+        raise SdeError("embedding needs the measure of the kernel, not of a phi(t^2) kernel's phi")
     if measure.density is not None:
         raise SdeError("embedding needs a finite atom list (fit a Prony surrogate first)")
-    atoms = measure.atoms
-    n = len(atoms)
-    trapped = params.trapped
-    dim = (2 if trapped else 1) + 2 * n
-    iv = 1 if trapped else 0
-    iz = iv + 1
-    iu = iz + n
-    a = np.zeros((dim, dim))
-    b = np.zeros((dim, 1 + n))
-    labels = (("x", "v") if trapped else ("v",)) + tuple(
-        f"z{k + 1}" for k in range(n)
-    ) + tuple(f"s{k + 1}" for k in range(n))
-    m = params.m
-    if trapped:
-        a[0, iv] = 1.0
-        a[iv, 0] = -params.gamma / m
-    a[iv, iv] = -params.lam / m
-    b[iv, 0] = math.sqrt(2.0 * params.lam * params.kbt) / m
-    for k, (x, w) in enumerate(atoms):
-        a[iz + k, iv] = 1.0
-        a[iz + k, iz + k] = -x
-        a[iv, iz + k] = -params.beta * w / m
-        a[iu + k, iu + k] = -x
-        a[iv, iu + k] = 1.0 / m
-        b[iu + k, 1 + k] = math.sqrt(2.0 * x * params.beta * params.kbt * w)
+    x, w = measure.nodes()
+    p, n = params, x.size
+    iv = 1 if p.trapped else 0
+    u = np.arange(iv + 1, iv + 1 + n)
+    a = np.zeros((iv + 1 + n, iv + 1 + n))
+    b = np.zeros((iv + 1 + n, 1 + n))
+    if p.trapped:
+        a[0, 1] = 1.0
+        a[1, 0] = -p.gamma / p.m
+    a[iv, iv] = -p.lam / p.m
+    a[iv, u] = 1.0 / p.m
+    a[u, iv] = -p.beta * w
+    a[u, u] = -x
+    b[iv, 0] = math.sqrt(2.0 * p.lam * p.kbt) / p.m
+    b[u, 1 + np.arange(n)] = np.sqrt(2.0 * x * p.beta * p.kbt * w)
+    labels = ("x", "v")[1 - iv :] + tuple(f"u{k + 1}" for k in range(n))
     return LinearSde(drift=a, noise=b, labels=labels)
 
 

@@ -27,6 +27,7 @@ from gle_spectra import (
     msd_v,
     msd_x,
     parse_kernel_spec,
+    r11,
     simulate_paths,
     spectral_sample,
     transform,
@@ -139,17 +140,20 @@ def test_criterion_4_velocity_integral_saturation():
 
 
 def test_criterion_5_orthogonality(rng):
+    # E[Int x Int v] vanishes because r11 is even: the +-w halves of its
+    # frequency integral cancel pointwise
     specs = list(EQUIPARTITION_PRESETS)
     cases = [(specs[i % len(specs)], rng.uniform(0.1, 50.0)) for i in range(10)]
+    w = np.geomspace(1e-8, 50.0, 200)
     worst = 0.0
     for spec, t in cases:
-        mag = abs(cross_cov(fresh_ctx(spec), t, diagnostic=True))
-        worst = max(worst, mag)
+        ctx = fresh_ctx(spec)
+        worst = max(worst, abs(cross_cov(ctx, t)), np.abs(r11(ctx, w) - r11(ctx, -w)).max())
     report(
         5,
-        worst < 1e-10,
-        f"numeric cross-covariance diagnostic: max |value| = {worst:.2e} < 1e-10 "
-        f"over 10 random (kernel, t) cases",
+        worst == 0.0,
+        f"cross_cov = 0 and r11(-w) = r11(w) at 200 w in [1e-8, 50]: max |difference| = "
+        f"{worst:.2e} over 10 random (kernel, t) cases",
     )
 
 

@@ -42,13 +42,16 @@ def test_kernel_bitwise(tmp_path):
     assert got == (GOLDEN / "kernel_powerlaw.csv").read_text()
 
 
-def test_simulate_bitwise(tmp_path):
+def test_simulate_bitwise(tmp_path, capsys):
     got = run_to_file(
         tmp_path,
         "simulate", "--config", str(CONFIGS / "trapped_rouse.json"),
         "--n-paths", "64", "--dt", "0.1", "--t-max", "5", "--seed", "7",
     )
     assert got == (GOLDEN / "simulate_rouse_seed7.csv").read_text()
+    # the summary on stdout equals its golden as JSON
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == json.loads((GOLDEN / "simulate_rouse_seed7_summary.json").read_text())
 
 
 def test_fit_exponent_bitwise(tmp_path):

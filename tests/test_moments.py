@@ -112,13 +112,6 @@ def test_cross_cov_zero():
     assert cross_cov(ctx, 0.0) == 0.0
 
 
-def test_cross_cov_diagnostic_magnitude(rng):
-    for spec in ("rouse:[1,2]", "powerlaw:0.5"):
-        ctx = trapped_ctx(spec)
-        for t in rng.uniform(0.2, 20.0, 3):
-            assert abs(cross_cov(ctx, t, diagnostic=True)) < 1e-10
-
-
 def test_equipartition_report_trapped():
     rep = equipartition_report(trapped_ctx("powerlaw:0.3"))
     assert rep.gamma_x_ratio == pytest.approx(1.0, abs=1e-3)
@@ -275,6 +268,20 @@ def test_curve_r11_call_budget(quantity, grid, budget, monkeypatch):
     calls = _count_r11(monkeypatch)
     compute_msd_curve(ctx, np.geomspace(*grid, 25), quantity)
     assert 0 < len(calls) <= budget
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[2.0, 1.0], [0.0, 1.0], [1.0, math.inf], [math.nan, 1.0]],
+    ids=["decreasing", "zero", "inf", "nan"],
+)
+@pytest.mark.parametrize("quantity", [POSITION_INTEGRAL, VELOCITY_INTEGRAL])
+def test_curve_checks_times_before_the_engine(times, quantity, monkeypatch):
+    # a grid the curve would refuse is refused before r11 is evaluated
+    calls = _count_r11(monkeypatch)
+    with pytest.raises(ValueError, match="times must be"):
+        compute_msd_curve(trapped_ctx("rouse:1"), times, quantity)
+    assert calls == []
 
 
 def test_curve_carries_quadrature_errors():

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import linalg
 from scipy.optimize import OptimizeResult
 
 from gle_spectra import simulate
@@ -22,7 +21,6 @@ from gle_spectra import (
     UnrepresentableError,
     VELOCITY_INTEGRAL,
     ensemble_msd,
-    kernel_eval,
     lyapunov_stationary_cov,
     markovian_embedding,
     msd_x,
@@ -121,9 +119,15 @@ def test_prony_accuracy_bound_enforced():
 
 def test_embedding_shapes_and_stability():
     sde = markovian_embedding(TRAPPED, parse_kernel_spec("rouse:1").bernstein())
-    assert sde.dim() == 4
-    assert sde.labels == ("x", "v", "z1", "s1")
+    assert sde.dim() == 3
+    assert sde.labels == ("x", "v", "u1")
     assert sde.is_stable()
+
+
+def test_embedding_rejects_a_phi_measure():
+    # the atoms of a phi(t^2) kernel's measure describe phi, not the kernel
+    with pytest.raises(SdeError, match="phi"):
+        markovian_embedding(TRAPPED, parse_kernel_spec("gaussian:1").bernstein())
 
 
 def test_embedding_classical_langevin():
@@ -225,19 +229,6 @@ def test_sample_variance_matches_lyapunov():
     assert abs(v.var(ddof=1) - cov[1, 1]) < 3.0 * se
 
 
-def test_fluctuation_dissipation_of_noise():
-    # the thermal force F = sum_n s_n / sqrt(beta kbt) of the embedding has
-    # the stationary autocovariance e_s^T expm(A tau) S e_s / (beta kbt) = K(tau)
-    for spec in ("rouse:1", "rouse:[1,2,3]"):
-        kernel = parse_kernel_spec(spec)
-        sde = markovian_embedding(TRAPPED, kernel.bernstein())
-        cov = lyapunov_stationary_cov(sde)
-        e_s = np.array([lab.startswith("s") for lab in sde.labels], dtype=float)
-        for tau in (0.0, 1.0, 5.0):
-            acf = e_s @ linalg.expm(sde.drift * tau) @ cov @ e_s / (TRAPPED.beta * TRAPPED.kbt)
-            assert acf == pytest.approx(float(kernel_eval(kernel, tau)), abs=1e-10)
-
-
 def test_embedding_spectral_matrix_matches_densities():
     # the spectral matrix S = (A - iw)^-1 B B^T (A - iw)^-H of the embedding
     # is kbt times the densities of the kernel it embeds: r11, r22 and i Im r12
@@ -328,7 +319,7 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
     # noise drawn a few steps at a time is the same stream as one draw
     sde = _one_atom_sde()
     whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 4)  # 3 steps of 12 paths x 4 noises
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 3)  # 3 steps of 12 paths x 3 noises
     split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
     assert np.array_equal(whole.data, split.data)
 
