@@ -125,6 +125,8 @@ _MSD = {POSITION_INTEGRAL: _position_integral, VELOCITY_INTEGRAL: _velocity_inte
 def _msd(ctx, t, quantity):
     """(t, values, errors) of the MSD of ``quantity`` at the times t, as
     arrays of t's shape."""
+    if quantity not in _MSD:
+        raise ValueError(f"unknown quantity {quantity!r}")
     if not ctx.params.trapped:
         raise TransformDomainError(_FREE_PARTICLE[quantity])
     t = np.asarray(t, dtype=float)

@@ -18,9 +18,12 @@ from the spectral densities on a uniform time grid of step dt.  Frequencies
 2 pi/dt apart cannot be told apart on that grid, so the frequency cells are
 the bins of one FFT: each bin holds the exact folded 2x2 spectral mass
 kbt/(2 pi) Int r11 (1, i w)^T (1, -i w) dw of its band and of the band's alias
-images, factored in closed form, and one inverse FFT per path pair and
-coordinate sums the bins (circulant embedding, Wood & Chan, J. Comput.
-Graph. Stat. 3:409, 1994).
+images.  The n sampled times see the bins' covariance only at lags 0 .. n - 1,
+so the paths are drawn from the smallest circulant of about 2n bins that
+holds those lags with positive semidefinite blocks (the exact circulant
+embedding, Wood & Chan, J. Comput. Graph. Stat. 3:409, 1994), or from the
+bins themselves where none does: each block is factored in closed form, and
+one inverse FFT per path pair and coordinate sums them.
 """
 
 from dataclasses import dataclass
@@ -306,26 +309,27 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
 
     The paths hold the times sample_times(dt, t_max), those of
     simulate_paths; a t_max below dt gives the one time 0, a stationary
-    (x, v) pair.  A pair of paths scales two complex normals per FFT bin by
-    the Cholesky factor [[sqrt a, 0], [i b/sqrt a, sqrt(d - b^2/a)]] of the
-    bin's ``_bin_blocks`` block and sums the bins with one inverse FFT per
-    coordinate: the real part is one path, the imaginary part an independent
-    other.  Pair p takes normals 4 M p to 4 M (p + 1) of the Philox stream
-    keyed by ``seed``, whatever the block of pairs.  Cost O(n_paths M log M),
+    (x, v) pair.  A pair of paths scales two complex normals per bin of the
+    L-bin circulant of ``_embedded_blocks`` by the Cholesky factor
+    [[sqrt a, 0], [i b/sqrt a, sqrt(d - b^2/a)]] of the bin's block and sums
+    the bins with one inverse FFT per coordinate: the real part is one path,
+    the imaginary part an independent other.  Pair p takes normals 4 L p to
+    4 L (p + 1) of the Philox stream keyed by ``seed``, whatever the block of
+    pairs.  Cost O(n_paths L log L) plus O(M log M) once for the M FFT bins,
     memory O(M + n_paths N).
     """
     t = sample_times(dt, t_max)
     # the output first: allocated after the bins' temporaries, it raised the
     # peak RSS of the CLI's 500-path requests
     data = np.empty((n_paths + n_paths % 2, t.size, 2))
-    a, b, d = _bin_blocks(ctx, t.size, dt)
-    # a d >= b^2 up to rounding: each block sums rank-one matrices with
-    # positive weights
+    a, b, d = _embedded_blocks(ctx, t.size, dt)
+    # a d >= b^2: each bin block sums rank-one matrices with positive
+    # weights, and an embedded block is clipped to it
     lxx = np.sqrt(a)
     lvx = np.divide(b, lxx, out=np.zeros(b.shape), where=lxx > 0)
     lvv, ivx = np.sqrt(np.maximum(d - lvx * lvx, 0.0)), 1j * lvx
-    # a pair works on 48 M bytes, its 4 M normals and a complex temporary of
-    # M; at half the budget the blocks stay below the CLI's ensemble MSD
+    # a pair works on 48 L bytes, its 4 L normals and a complex temporary of
+    # L; at half the budget the blocks stay below the CLI's ensemble MSD
     pairs, size = data.shape[0] // 2, a.size
     block = max(1, min(pairs, _BLOCK_BYTES // (2 * 48 * size)))
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -342,6 +346,44 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
         out = data[2 * start : 2 * (start + rows)].reshape(rows, 2, t.size, 2)
         out[:, 0], out[:, 1] = paths.real, paths.imag
     return Ensemble(times=t, data=data[:n_paths], labels=("x", "v"))
+
+
+def _embedded_blocks(ctx, n, dt):
+    """The blocks [[a, -i b], [i b, d]] of the smallest circulant that draws
+    the law of the FFT bins at n times dt apart.
+
+    The 2n x 2n covariance of the n times is set by the bins' covariance
+    Gamma_M(j dt) at lags j = 0 .. n - 1 alone.  The first of L = 2n, 4n, ...
+    below M whose blocks are positive semidefinite to rounding takes Gamma_M
+    at lags -L/2 .. L/2, with the odd xv entry 0 at the midpoint lag L/2 >= n
+    that no path uses (Wood & Chan's exact embedding).  Where none is, the M
+    bins are returned as they are.
+    """
+    a, b, d = _bin_blocks(ctx, n, dt)
+    size = a.size
+    # Gamma_xx, Gamma_vv and Gamma_xv = Cov(x(t + j dt), v(t)) at lags 0 .. M - 1
+    gamma = np.fft.ifft(np.stack([a, d, -1j * b]), norm="forward").real
+    tol = 8.0 * np.finfo(float).eps
+    length = 2 * n
+    while length < size:
+        half = length // 2
+        lags = np.concatenate([gamma[:, : half + 1], gamma[:, size - half + 1 :]], axis=1)
+        lags[2, half] = 0.0
+        blocks = np.fft.fft(lags) / length
+        ea, ed, eb = blocks[0].real, blocks[1].real, -blocks[2].imag
+        amax, dmax = ea.max(), ed.max()
+        if (
+            ea.min() >= -tol * amax
+            and ed.min() >= -tol * dmax
+            and np.min(ea * ed - eb * eb) >= -tol * amax * dmax
+        ):
+            # rounding may leave a block a few ulp indefinite: clipped to
+            # b^2 <= a d, the Cholesky factor's b/sqrt(a) stays below sqrt(d)
+            ea, ed = np.maximum(ea, 0.0), np.maximum(ed, 0.0)
+            root = np.sqrt(ea * ed)
+            return ea, np.clip(eb, -root, root), ed
+        length *= 2
+    return a, b, d
 
 
 def _bin_blocks(ctx, n, dt):

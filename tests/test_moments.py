@@ -284,6 +284,14 @@ def test_curve_checks_times_before_the_engine(times, quantity, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("ctx", [trapped_ctx("rouse:1"), free_ctx("rouse:1")], ids=["trapped", "free"])
+def test_curve_names_an_unknown_quantity(ctx, monkeypatch):
+    calls = _count_r11(monkeypatch)
+    with pytest.raises(ValueError, match="unknown quantity 'x'"):
+        compute_msd_curve(ctx, [1.0], "x")
+    assert calls == []
+
+
 def test_curve_carries_quadrature_errors():
     ctx = trapped_ctx("rouse:[1,2]")
     times = np.geomspace(0.1, 1e4, 6)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 from gle_spectra import simulate
@@ -325,10 +326,11 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
 
 
 def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
-    """The bins x times sum of the sampler's Philox normals, each bin's pair
-    of complex normals scaled by numpy's Cholesky factor of its block."""
+    """The bins x times sum of the sampler's Philox normals, each pair of
+    complex normals of a bin of the embedded circulant scaled by numpy's
+    Cholesky factor of its block."""
     t = simulate.sample_times(dt, t_max)
-    a, b, d = simulate._bin_blocks(ctx, t.size, dt)
+    a, b, d = simulate._embedded_blocks(ctx, t.size, dt)
     blocks = np.stack([np.stack([a, -1j * b], -1), np.stack([1j * b, d], -1)], -2)
     factor = np.linalg.cholesky(blocks)
     pairs = -(-n_paths // 2)
@@ -342,7 +344,8 @@ def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
     return paths[:n_paths, 0], paths[:n_paths, 1]
 
 
-# times 0 .. 19.9 step 0.1: M = 8 * 199 = 1592 bins of width h = 2 pi/(M dt)
+# times 0 .. 19.9 step 0.1: M = 8 * 199 = 1592 bins of width h = 2 pi/(M dt),
+# drawn on the L = 2 * 200 = 400 bins of their embedding
 GRID = (0.1, 19.9)
 
 
@@ -379,7 +382,7 @@ def test_spectral_sampler_blocks_bitwise(monkeypatch):
     # pair p takes its own slice of the Philox stream, whatever the block
     ctx = trapped_ctx("rouse:1")
     whole = spectral_sample(ctx, *GRID, 9, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 1592)  # 3 pairs a block
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 400)  # 3 pairs a block
     split = spectral_sample(ctx, *GRID, 9, seed=4)
     assert np.array_equal(whole.data, split.data)
     assert np.array_equal(spectral_sample(ctx, *GRID, 4, seed=4).data, whole.data[:4])
@@ -423,6 +426,66 @@ def test_spectral_bins_match_engine_covariances(spec, dt):
     assert abs(d.sum() - vv) <= 1e-3 * vv and np.abs(gvv - cvv).max() <= 1e-3 * vv
     assert abs(b.sum()) <= 1e-4 * math.sqrt(vx * vv)
     assert np.abs(gxv - cxv).max() <= 1e-4 * math.sqrt(vx * vv)
+
+
+def _lag_covariances(a, b, d, n):
+    """Gamma_xx, Gamma_vv and Gamma_xv of the blocks at lags 0 .. n - 1."""
+    return np.fft.ifft(np.stack([a, d, -1j * b]), norm="forward").real[:, :n]
+
+
+def _assert_embedding_keeps_the_law(ctx, n, dt):
+    """The embedded blocks are positive semidefinite and hold the bins'
+    covariances at lags 0 .. n - 1 within 1e-12 of the variances; returns
+    the number of bins."""
+    bins = simulate._bin_blocks(ctx, n, dt)
+    a, b, d = simulate._embedded_blocks(ctx, n, dt)
+    assert a.min() >= 0.0 and d.min() >= 0.0
+    assert np.all(a * d - b * b >= -1e-15 * (a * d).max())
+    want, got = _lag_covariances(*bins, n), _lag_covariances(a, b, d, n)
+    gxx, gvv = want[0, 0], want[1, 0]
+    scales = np.array([gxx, gvv, math.sqrt(gxx * gvv)])
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scales)
+    return a.size
+
+
+@pytest.mark.parametrize("spec, dt", _LAW_CASES)
+def test_embedded_blocks_keep_the_bins_law(spec, dt):
+    n = round(100.0 / dt) + 1
+    size = _assert_embedding_keeps_the_law(trapped_ctx(spec), n, dt)
+    assert size < 8 * (n - 1)
+
+
+@pytest.mark.parametrize("t_max", [100.0, 200.0])
+def test_embedding_takes_twice_the_times(t_max):
+    # the M = 8 (n - 1) bins of the benchmark's spectral requests shrink to 2n
+    n = round(t_max / 0.1) + 1
+    a, b, d = simulate._embedded_blocks(trapped_ctx("powerlaw:0.5"), n, 0.1)
+    assert a.size == b.size == d.size == 2 * n
+
+
+def test_embedding_falls_back_to_the_bins():
+    # undamped but for a stiff trap: no circulant below M is positive
+    ctx = trapped_ctx("rouse:1", lam=0.0, gamma=50.0)
+    n = simulate.sample_times(0.1, 100.0).size
+    for got, want in zip(simulate._embedded_blocks(ctx, n, 0.1), simulate._bin_blocks(ctx, n, 0.1)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.floats(0.2, 5.0),
+    lam=st.floats(0.0, 3.0),
+    gamma=st.floats(0.1, 10.0),
+    kbt=st.floats(0.1, 5.0),
+    spec=st.one_of(
+        st.sampled_from(("rouse:1", "rouse:[0.5,4]", "one-plus-t-inverse")),
+        st.floats(0.1, 0.9).map(lambda alpha: f"powerlaw:{alpha}"),
+    ),
+    dt=st.floats(0.05, 1.0),
+    n=st.integers(2, 400),
+)
+def test_embedding_keeps_the_law_of_any_trap(m, lam, gamma, kbt, spec, dt, n):
+    _assert_embedding_keeps_the_law(trapped_ctx(spec, m=m, lam=lam, gamma=gamma, kbt=kbt), n, dt)
 
 
 def test_spectral_bins_reach_long_horizons():
