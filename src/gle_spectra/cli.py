@@ -226,7 +226,10 @@ def _cmd_simulate(args):
             raise ValueError(f"{name} must be finite and > 0")
     if args.dt > args.t_max:
         raise ValueError("--dt must not exceed --t-max")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     ctx = parse_config(_read(args.config))
+    surrogate = None
     if args.method == "markovian":
         fit = prony_fit(ctx.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max)))
         if not fit.measure.atoms:
@@ -236,6 +239,7 @@ def _cmd_simulate(args):
                 "exponentials beats the zero kernel",
                 achieved=fit.sup_rel_error,
             )
+        surrogate = {"modes": len(fit.measure.atoms), "sup_rel_error": fit.sup_rel_error}
         sde = markovian_embedding(ctx.params, fit.measure)
         ens = simulate_paths(
             sde, dt=args.dt, t_max=args.t_max, n_paths=args.n_paths, seed=args.seed
@@ -267,6 +271,7 @@ def _cmd_simulate(args):
             "gamma_x": p.gamma * var_x / p.kbt if (var_x is not None and p.kbt > 0) else None,
         },
         "reference": {"var_x": var_x_ref, "var_v": var_v_ref},
+        "surrogate": surrogate,
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0

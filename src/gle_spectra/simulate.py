@@ -24,6 +24,8 @@ holds those lags with positive semidefinite blocks (the exact circulant
 embedding, Wood & Chan, J. Comput. Graph. Stat. 3:409, 1994), or from the
 bins themselves where none does: each block is factored in closed form, and
 one inverse FFT per path pair and coordinate sums them.
+
+Each sampler call draws its normals from one SFC64 stream seeded by ``seed``.
 """
 
 from dataclasses import dataclass
@@ -39,9 +41,6 @@ from .spectra import trapped_densities
 
 # Work arrays of one block of paths or of time steps stay near this many bytes.
 _BLOCK_BYTES = 32 << 20
-# The Markovian sampler draws at most this many paths at a time: it bounds
-# the per-path Philox generators, each larger than a short path's output.
-_PATH_BLOCK = 2000
 # The spectral sampler's alias images on each side of the band, one node a bin.
 _IMAGES = 4
 
@@ -212,9 +211,9 @@ class Ensemble:
         return self.data.shape[0]
 
 
-def _path_rng(seed, path_index):
-    # counter-based stream: disjoint counter blocks per path
-    return np.random.Generator(np.random.Philox(key=seed, counter=path_index << 128))
+def _stream(seed):
+    """The one normal stream a sampler call draws from."""
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def _sqrt_psd(mat):
@@ -240,14 +239,15 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
     dt.  The ensemble holds the x (when trapped) and v columns at the times
     sample_times(dt, t_max).
 
-    Each path consumes an independent counter-based substream of the master
-    seed, so a path does not depend on the block it is drawn in.
+    The draws are one SFC64 stream of the seed: the first n_paths * dim
+    normals give the initial states, then each step takes the next
+    n_paths * n_noise normals, path by path.  The array is so a function of
+    (sde, dt, t_max, n_paths, seed), whatever the block of steps drawn at once.
     """
     from scipy import linalg
 
     times = sample_times(dt, t_max)
     n_steps = len(times) - 1
-    dim = sde.dim()
     cov0 = lyapunov_stationary_cov(sde)
     l0 = _sqrt_psd(cov0)
     prop = linalg.expm(sde.drift * dt)
@@ -258,25 +258,18 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
     obs_idx = [sde.labels.index(lab) for lab in obs_labels]
     out = np.empty((n_paths, n_steps + 1, len(obs_labels)))
 
-    for start in range(0, n_paths, _PATH_BLOCK):
-        stop = min(start + _PATH_BLOCK, n_paths)
-        block = stop - start
-        states = np.empty((block, dim))
-        rngs = [_path_rng(seed, start + j) for j in range(block)]
-        for j, rng in enumerate(rngs):
-            states[j] = l0 @ rng.standard_normal(dim)
-        # each path's noise is drawn a block of steps at a time; the split
-        # draws are the same numbers as one draw of all the steps
-        steps_per_block = max(1, _BLOCK_BYTES // (8 * block * n_noise))
-        noise = np.empty((block, min(steps_per_block, n_steps), n_noise))
-        out[start:stop, 0] = states[:, obs_idx]
-        for lo in range(0, n_steps, steps_per_block):
-            hi = min(lo + steps_per_block, n_steps)
-            for j, rng in enumerate(rngs):
-                rng.standard_normal(out=noise[j, : hi - lo])
-            for step in range(lo, hi):
-                states = states @ prop.T + noise[:, step - lo, :] @ lstep.T
-                out[start:stop, step + 1] = states[:, obs_idx]
+    rng = _stream(seed)
+    states = rng.standard_normal((n_paths, sde.dim())) @ l0.T
+    out[:, 0] = states[:, obs_idx]
+    # the noise is drawn a block of steps at a time; the split draws are the
+    # same numbers as one draw of all the steps
+    steps_per_block = max(1, _BLOCK_BYTES // max(1, 8 * n_paths * n_noise))
+    noise = np.empty((min(steps_per_block, n_steps), n_paths, n_noise))
+    for lo in range(0, n_steps, steps_per_block):
+        block = rng.standard_normal(out=noise[: n_steps - lo])
+        for step, z in enumerate(block, lo + 1):
+            states = states @ prop.T + z @ lstep.T
+            out[:, step] = states[:, obs_idx]
     return Ensemble(times=times, data=out, labels=tuple(obs_labels))
 
 
@@ -292,10 +285,12 @@ def ensemble_msd(ens, quantity):
         raise ValueError(f"unknown quantity {quantity!r}")
     y = ens.column(columns[quantity])
     t = np.asarray(ens.times, dtype=float)
-    steps = np.diff(t)
-    increments = 0.5 * (y[:, 1:] + y[:, :-1]) * steps
-    paths = np.cumsum(increments, axis=1)
-    sq = paths ** 2
+    # one work array: the increments, their running sums, then the squares
+    sq = y[:, 1:] + y[:, :-1]
+    sq *= 0.5
+    sq *= np.diff(t)
+    np.cumsum(sq, axis=1, out=sq)
+    np.square(sq, out=sq)
     n = max(ens.n_paths, 1)
     msd = sq.mean(axis=0) if ens.n_paths else np.zeros(t.size - 1)
     se = sq.std(axis=0, ddof=1) / math.sqrt(n) if ens.n_paths > 1 else np.zeros(t.size - 1)
@@ -314,7 +309,7 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
     [[sqrt a, 0], [i b/sqrt a, sqrt(d - b^2/a)]] of the bin's block and sums
     the bins with one inverse FFT per coordinate: the real part is one path,
     the imaginary part an independent other.  Pair p takes normals 4 L p to
-    4 L (p + 1) of the Philox stream keyed by ``seed``, whatever the block of
+    4 L (p + 1) of the SFC64 stream of ``seed``, whatever the block of
     pairs.  Cost O(n_paths L log L) plus O(M log M) once for the M FFT bins,
     memory O(M + n_paths N).
     """
@@ -332,7 +327,7 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
     # L; at half the budget the blocks stay below the CLI's ensemble MSD
     pairs, size = data.shape[0] // 2, a.size
     block = max(1, min(pairs, _BLOCK_BYTES // (2 * 48 * size)))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _stream(seed)
     draws = np.empty((block, 2, 2 * size))
     for start in range(0, pairs, block):
         rows = min(block, pairs - start)

@@ -12,6 +12,7 @@ from gle_spectra import (
     SpectralDensityCtx,
     kcos_ksin_grid,
     parse_kernel_spec,
+    prony_fit,
     r11,
     r12,
     r22,
@@ -293,21 +294,36 @@ def test_msd_fit_pipeline(tmp_path, cfg_file):
     assert doc["exponent"] == pytest.approx(1.5, abs=0.05)
 
 
-def test_simulate_summary(tmp_path, cfg_file, capsys):
+def test_simulate_summary(tmp_path, capsys):
     rouse_cfg = tmp_path / "r.json"
     rouse_cfg.write_text('{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1"}')
     out = tmp_path / "sim.csv"
-    code = main([
-        "simulate", "--config", str(rouse_cfg), "--method", "markovian",
-        "--n-paths", "400", "--dt", "0.1", "--t-max", "10", "--seed", "7",
-        "-o", str(out),
-    ])
-    assert code == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["equipartition_ratios"]["m_v"] == pytest.approx(1.0, abs=0.3)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,msd,stderr"
-    assert len(lines) == 101
+    # the Markovian run says which surrogate it sampled: rouse:1 is its own fit
+    for method, surrogate in (("markovian", {"modes": 1, "sup_rel_error": 0.0}), ("spectral", None)):
+        code = main([
+            "simulate", "--config", str(rouse_cfg), "--method", method,
+            "--n-paths", "400", "--dt", "0.1", "--t-max", "10", "--seed", "7",
+            "-o", str(out),
+        ])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["method"] == method
+        assert summary["surrogate"] == surrogate
+        assert summary["equipartition_ratios"]["m_v"] == pytest.approx(1.0, abs=0.3)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "t,msd,stderr"
+        assert len(lines) == 101
+
+
+def test_simulate_summary_reports_the_prony_fit(capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_powerlaw.json"),
+            "--n-paths", "4", "--dt", "0.1", "--t-max", "10"]
+    assert main(argv) == 0
+    surrogate = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["surrogate"]
+    fit = prony_fit(parse_config((CONFIGS / "trapped_powerlaw.json").read_text()).kernel, 8,
+                    (0.1, 10.0))
+    assert surrogate == {"modes": len(fit.measure.atoms), "sup_rel_error": fit.sup_rel_error}
+    assert 0 < surrogate["sup_rel_error"] < 0.05
 
 
 def test_simulate_methods_share_one_time_grid(capsys):
@@ -510,6 +526,16 @@ def test_simulate_bad_step_or_horizon_rejected(option, value, method, capsys):
     assert json.loads(err)["error"] == {
         "type": "ValueError", "message": f"{option} must be finite and > 0"
     }
+
+
+@pytest.mark.parametrize("method", ["markovian", "spectral"])
+def test_simulate_negative_seed_rejected(method, capsys):
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--n-paths", "8",
+            "--method", method, "--t-max", "1", "--seed", "-1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": "--seed must be >= 0"}
 
 
 def test_spectrum_finite_at_huge_frequency(capsys):

@@ -190,14 +190,24 @@ def test_simulate_deterministic():
     assert not np.array_equal(a.data, c.data)
 
 
-def test_simulate_chunk_invariance(monkeypatch):
-    # per-path noise streams make the path blocks irrelevant up to BLAS
-    # last-bit shape effects; comparison is tolerance-aware
-    sde = _one_atom_sde()
-    a = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=64, seed=1)
-    monkeypatch.setattr(simulate, "_PATH_BLOCK", 7)
-    b = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=64, seed=1)
-    assert np.allclose(a.data, b.data, rtol=1e-12, atol=1e-13)
+def test_simulate_paths_stream_layout():
+    # one SFC64 stream: the initial states take the first n_paths * dim
+    # normals, then each step the next n_paths * n_noise, path-major
+    from scipy import linalg
+
+    sde = markovian_embedding(TRAPPED, parse_kernel_spec("rouse:[1,2]").bernstein())
+    ens = simulate_paths(sde, dt=0.1, t_max=2.0, n_paths=5, seed=11)
+    cov0 = lyapunov_stationary_cov(sde)
+    prop = linalg.expm(sde.drift * 0.1)
+    lstep = simulate._sqrt_psd(cov0 - prop @ cov0 @ prop.T)
+    rng = simulate._stream(11)
+    states = rng.standard_normal((5, sde.dim())) @ simulate._sqrt_psd(cov0).T
+    want = [states[:, :2]]
+    for _ in range(20):
+        states = states @ prop.T + rng.standard_normal((5, lstep.shape[1])) @ lstep.T
+        want.append(states[:, :2])
+    assert ens.labels == ("x", "v") and ens.times.size == 21
+    assert np.array_equal(ens.data, np.stack(want, axis=1))
 
 
 def test_simulate_empty_ensemble():
@@ -219,6 +229,20 @@ def test_ensemble_msd_takes_one_spelling(quantity):
     ens = simulate_paths(_one_atom_sde(), dt=0.1, t_max=1.0, n_paths=3, seed=0)
     with pytest.raises(ValueError, match="unknown quantity"):
         ensemble_msd(ens, quantity)
+
+
+def test_ensemble_msd_works_in_place():
+    # one work array gives the bits of increments, cumulative sums and
+    # squares built one after another, on an uneven grid
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.05, 0.2, 30))
+    ens = simulate.Ensemble(times=times, data=rng.standard_normal((7, 30, 2)), labels=("x", "v"))
+    for quantity, label in ((POSITION_INTEGRAL, "x"), (VELOCITY_INTEGRAL, "v")):
+        y = ens.column(label)
+        sq = np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]) * np.diff(times), axis=1) ** 2
+        curve = ensemble_msd(ens, quantity)
+        assert np.array_equal(curve.values, sq.mean(axis=0))
+        assert np.array_equal(curve.stderr, sq.std(axis=0, ddof=1) / math.sqrt(7))
 
 
 def test_sample_variance_matches_lyapunov():
@@ -320,13 +344,13 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
     # noise drawn a few steps at a time is the same stream as one draw
     sde = _one_atom_sde()
     whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 3)  # 3 steps of 12 paths x 3 noises
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 3)  # 3 steps x 12 paths x 3 noises
     split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
     assert np.array_equal(whole.data, split.data)
 
 
 def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
-    """The bins x times sum of the sampler's Philox normals, each pair of
+    """The bins x times sum of the sampler's normals, each pair of
     complex normals of a bin of the embedded circulant scaled by numpy's
     Cholesky factor of its block."""
     t = simulate.sample_times(dt, t_max)
@@ -334,7 +358,7 @@ def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
     blocks = np.stack([np.stack([a, -1j * b], -1), np.stack([1j * b, d], -1)], -2)
     factor = np.linalg.cholesky(blocks)
     pairs = -(-n_paths // 2)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = simulate._stream(seed)
     z = rng.standard_normal((pairs, 2, 2 * a.size)).view(complex)
     amplitudes = np.einsum("mij,pjm->pim", factor, z)
     lags = np.arange(t.size) % a.size
@@ -379,7 +403,7 @@ def test_spectral_sampler_grids_match_dense_sum(dt, t_max):
 
 
 def test_spectral_sampler_blocks_bitwise(monkeypatch):
-    # pair p takes its own slice of the Philox stream, whatever the block
+    # pair p takes its own slice of the stream, whatever the block
     ctx = trapped_ctx("rouse:1")
     whole = spectral_sample(ctx, *GRID, 9, seed=4)
     monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 400)  # 3 pairs a block
