@@ -31,6 +31,7 @@ from .moments import (
 )
 from .quad import DEFAULT_QUAD, QuadConfig
 from .simulate import (
+    PathStatistics,
     ensemble_msd,
     lyapunov_stationary_cov,
     markovian_embedding,
@@ -229,6 +230,8 @@ def _cmd_simulate(args):
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     ctx = parse_config(_read(args.config))
+    # the paths are folded block by block into the statistics printed here
+    quantity = POSITION_INTEGRAL if ctx.params.trapped else VELOCITY_INTEGRAL
     surrogate = None
     if args.method == "markovian":
         fit = prony_fit(ctx.kernel, args.prony_modes, (args.dt, max(10.0 * args.dt, args.t_max)))
@@ -241,8 +244,8 @@ def _cmd_simulate(args):
             )
         surrogate = {"modes": len(fit.measure.atoms), "sup_rel_error": fit.sup_rel_error}
         sde = markovian_embedding(ctx.params, fit.measure)
-        ens = simulate_paths(
-            sde, dt=args.dt, t_max=args.t_max, n_paths=args.n_paths, seed=args.seed
+        stats = simulate_paths(
+            sde, args.dt, args.t_max, args.n_paths, args.seed, PathStatistics(quantity)
         )
         cov = lyapunov_stationary_cov(sde)
         ix = sde.labels.index("x") if "x" in sde.labels else None
@@ -252,14 +255,15 @@ def _cmd_simulate(args):
     else:
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")
-        ens = spectral_sample(ctx, args.dt, args.t_max, args.n_paths, args.seed)
+        stats = spectral_sample(
+            ctx, args.dt, args.t_max, args.n_paths, args.seed, PathStatistics(quantity)
+        )
         var_x_ref, var_v_ref = var_x0(ctx), var_v0(ctx)
-    quantity = POSITION_INTEGRAL if "x" in ens.labels else VELOCITY_INTEGRAL
-    curve = ensemble_msd(ens, quantity)
+    curve = ensemble_msd(stats, quantity)
     _emit_csv("t,msd,stderr", (curve.times, curve.values, curve.stderr), args.output)
     p = ctx.params
-    var_v = float(ens.column("v")[:, -1].var(ddof=1))
-    var_x = float(ens.column("x")[:, -1].var(ddof=1)) if "x" in ens.labels else None
+    var_v = stats.last_variance("v")
+    var_x = stats.last_variance("x") if ctx.params.trapped else None
     summary = {
         "method": args.method,
         "n_paths": args.n_paths,

@@ -19,13 +19,16 @@ from the spectral densities on a uniform time grid of step dt.  Frequencies
 the bins of one FFT: each bin holds the exact folded 2x2 spectral mass
 kbt/(2 pi) Int r11 (1, i w)^T (1, -i w) dw of its band and of the band's alias
 images.  The n sampled times see the bins' covariance only at lags 0 .. n - 1,
-so the paths are drawn from the smallest circulant of about 2n bins that
-holds those lags with positive semidefinite blocks (the exact circulant
-embedding, Wood & Chan, J. Comput. Graph. Stat. 3:409, 1994), or from the
+so the paths are drawn from the smallest power-of-two circulant of at least
+2n bins that holds those lags with positive semidefinite blocks (the exact
+circulant embedding, Wood & Chan, J. Comput. Graph. Stat. 3:409, 1994), or the
 bins themselves where none does: each block is factored in closed form, and
 one inverse FFT per path pair and coordinate sums them.
 
 Each sampler call draws its normals from one SFC64 stream seeded by ``seed``.
+Both samplers hand their paths block by block to a sink: by default one
+Ensemble of every path, or PathStatistics, which folds them into the MSD
+statistics and last-time variances and so holds no n_paths x N array.
 """
 
 from dataclasses import dataclass
@@ -39,8 +42,9 @@ from .moments import POSITION_INTEGRAL, VELOCITY_INTEGRAL, MsdCurve, var_v0, var
 from .quad import integrate_geometric, integrate_to_infinity
 from .spectra import trapped_densities
 
-# Work arrays of one block of paths or of time steps stay near this many bytes.
-_BLOCK_BYTES = 32 << 20
+# Work arrays of one block of path pairs or of time steps stay near this many
+# bytes; with the blocks folded into PathStatistics they set the peak memory.
+_BLOCK_BYTES = 4 << 20
 # The spectral sampler's alias images on each side of the band, one node a bin.
 _IMAGES = 4
 
@@ -230,19 +234,129 @@ def sample_times(dt, t_max):
     return np.arange(math.floor(t_max / dt * (1.0 + 4.0 * np.finfo(float).eps)) + 1) * dt
 
 
-def simulate_paths(sde, dt, t_max, n_paths, seed):
+class _EnsembleSink:
+    """The samplers' default sink: every block written into one Ensemble."""
+
+    def open(self, times, labels, n_paths):
+        data = np.empty((n_paths, times.size, len(labels)))
+        self.ensemble = Ensemble(times=times, data=data, labels=labels)
+
+    def add(self, paths, first_path, first_time):
+        rows, cols = paths.shape[:2]
+        self.ensemble.data[first_path : first_path + rows, first_time : first_time + cols] = paths
+
+
+_COLUMNS = {POSITION_INTEGRAL: "x", VELOCITY_INTEGRAL: "v"}
+
+
+class PathStatistics:
+    """A sampler sink that folds path blocks into the statistics of
+    ensemble_msd and the sample variances at the last time.
+
+    It holds the running integral and the latest values of each path and
+    O(1) numbers per time: the count, mean and sum of squared deviations of
+    I(t)^2, where I is Int_0^t x ds (POSITION_INTEGRAL) or Int_0^t v ds
+    (VELOCITY_INTEGRAL).  Blocks of paths over the same times merge pairwise
+    (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983); a block that holds all
+    the paths of its times gives their statistics bit for bit as one array
+    of every path would.
+    """
+
+    def __init__(self, quantity):
+        if quantity not in _COLUMNS:
+            raise ValueError(f"unknown quantity {quantity!r}")
+        self.quantity = quantity
+
+    def open(self, times, labels, n_paths):
+        self.times, self.labels = np.asarray(times, dtype=float), labels
+        self._col = labels.index(_COLUMNS[self.quantity])
+        self._steps = np.diff(self.times)
+        n = self._steps.size
+        self._count = np.zeros(n, dtype=np.int64)
+        self._mean, self._m2 = np.zeros(n), np.zeros(n)
+        # the O(n_paths) arrays before any block, so that a request too large
+        # to hold fails at once
+        self._latest = np.empty((n_paths, len(labels)))
+        self._integral = np.empty(n_paths)
+
+    def add(self, paths, first_path, first_time):
+        rows, cols = slice(first_path, first_path + paths.shape[0]), paths.shape[1]
+        y = paths[:, :, self._col]
+        integral = self._integral[rows]
+        # the block's first increment ends at its first time, but at time 0
+        skip = 1 if first_time == 0 else 0
+        n = cols - skip
+        # the increments, their running sums, then the squares, in one work
+        # array of two columns at least: numpy sums one column pairwise, and
+        # several row by row as one array of all the times does
+        work = np.zeros((paths.shape[0], max(n, 2)))
+        sq = work[:, :n]
+        np.add(y[:, 1:], y[:, :-1], out=sq[:, 1 - skip :])
+        if not skip:
+            np.add(y[:, 0], self._latest[rows, self._col], out=sq[:, 0])
+        sq *= 0.5
+        sq *= self._steps[first_time + skip - 1 : first_time + cols - 1]
+        if not skip:
+            sq[:, 0] += integral
+        np.cumsum(sq, axis=1, out=sq)
+        integral[:] = sq[:, -1] if n else 0.0
+        self._latest[rows] = paths[:, -1]
+        if n and paths.shape[0]:
+            np.square(work, out=work)
+            self._merge(slice(first_time + skip - 1, first_time + cols - 1), work)
+
+    def _merge(self, times, sq):
+        n_b = sq.shape[0]
+        mean = sq.mean(axis=0)
+        sq -= mean
+        np.square(sq, out=sq)
+        m2 = sq.sum(axis=0)
+        width = times.stop - times.start
+        mean, m2 = mean[:width], m2[:width]
+        n_a = self._count[times]
+        if not n_a.any():
+            self._mean[times], self._m2[times] = mean, m2
+        else:
+            n = n_a + n_b
+            delta = mean - self._mean[times]
+            self._mean[times] += delta * (n_b / n)
+            self._m2[times] += m2 + delta * delta * (n_a * (n_b / n))
+        self._count[times] += n_b
+
+    def msd(self):
+        """The MsdCurve of the folded paths at the times past 0."""
+        n = self._count
+        many = n > 1
+        se = np.zeros(n.size)
+        se[many] = np.sqrt(self._m2[many] / (n[many] - 1)) / np.sqrt(n[many])
+        return MsdCurve(
+            times=tuple(self.times[1:]), values=tuple(self._mean), quantity=self.quantity,
+            stderr=tuple(se),
+        )
+
+    def last_variance(self, label):
+        """Sample variance of the paths' ``label`` at the last time."""
+        return float(self._latest[:, self.labels.index(label)].var(ddof=1))
+
+
+def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     """Sample stationary paths of the embedded system.
 
     Initial states are drawn from the Lyapunov stationary covariance, so the
     ensemble is stationary from t = 0 (no burn-in).  Each step is the exact
     one-step Gaussian transition of the linear SDE, unbiased in law for any
-    dt.  The ensemble holds the x (when trapped) and v columns at the times
+    dt.  The paths hold the x (when trapped) and v columns at the times
     sample_times(dt, t_max).
 
     The draws are one SFC64 stream of the seed: the first n_paths * dim
     normals give the initial states, then each step takes the next
-    n_paths * n_noise normals, path by path.  The array is so a function of
+    n_paths * n_noise normals, path by path.  The paths are so a function of
     (sde, dt, t_max, n_paths, seed), whatever the block of steps drawn at once.
+
+    Without a sink the paths are returned as one Ensemble.  A sink (such as
+    PathStatistics) is opened with (times, labels, n_paths), then takes the
+    paths of every path at time 0 and at each block of steps in turn as
+    sink.add(paths, first_path, first_time), and is returned.
     """
     from scipy import linalg
 
@@ -254,52 +368,50 @@ def simulate_paths(sde, dt, t_max, n_paths, seed):
     lstep = _sqrt_psd(cov0 - prop @ cov0 @ prop.T)
     n_noise = lstep.shape[1]
 
-    obs_labels = [lab for lab in ("x", "v") if lab in sde.labels]
+    obs_labels = tuple(lab for lab in ("x", "v") if lab in sde.labels)
     obs_idx = [sde.labels.index(lab) for lab in obs_labels]
-    out = np.empty((n_paths, n_steps + 1, len(obs_labels)))
+    target = _EnsembleSink() if sink is None else sink
+    target.open(times, obs_labels, n_paths)
 
     rng = _stream(seed)
     states = rng.standard_normal((n_paths, sde.dim())) @ l0.T
-    out[:, 0] = states[:, obs_idx]
+    target.add(states[:, obs_idx][:, None], 0, 0)
     # the noise is drawn a block of steps at a time; the split draws are the
     # same numbers as one draw of all the steps
     steps_per_block = max(1, _BLOCK_BYTES // max(1, 8 * n_paths * n_noise))
     noise = np.empty((min(steps_per_block, n_steps), n_paths, n_noise))
+    paths = np.empty((n_paths, noise.shape[0], len(obs_idx)))
     for lo in range(0, n_steps, steps_per_block):
         block = rng.standard_normal(out=noise[: n_steps - lo])
-        for step, z in enumerate(block, lo + 1):
+        for step, z in enumerate(block):
             states = states @ prop.T + z @ lstep.T
-            out[:, step] = states[:, obs_idx]
-    return Ensemble(times=times, data=out, labels=tuple(obs_labels))
+            paths[:, step] = states[:, obs_idx]
+        target.add(paths[:, : len(block)], 0, lo + 1)
+    return target.ensemble if sink is None else sink
 
 
 def ensemble_msd(ens, quantity):
     """Ensemble second moment of Int_0^t x ds (POSITION_INTEGRAL) or
     Int_0^t v ds (VELOCITY_INTEGRAL), the quantities of compute_msd_curve.
 
-    Path integrals use the cumulative trapezoid rule on the saved grid;
-    standard errors are across-path errors of the squared integral.
+    ``ens`` is an Ensemble, folded here through PathStatistics as one
+    block, or the PathStatistics of that quantity a sampler folded its
+    blocks into.  Path integrals use the cumulative trapezoid rule on the
+    saved grid; standard errors are across-path errors of the squared
+    integral.
     """
-    columns = {POSITION_INTEGRAL: "x", VELOCITY_INTEGRAL: "v"}
-    if quantity not in columns:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    y = ens.column(columns[quantity])
-    t = np.asarray(ens.times, dtype=float)
-    # one work array: the increments, their running sums, then the squares
-    sq = y[:, 1:] + y[:, :-1]
-    sq *= 0.5
-    sq *= np.diff(t)
-    np.cumsum(sq, axis=1, out=sq)
-    np.square(sq, out=sq)
-    n = max(ens.n_paths, 1)
-    msd = sq.mean(axis=0) if ens.n_paths else np.zeros(t.size - 1)
-    se = sq.std(axis=0, ddof=1) / math.sqrt(n) if ens.n_paths > 1 else np.zeros(t.size - 1)
-    return MsdCurve(
-        times=tuple(t[1:]), values=tuple(msd), quantity=quantity, stderr=tuple(se)
-    )
+    if isinstance(ens, Ensemble):
+        stats = PathStatistics(quantity)
+        stats.open(ens.times, ens.labels, ens.n_paths)
+        stats.add(ens.data, 0, 0)
+    elif ens.quantity != quantity:
+        raise ValueError(f"the paths were folded for {ens.quantity!r}, not {quantity!r}")
+    else:
+        stats = ens
+    return stats.msd()
 
 
-def spectral_sample(ctx, dt, t_max, n_paths, seed):
+def spectral_sample(ctx, dt, t_max, n_paths, seed, sink=None):
     """Synthesize stationary (x, v) paths directly from the spectral density.
 
     The paths hold the times sample_times(dt, t_max), those of
@@ -311,12 +423,18 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
     the imaginary part an independent other.  Pair p takes normals 4 L p to
     4 L (p + 1) of the SFC64 stream of ``seed``, whatever the block of
     pairs.  Cost O(n_paths L log L) plus O(M log M) once for the M FFT bins,
-    memory O(M + n_paths N).
+    memory O(M) and a block of pairs besides the sink's.
+
+    Without a sink the paths are returned as one Ensemble.  A sink (such as
+    PathStatistics) is opened with (times, ("x", "v"), n_paths), then takes
+    each block of paths over all times as sink.add(paths, first_path, 0),
+    and is returned.
     """
     t = sample_times(dt, t_max)
-    # the output first: allocated after the bins' temporaries, it raised the
-    # peak RSS of the CLI's 500-path requests
-    data = np.empty((n_paths + n_paths % 2, t.size, 2))
+    # the sink first: an Ensemble allocated after the bins' temporaries
+    # raised the peak RSS of the CLI's 500-path requests
+    target = _EnsembleSink() if sink is None else sink
+    target.open(t, ("x", "v"), n_paths)
     a, b, d = _embedded_blocks(ctx, t.size, dt)
     # a d >= b^2: each bin block sums rank-one matrices with positive
     # weights, and an embedded block is clipped to it
@@ -324,11 +442,12 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
     lvx = np.divide(b, lxx, out=np.zeros(b.shape), where=lxx > 0)
     lvv, ivx = np.sqrt(np.maximum(d - lvx * lvx, 0.0)), 1j * lvx
     # a pair works on 48 L bytes, its 4 L normals and a complex temporary of
-    # L; at half the budget the blocks stay below the CLI's ensemble MSD
-    pairs, size = data.shape[0] // 2, a.size
+    # L, and its two paths and their fold in the sink take less than that
+    pairs, size = -(-n_paths // 2), a.size
     block = max(1, min(pairs, _BLOCK_BYTES // (2 * 48 * size)))
     rng = _stream(seed)
     draws = np.empty((block, 2, 2 * size))
+    paths = np.empty((block, 2, t.size, 2))
     for start in range(0, pairs, block):
         rows = min(block, pairs - start)
         # two complex normals a bin: the x factor's and v's own
@@ -337,29 +456,31 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed):
         z[:, 1] += ivx * z[:, 0]
         z[:, 0] *= lxx
         # a single bin broadcasts over repeated times
-        paths = np.moveaxis(np.fft.ifft(z, norm="forward", out=z)[..., : t.size], 1, 2)
-        out = data[2 * start : 2 * (start + rows)].reshape(rows, 2, t.size, 2)
-        out[:, 0], out[:, 1] = paths.real, paths.imag
-    return Ensemble(times=t, data=data[:n_paths], labels=("x", "v"))
+        sums = np.moveaxis(np.fft.ifft(z, norm="forward", out=z)[..., : t.size], 1, 2)
+        out = paths[:rows]
+        out[:, 0], out[:, 1] = sums.real, sums.imag
+        target.add(out.reshape(2 * rows, t.size, 2)[: n_paths - 2 * start], 2 * start, 0)
+    return target.ensemble if sink is None else sink
 
 
 def _embedded_blocks(ctx, n, dt):
-    """The blocks [[a, -i b], [i b, d]] of the smallest circulant that draws
-    the law of the FFT bins at n times dt apart.
+    """The blocks [[a, -i b], [i b, d]] of the smallest power-of-two
+    circulant that draws the law of the FFT bins at n times dt apart.
 
     The 2n x 2n covariance of the n times is set by the bins' covariance
-    Gamma_M(j dt) at lags j = 0 .. n - 1 alone.  The first of L = 2n, 4n, ...
-    below M whose blocks are positive semidefinite to rounding takes Gamma_M
-    at lags -L/2 .. L/2, with the odd xv entry 0 at the midpoint lag L/2 >= n
-    that no path uses (Wood & Chan's exact embedding).  Where none is, the M
-    bins are returned as they are.
+    Gamma_M(j dt) at lags j = 0 .. n - 1 alone.  The first L below M, from
+    the first power of two >= 2n (a fast FFT length) on in doublings, whose
+    blocks are positive semidefinite to rounding takes Gamma_M at lags
+    -L/2 .. L/2, with the odd xv entry 0 at the midpoint lag L/2 >= n that
+    no path uses (Wood & Chan's exact embedding).  Where none is, the M bins
+    are returned as they are.
     """
     a, b, d = _bin_blocks(ctx, n, dt)
     size = a.size
     # Gamma_xx, Gamma_vv and Gamma_xv = Cov(x(t + j dt), v(t)) at lags 0 .. M - 1
     gamma = np.fft.ifft(np.stack([a, d, -1j * b]), norm="forward").real
     tol = 8.0 * np.finfo(float).eps
-    length = 2 * n
+    length = 1 << (2 * n - 1).bit_length()
     while length < size:
         half = length // 2
         lags = np.concatenate([gamma[:, : half + 1], gamma[:, size - half + 1 :]], axis=1)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 from gle_spectra import simulate
+from gle_spectra.cli import main, parse_config
 from gle_spectra.quad import integrate_oscillatory
 from gle_spectra.spectra import r11, r22, trapped_densities
 from gle_spectra import (
@@ -369,7 +372,7 @@ def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
 
 
 # times 0 .. 19.9 step 0.1: M = 8 * 199 = 1592 bins of width h = 2 pi/(M dt),
-# drawn on the L = 2 * 200 = 400 bins of their embedding
+# drawn on the L = 512 >= 2 * 200 bins of their embedding
 GRID = (0.1, 19.9)
 
 
@@ -406,7 +409,7 @@ def test_spectral_sampler_blocks_bitwise(monkeypatch):
     # pair p takes its own slice of the stream, whatever the block
     ctx = trapped_ctx("rouse:1")
     whole = spectral_sample(ctx, *GRID, 9, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 400)  # 3 pairs a block
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 512)  # 3 pairs a block
     split = spectral_sample(ctx, *GRID, 9, seed=4)
     assert np.array_equal(whole.data, split.data)
     assert np.array_equal(spectral_sample(ctx, *GRID, 4, seed=4).data, whole.data[:4])
@@ -479,12 +482,13 @@ def test_embedded_blocks_keep_the_bins_law(spec, dt):
     assert size < 8 * (n - 1)
 
 
-@pytest.mark.parametrize("t_max", [100.0, 200.0])
-def test_embedding_takes_twice_the_times(t_max):
-    # the M = 8 (n - 1) bins of the benchmark's spectral requests shrink to 2n
+@pytest.mark.parametrize("t_max, size", [(100.0, 2048), (200.0, 4096)])
+def test_embedding_takes_the_power_of_two_past_twice_the_times(t_max, size):
+    # the M = 8 (n - 1) bins of the benchmark's spectral requests shrink to
+    # the first power of two >= 2n
     n = round(t_max / 0.1) + 1
     a, b, d = simulate._embedded_blocks(trapped_ctx("powerlaw:0.5"), n, 0.1)
-    assert a.size == b.size == d.size == 2 * n
+    assert a.size == b.size == d.size == size
 
 
 def test_embedding_falls_back_to_the_bins():
@@ -544,6 +548,94 @@ def test_spectral_sampler_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 72 * 2**20
+
+
+CONFIGS = Path(__file__).parent.parent / "demos" / "configs"
+
+
+def _cli_simulate(tmp_path, capsys, config, method, n_paths, dt, t_max, seed):
+    """The (t, msd, stderr) columns and the summary of one simulate request."""
+    out = tmp_path / "msd.csv"
+    assert main([
+        "simulate", "--config", str(CONFIGS / config), "--method", method,
+        "--n-paths", str(n_paths), "--dt", str(dt), "--t-max", str(t_max),
+        "--seed", str(seed), "-o", str(out),
+    ]) == 0
+    rows = [[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
+    return np.array(rows).T, json.loads(capsys.readouterr().out)
+
+
+def _library_simulate(config, method, n_paths, dt, t_max, seed):
+    """The MSD curve and the last-time variances of the request's Ensemble."""
+    ctx = parse_config((CONFIGS / config).read_text())
+    if method == "markovian":
+        fit = prony_fit(ctx.kernel, 8, (dt, max(10.0 * dt, t_max)))
+        ens = simulate_paths(markovian_embedding(ctx.params, fit.measure), dt, t_max, n_paths, seed)
+    else:
+        ens = spectral_sample(ctx, dt, t_max, n_paths, seed)
+    quantity = POSITION_INTEGRAL if "x" in ens.labels else VELOCITY_INTEGRAL
+    curve = ensemble_msd(ens, quantity)
+    var = {lab: float(ens.column(lab)[:, -1].var(ddof=1)) for lab in ens.labels}
+    return np.array([curve.times, curve.values, curve.stderr]), var
+
+
+# 64 paths and 50 steps at 0.1: 3-step blocks end in 2 steps, 7-step blocks
+# in one, and 1-step blocks are all one step
+@pytest.mark.parametrize("steps", [None, 3, 7, 1], ids=["one-block", "3", "7", "1"])
+@pytest.mark.parametrize("config", ["trapped_rouse.json", "free_rouse.json"])
+def test_streamed_markovian_statistics_are_the_ensembles(config, steps, tmp_path, capsys,
+                                                         monkeypatch):
+    # the CLI folds each block of steps of all the paths: the bits of one
+    # array of every path, a single final step included (numpy sums one
+    # column of 64 paths pairwise, not row by row)
+    want, var = _library_simulate(config, "markovian", 64, 0.1, 5.0, seed=6)
+    if steps:
+        dim = 3 if config == "trapped_rouse.json" else 4
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", steps * 8 * 64 * dim)
+    got, summary = _cli_simulate(tmp_path, capsys, config, "markovian", 64, 0.1, 5.0, seed=6)
+    assert got.shape == (3, 50) and np.array_equal(got, want)
+    assert summary["var_v"] == var["v"] and summary["var_x"] == var.get("x")
+
+
+# 9 paths, 5 pairs over 200 times on L = 512 bins
+@pytest.mark.parametrize("pairs", [None, 2, 1], ids=["one-block", "2", "1"])
+def test_streamed_spectral_statistics_are_the_ensembles(pairs, tmp_path, capsys, monkeypatch):
+    # blocks of pairs merge by Chan, Golub & LeVeque; one block is bitwise
+    want, var = _library_simulate("trapped_rouse.json", "spectral", 9, 0.1, 19.9, seed=5)
+    if pairs:
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", pairs * 96 * 512)
+    got, summary = _cli_simulate(tmp_path, capsys, "trapped_rouse.json", "spectral", 9, 0.1,
+                                 19.9, seed=5)
+    assert got.shape == (3, 199)
+    if pairs:
+        assert np.array_equal(got[0], want[0])
+        assert np.all(np.abs(got[1:] - want[1:]) <= 1e-13 * np.abs(want[1:]))
+    else:
+        assert np.array_equal(got, want)
+    assert summary["var_v"] == var["v"] and summary["var_x"] == var["x"]
+
+
+def _traced_peak(tmp_path, method, n_paths, t_max):
+    argv = ["simulate", "--config", str(CONFIGS / "trapped_rouse.json"), "--method", method,
+            "--n-paths", str(n_paths), "--dt", "0.1", "--t-max", str(t_max),
+            "-o", str(tmp_path / "msd.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["markovian", "spectral"])
+def test_simulate_memory_is_bounded_in_the_paths(method, tmp_path, capsys):
+    # the CLI holds a block of paths, O(n_paths) numbers and O(N) per time:
+    # holding the 200 paths of 1001 times would take 6 kB a time
+    _traced_peak(tmp_path, method, 2, 1.0)  # the imports of a first request
+    few = _traced_peak(tmp_path, method, 200, 100.0)
+    assert _traced_peak(tmp_path, method, 2000, 100.0) <= 1.1 * few
+    # 3000 times more
+    assert _traced_peak(tmp_path, method, 200, 400.0) - few <= 1024 * 3000
 
 
 # every request imports the CLI, so each scipy subpackage it loads adds to
