@@ -741,8 +741,9 @@ def test_kernel_overflow_is_one_envelope(argv):
     ids=["markovian", "spectral", "transform"],
 )
 def test_unallocatable_request_is_one_envelope(argv):
-    # 742 TiB of paths and 7.1 PiB of frequencies: both past a 47-bit address
-    # space, so the allocation fails without touching memory
+    # 24 TB of per-path statistics, more than any machine's memory, are
+    # refused before any allocation; 7.1 PiB of frequencies are past a 47-bit
+    # address space, so that allocation fails without touching memory
     code, out, err = run_cli(*argv)
     assert code == 1 and out == ""
     lines = err.splitlines()

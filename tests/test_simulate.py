@@ -372,7 +372,7 @@ def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
 
 
 # times 0 .. 19.9 step 0.1: M = 8 * 199 = 1592 bins of width h = 2 pi/(M dt),
-# drawn on the L = 512 >= 2 * 200 bins of their embedding
+# drawn on the L = 2 * 200 = 400 bins of their embedding
 GRID = (0.1, 19.9)
 
 
@@ -409,7 +409,7 @@ def test_spectral_sampler_blocks_bitwise(monkeypatch):
     # pair p takes its own slice of the stream, whatever the block
     ctx = trapped_ctx("rouse:1")
     whole = spectral_sample(ctx, *GRID, 9, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 512)  # 3 pairs a block
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 400)  # 3 pairs a block
     split = spectral_sample(ctx, *GRID, 9, seed=4)
     assert np.array_equal(whole.data, split.data)
     assert np.array_equal(spectral_sample(ctx, *GRID, 4, seed=4).data, whole.data[:4])
@@ -482,13 +482,24 @@ def test_embedded_blocks_keep_the_bins_law(spec, dt):
     assert size < 8 * (n - 1)
 
 
-@pytest.mark.parametrize("t_max, size", [(100.0, 2048), (200.0, 4096)])
-def test_embedding_takes_the_power_of_two_past_twice_the_times(t_max, size):
+@pytest.mark.parametrize("t_max, size", [(100.0, 2048), (200.0, 4050)])
+def test_embedding_takes_a_smooth_length_past_twice_the_times(t_max, size):
     # the M = 8 (n - 1) bins of the benchmark's spectral requests shrink to
-    # the first power of two >= 2n
+    # twice the first 2^i 3^j 5^k >= n: 1024 = 2^10 and 2025 = 3^4 5^2
     n = round(t_max / 0.1) + 1
     a, b, d = simulate._embedded_blocks(trapped_ctx("powerlaw:0.5"), n, 0.1)
     assert a.size == b.size == d.size == size
+
+
+def test_smooth_length_is_the_first_product_of_2_3_5():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3000):
+        assert simulate._smooth_length(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
 
 
 def test_embedding_falls_back_to_the_bins():
@@ -597,13 +608,13 @@ def test_streamed_markovian_statistics_are_the_ensembles(config, steps, tmp_path
     assert summary["var_v"] == var["v"] and summary["var_x"] == var.get("x")
 
 
-# 9 paths, 5 pairs over 200 times on L = 512 bins
+# 9 paths, 5 pairs over 200 times on L = 400 bins
 @pytest.mark.parametrize("pairs", [None, 2, 1], ids=["one-block", "2", "1"])
 def test_streamed_spectral_statistics_are_the_ensembles(pairs, tmp_path, capsys, monkeypatch):
     # blocks of pairs merge by Chan, Golub & LeVeque; one block is bitwise
     want, var = _library_simulate("trapped_rouse.json", "spectral", 9, 0.1, 19.9, seed=5)
     if pairs:
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", pairs * 96 * 512)
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", pairs * 96 * 400)
     got, summary = _cli_simulate(tmp_path, capsys, "trapped_rouse.json", "spectral", 9, 0.1,
                                  19.9, seed=5)
     assert got.shape == (3, 199)
@@ -613,6 +624,15 @@ def test_streamed_spectral_statistics_are_the_ensembles(pairs, tmp_path, capsys,
     else:
         assert np.array_equal(got, want)
     assert summary["var_v"] == var["v"] and summary["var_x"] == var["x"]
+
+
+def test_path_statistics_refuse_paths_past_the_memory(monkeypatch):
+    # whatever the host grants: 3 doubles a path, 2^16 paths past 1 MiB
+    monkeypatch.setattr(simulate, "_physical_bytes", lambda: 1 << 20)
+    stats = simulate.PathStatistics(POSITION_INTEGRAL)
+    stats.open(np.arange(3.0), ("x", "v"), 1 << 12)
+    with pytest.raises(MemoryError, match="65536 paths"):
+        stats.open(np.arange(3.0), ("x", "v"), 1 << 16)
 
 
 def _traced_peak(tmp_path, method, n_paths, t_max):
