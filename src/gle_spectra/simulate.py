@@ -11,7 +11,8 @@ and paths can be propagated with the exact one-step Gaussian transition.
 
 General kernels enter through a Prony approximation with fixed log-spaced
 rates and nonnegative weights that minimize the largest relative error, one
-linear program.
+linear program of n_modes + 1 variables solved by a dense revised simplex in
+numpy.
 
 A second, embedding-free sampler synthesizes stationary (x, v) paths directly
 from the spectral densities on a uniform time grid of step dt.  Frequencies
@@ -76,6 +77,56 @@ class PronyFit:
     sup_rel_error: float
 
 
+# A fit whose sup-relative error is this close to 1 does no better than the
+# zero kernel, and keeps no atoms.
+_NO_SKILL = 1e-6
+# Simplex iterations allowed per row of the basis.
+_PIVOTS_PER_ROW = 50
+
+
+def _minimax_weights(design):
+    """Nonnegative w minimizing s = max |design @ w - 1|, with that s.
+
+    The linear program min s + 1e-10 sum(w) over z = (w, s) subject to the
+    rows G z <= h, that is D w - s <= 1, -D w - s <= -1 and -w <= 0, is
+    solved by the revised simplex on its dual standard form: a basis is
+    n + 1 of the rows, taken as equalities.  It starts from every w >= 0 row
+    and the first upper residual row, dual feasible because D >= 0; each
+    iteration enters the most violated row, and Harris's ratio test on the
+    dual picks the largest pivot among the rows that leave first.  The
+    first vertex that violates no row is optimal; the 1e-10 sum(w) breaks
+    ties between degenerate optima toward the least weight, and a weight
+    whose w >= 0 row is in the basis is exactly 0.  PronyAccuracyError is
+    raised on a singular basis, on a violated row with no pivot, and past
+    _PIVOTS_PER_ROW iterations per basis row.
+    """
+    t, n = design.shape
+    ones = np.ones((t, 1))
+    rows = np.block([[design, -ones], [-design, -ones], [-np.eye(n), np.zeros((n, 1))]])
+    bounds = np.concatenate([np.ones(t), -np.ones(t), np.zeros(n)])
+    cost = np.append(np.full(n, 1e-10), 1.0)
+    basis = np.append(np.arange(2 * t, 2 * t + n), 0)
+    try:
+        for _ in range(_PIVOTS_PER_ROW * (n + 1)):
+            active = rows[basis]
+            z = np.linalg.solve(active, bounds[basis])
+            slack = bounds - rows @ z
+            k = int(np.argmin(slack))
+            if slack[k] >= -1e-12:
+                z[basis[basis >= 2 * t] - 2 * t] = 0.0
+                return z[:n], float(z[n])
+            dual, step = np.linalg.solve(active.T, np.column_stack([-cost, rows[k]])).T
+            dual = np.maximum(dual, 0.0)
+            pivots = step > 1e-9
+            if not pivots.any():
+                break
+            first = np.min((dual[pivots] + 1e-12) / step[pivots])
+            basis[int(np.argmax(np.where(pivots & (dual <= first * step), step, 0.0)))] = k
+    except np.linalg.LinAlgError as exc:
+        raise PronyAccuracyError(f"prony fit failed: {exc}", achieved=math.inf) from None
+    raise PronyAccuracyError("prony fit failed: the simplex found no optimum", achieved=math.inf)
+
+
 def prony_fit(kernel, n_modes, t_range, rtol=None):
     """Approximate a kernel by n_modes exponential atoms on t_range.
 
@@ -83,11 +134,13 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     is returned exactly.  Otherwise the rates are fixed log-spaced across the
     reciprocal time window and only the weights are fitted, by one linear
     program: minimize s subject to |sum_j w_j exp(-t x_j)/K(t) - 1| <= s and
-    w >= 0 on a 700-point log grid, the grid the error is reported on.
-    Where no nonnegative sum beats the zero kernel the fit has no atoms and
-    error 1.  PronyAccuracyError is raised where K is not positive on the
-    grid (the error is relative to K), where the solver fails, and where
-    ``rtol`` is given and the achieved sup-relative error exceeds it.
+    w >= 0 on a 700-point log grid, the grid the error is reported on.  A
+    dense simplex in numpy solves it (``_minimax_weights``).  Where no
+    nonnegative sum beats the zero kernel by more than ``_NO_SKILL`` the fit
+    has no atoms and error 1.  PronyAccuracyError is raised where K is not
+    positive on the grid (the error is relative to K), where the solver
+    fails, and where ``rtol`` is given and the achieved sup-relative error
+    exceeds it.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (0 < t_lo < t_hi):
@@ -100,8 +153,6 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
     if isinstance(kernel, ExpMixture) and 0 < len(kernel.measure.atoms) <= n_modes:
         measure = kernel.measure
     else:
-        from scipy.optimize import linprog
-
         if not np.all(kv > 0):  # the fit is relative to K
             i = int(np.argmin(kv > 0))
             raise PronyAccuracyError(
@@ -109,20 +160,12 @@ def prony_fit(kernel, n_modes, t_range, rtol=None):
                 achieved=math.inf,
             )
         rates = np.geomspace(0.3 / t_hi, 1.5 / t_lo, n_modes)
-        design = np.exp(-np.outer(ts, rates)) / kv[:, None]
-        # unit columns: HiGHS rejects a model whose entries span too many decades
-        scale = design.max(axis=0)
-        design /= scale
-        ones = np.ones((ts.size, 1))
-        lp = linprog(
-            np.append(np.zeros(n_modes), 1.0),
-            A_ub=np.block([[design, -ones], [-design, -ones]]),
-            b_ub=np.concatenate([np.ones(ts.size), -np.ones(ts.size)]),
-            method="highs",
-        )
-        if lp.status != 0:
-            raise PronyAccuracyError(f"prony fit failed: {lp.message}", achieved=math.inf)
-        weights = lp.x[:n_modes] / scale
+        # unit columns keep the basis solves well conditioned; taking them
+        # from logs keeps exp(-t x)/K finite where K is subnormal
+        logs = -np.outer(ts, rates) - np.log(kv)[:, None]
+        top = logs.max(axis=0)
+        weights, sup = _minimax_weights(np.exp(logs - top))
+        weights *= np.exp(-top) if sup < 1.0 - _NO_SKILL else 0.0
         keep = weights > 0
         measure = BernsteinMeasure(atoms=tuple(zip(rates[keep].tolist(), weights[keep].tolist())))
     # where K underflows to 0 the exact atoms underflow with it

@@ -35,6 +35,7 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
         env=SRC_ENV,
+        timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -817,8 +818,14 @@ def test_markovian_simulate_where_the_kernel_underflows_is_quiet(tmp_path):
 
 @pytest.mark.parametrize(
     "spec, lam, extra",
-    [("gaussian:0.01", 1, ()), ("gaussian:0.01", 0, ()), ("rouse:[1,2,4]", 1, ("--prony-modes", "2"))],
-    ids=["gaussian-lambda-1", "gaussian-lambda-0", "rouse-3-atoms-2-modes"],
+    [
+        ("gaussian:0.01", 1, ()),
+        ("gaussian:0.01", 0, ()),
+        ("rouse:[1,2,4]", 1, ("--prony-modes", "2")),
+        ("cauchy:1.5,1", 1, ("--prony-modes", "1", "--dt", "0.05", "--t-max", "2000")),
+        ("cauchy:1.5,1", 1, ("--prony-modes", "2", "--dt", "0.05", "--t-max", "2000")),
+    ],
+    ids=["gaussian-lambda-1", "gaussian-lambda-0", "rouse-3-atoms-2-modes", "cauchy-1-mode", "cauchy-2-modes"],
 )
 def test_markovian_simulate_refuses_the_zero_surrogate(tmp_path, spec, lam, extra):
     # no nonnegative sum of the fit's exponentials beats 0 for these kernels:

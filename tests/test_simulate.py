@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog
 
 from gle_spectra import simulate
 from gle_spectra.cli import main, parse_config
+from gle_spectra.kernels import kernel_eval
 from gle_spectra.quad import integrate_oscillatory
 from gle_spectra.spectra import r11, r22, trapped_densities
 from gle_spectra import (
@@ -68,31 +69,39 @@ def test_prony_fits_an_unrepresentable_measure(spec, n_atoms, sup):
 
 
 def test_prony_solver_failure_is_typed(monkeypatch):
-    def give_up(*args, **kwargs):
-        return OptimizeResult(status=4, message="Numerical difficulties encountered.")
+    kernel = parse_kernel_spec("powerlaw:0.5")
+    # the iteration cap: this fit takes about 23 simplex iterations, not 9
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_PIVOTS_PER_ROW", 1)
+        with pytest.raises(PronyAccuracyError, match="simplex found no optimum") as ei:
+            prony_fit(kernel, 8, (0.1, 100.0))
+    assert ei.value.achieved == math.inf
 
-    # prony_fit imports linprog when it fits, so the patch is what it finds
-    monkeypatch.setattr("scipy.optimize.linprog", give_up)
-    with pytest.raises(PronyAccuracyError) as ei:
-        prony_fit(parse_kernel_spec("powerlaw:0.5"), 8, (0.1, 100.0))
+    # a singular basis
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(PronyAccuracyError, match="Singular matrix") as ei:
+        prony_fit(kernel, 8, (0.1, 100.0))
     assert ei.value.achieved == math.inf
 
 
 # the bounds are what 25 rounds of reweighted nnls reach on the same rates,
 # at the CLI's 8 modes on (0.1, 100); the minimax fit must do no worse
-@pytest.mark.parametrize(
-    "spec, bound",
-    [
-        ("powerlaw:0.5", 2.228e-3),
-        ("powerlaw:0.9", 8.895e-3),
-        ("powerlaw:0.1", 4.509e-2),
-        ("powerlaw:0.98", 1.285e-2),
-        ("powerlaw:0.99", 1.322e-2),
-        ("cauchy:1.5,1", 1.120e-1),
-        ("cauchy:5,1", 6.215e-1),
-        ("one-plus-t-inverse", 3.455e-3),
-    ],
-)
+REWEIGHTING_BOUNDS = [
+    ("powerlaw:0.5", 2.228e-3),
+    ("powerlaw:0.9", 8.895e-3),
+    ("powerlaw:0.1", 4.509e-2),
+    ("powerlaw:0.98", 1.285e-2),
+    ("powerlaw:0.99", 1.322e-2),
+    ("cauchy:1.5,1", 1.120e-1),
+    ("cauchy:5,1", 6.215e-1),
+    ("one-plus-t-inverse", 3.455e-3),
+]
+
+
+@pytest.mark.parametrize("spec, bound", REWEIGHTING_BOUNDS)
 def test_prony_minimax_no_worse_than_reweighting(spec, bound):
     fit = prony_fit(parse_kernel_spec(spec), 8, (0.1, 100.0))
     assert 0 < fit.sup_rel_error <= bound
@@ -100,9 +109,90 @@ def test_prony_minimax_no_worse_than_reweighting(spec, bound):
     assert all(x > 0 and w > 0 for x, w in fit.measure.atoms)
 
 
+def _linprog_fit(kernel, n_modes, t_range):
+    """Sup-relative error and atom count of the reference fit: the same
+    linear program on the same rates, grid and unit columns, by HiGHS."""
+    ts = np.geomspace(*t_range, 700)
+    kv = kernel_eval(kernel, ts)
+    rates = np.geomspace(0.3 / t_range[1], 1.5 / t_range[0], n_modes)
+    design = np.exp(-np.outer(ts, rates)) / kv[:, None]
+    scale = design.max(axis=0)
+    design /= scale
+    ones = np.ones((ts.size, 1))
+    lp = linprog(
+        np.append(np.zeros(n_modes), 1.0),
+        A_ub=np.block([[design, -ones], [-design, -ones]]),
+        b_ub=np.concatenate([np.ones(ts.size), -np.ones(ts.size)]),
+        method="highs",
+    )
+    assert lp.status == 0
+    weights = lp.x[:n_modes] / scale
+    keep = weights > 0
+    fitted = np.exp(-np.outer(ts, rates[keep])) @ weights[keep]
+    return float(np.max(np.abs(fitted / kv - 1.0))), int(keep.sum())
+
+
+def _assert_matches_linprog(spec, n_modes, t_range, same_atoms):
+    fit = prony_fit(parse_kernel_spec(spec), n_modes, t_range)
+    sup, atoms = _linprog_fit(parse_kernel_spec(spec), n_modes, t_range)
+    assert fit.sup_rel_error <= sup * (1.0 + 1e-7)
+    assert len(fit.measure.atoms) <= n_modes
+    assert all(x > 0 and w > 0 for x, w in fit.measure.atoms)
+    if same_atoms:
+        assert len(fit.measure.atoms) == atoms
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec, _ in REWEIGHTING_BOUNDS] + ["powerlaw:0.01", "powerlaw:0.04", "gaussian:0.01"]
+)
+def test_prony_simplex_matches_linprog(spec):
+    _assert_matches_linprog(spec, 8, (0.1, 100.0), same_atoms=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.3, 0.7))
+def test_prony_simplex_keeps_linprogs_atoms_on_the_benchmark_range(alpha):
+    _assert_matches_linprog(f"powerlaw:{alpha}", 8, (0.1, 100.0), same_atoms=True)
+
+
+# degenerate optima may keep another support: at powerlaw:0.05 the simplex
+# keeps 2 atoms where HiGHS keeps 3, at the same error
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    t_lo=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    decades=st.floats(0.3, 6.0),
+    n_modes=st.integers(1, 12),
+)
+def test_prony_simplex_no_worse_than_linprog(alpha, t_lo, decades, n_modes):
+    _assert_matches_linprog(
+        f"powerlaw:{alpha}", n_modes, (t_lo, t_lo * 10.0**decades), same_atoms=False
+    )
+
+
 def test_prony_zero_kernel_is_the_degenerate_optimum():
     # no nonnegative sum on the rates beats 0 for this narrow gaussian
     fit = prony_fit(parse_kernel_spec("gaussian:0.01"), 8, (0.1, 100.0))
+    assert fit.measure.atoms == ()
+    assert fit.sup_rel_error == 1.0
+
+
+def test_prony_fit_without_skill_keeps_no_atoms(monkeypatch):
+    # a solver optimum within _NO_SKILL of the zero kernel's error is
+    # reported as the zero kernel, whatever its weights
+    monkeypatch.setattr(
+        simulate, "_minimax_weights", lambda design: (np.ones(design.shape[1]), 1.0 - 3e-10)
+    )
+    fit = prony_fit(parse_kernel_spec("powerlaw:0.5"), 8, (0.1, 100.0))
+    assert fit.measure.atoms == ()
+    assert fit.sup_rel_error == 1.0
+
+
+def test_prony_fit_where_the_kernel_is_subnormal():
+    # K(402) is about 3e-321, so exp(-t x)/K overflows at the window's end:
+    # the design is built from logs, and no nonnegative sum beats the zero
+    # kernel here
+    fit = prony_fit(parse_kernel_spec("gaussian:0.004566"), 8, (0.0071, 402.0))
     assert fit.measure.atoms == ()
     assert fit.sup_rel_error == 1.0
 
@@ -671,7 +761,12 @@ def _scipy_modules(*argv):
         "print(rc, *(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=SRC_ENV, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv],
+        env=SRC_ENV,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
     ).stdout.split()
     assert out[0] == "0"
     return set(out[1:])
@@ -692,11 +787,16 @@ def test_transform_of_the_gaussian_loads_only_special():
     assert {name for name in names if not name.startswith("_")} - {"version"} == {"special"}
 
 
-@pytest.mark.parametrize("method", ["markovian", "spectral"])
-def test_simulate_of_exact_atoms_skips_optimize(tmp_path, method):
-    # a kernel that is its own Prony fit needs no linear program
-    cfg = tmp_path / "rouse.json"
-    cfg.write_text('{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1"}')
+@pytest.mark.parametrize(
+    "kernel, method",
+    [("rouse:1", "markovian"), ("rouse:1", "spectral"), ("powerlaw:0.5", "markovian")],
+    ids=["markovian", "spectral", "markovian-powerlaw"],
+)
+def test_simulate_of_exact_atoms_skips_optimize(tmp_path, kernel, method):
+    # a kernel that is its own Prony fit needs no linear program, and the
+    # Prony fit of any other is solved in numpy
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"m": 1, "lambda": 1, "beta": 1, "gamma": 2, "kbt": 1, "kernel": kernel}))
     modules = _scipy_modules(
         "simulate", "--config", str(cfg), "--method", method,
         "--n-paths", "4", "--dt", "0.5", "--t-max", "2",
