@@ -2,8 +2,9 @@
 """Monte Carlo cross-validation of the quadrature pipeline.
 
 A sum-of-exponentials kernel is embedded as a linear SDE whose stationary
-covariance solves a Lyapunov equation exactly; sampled paths (exact one-step
-transitions, stationary initialization) then reproduce the quadrature MSD.
+covariance is Gibbs' diagonal, equipartition made exact; sampled paths
+(exact one-step transitions, stationary initialization) then reproduce the
+quadrature MSD.
 A power-law kernel enters through its Prony surrogate, and the spectral
 sampler synthesizes stationary (x, v) paths straight from r11 on the FFT
 bins of their time grid.
@@ -33,7 +34,7 @@ params = GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=1.0)
 kernel = parse_kernel_spec("rouse:1")
 sde = markovian_embedding(params, kernel.bernstein())
 cov = lyapunov_stationary_cov(sde)
-print("one-atom embedding, Lyapunov stationary covariance:")
+print("one-atom embedding, stationary (Gibbs) covariance:")
 print(f"  Var(x) = {cov[0, 0]:.10f}  (kbt/gamma = {params.kbt / params.gamma})")
 print(f"  Var(v) = {cov[1, 1]:.10f}  (kbt/m     = {params.kbt / params.m})")
 

@@ -247,11 +247,9 @@ def _cmd_simulate(args):
         stats = simulate_paths(
             sde, args.dt, args.t_max, args.n_paths, args.seed, PathStatistics(quantity)
         )
-        cov = lyapunov_stationary_cov(sde)
-        ix = sde.labels.index("x") if "x" in sde.labels else None
-        iv = sde.labels.index("v")
-        var_x_ref = cov[ix, ix] if ix is not None else None
-        var_v_ref = cov[iv, iv]
+        # Gibbs' kbt/gamma and kbt/m, checked against the SDE
+        var = dict(zip(sde.labels, np.diag(lyapunov_stationary_cov(sde)).tolist()))
+        var_x_ref, var_v_ref = var.get("x"), var["v"]
     else:
         if not ctx.params.trapped:
             raise ValueError("spectral sampling needs gamma > 0")

@@ -251,10 +251,8 @@ class PowerLaw(MemoryKernel):
 
     def closed_pair(self, w):
         """Gamma(1 - alpha) w^(alpha-1) (sin, cos)(pi alpha/2)."""
-        from scipy import special
-
         a = self.alpha
-        g = special.gamma(1.0 - a)
+        g = math.gamma(1.0 - a)
         scale = w ** (a - 1.0)
         return g * math.sin(0.5 * math.pi * a) * scale, g * math.cos(0.5 * math.pi * a) * scale
 
@@ -268,15 +266,13 @@ class PowerLaw(MemoryKernel):
         return TailClass(TailClass.POWERLAW, alpha=self.alpha, constant=1.0)
 
     def bernstein(self):
-        from scipy import special
-
         a = self.alpha
         # density x^(a-1)/Gamma(a); cutoffs chosen so both the missing mass
         # below x_lo (~ x_lo^a) and the x^(a-2) tail beyond x_hi fall below
         # 1e-12 of typical kernel values
         lo = _cutoff(-math.ceil(14.0 / a), self, a)
         hi = _cutoff(math.ceil(14.0 / (1.0 - a)), self, a)
-        norm = 1.0 / special.gamma(a)
+        norm = 1.0 / math.gamma(a)
         return BernsteinMeasure(
             density=lambda x: norm * x ** (a - 1.0), x_lo=lo, x_hi=hi, measure_of="kernel"
         )

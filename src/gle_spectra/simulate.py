@@ -6,8 +6,11 @@ du_n = -(x_n u_n + beta w_n v) dt + sqrt(2 x_n beta kbt w_n) dW_n: the sum of
 the u_n is the memory force -beta Int K(t-s) v(s) ds plus a thermal force of
 autocovariance beta*kbt*K(t-s) (Ottobre & Pavliotis, Nonlinearity 24:1629,
 2011), and the state is (x, v, u_1..u_n).  The embedded system is a stable
-linear SDE, so its stationary covariance solves a Lyapunov equation exactly
-and paths can be propagated with the exact one-step Gaussian transition.
+linear SDE whose stationary law is Gibbs, the equipartition of every
+completely monotone kernel made exact for a finite mixture: the covariance
+diag(kbt/gamma, kbt/m, beta kbt w_1, .., beta kbt w_n).  Paths start from it
+and are propagated with the exact one-step Gaussian transition, whose
+propagator exp(A dt) is taken by Pade scaling and squaring in numpy.
 
 General kernels enter through a Prony approximation with fixed log-spaced
 rates and nonnegative weights that minimize the largest relative error, one
@@ -53,11 +56,13 @@ _IMAGES = 4
 
 @dataclass(frozen=True)
 class LinearSde:
-    """Stable linear SDE du = A u dt + B dW with labeled coordinates."""
+    """Stable linear SDE du = A u dt + B dW with labeled coordinates and
+    the diagonal of its stationary covariance."""
 
     drift: np.ndarray
     noise: np.ndarray
     labels: tuple
+    stationary_var: np.ndarray
 
     def dim(self):
         return self.drift.shape[0]
@@ -188,9 +193,11 @@ def markovian_embedding(params, measure):
     du_n = -(x_n u_n + beta w_n v) dt + sqrt(2 x_n beta kbt w_n) dW_n, and v
     feels the force sum_n u_n / m: the memory force
     -beta Int K(t-s) v(s) ds plus a thermal force of autocovariance
-    beta*kbt*K(t-s).  At kbt = 0 the noise matrix vanishes.  SdeError is
-    raised for a measure with a density part and for the measure of the
-    outer function of a phi(t^2) kernel.
+    beta*kbt*K(t-s).  At kbt = 0 the noise matrix vanishes.  The stationary
+    variances are Gibbs': kbt/gamma, kbt/m and beta kbt w_n, each entry of
+    A S + S A^T + B B^T cancelling by hand.  SdeError is raised for a
+    measure with a density part and for the measure of the outer function
+    of a phi(t^2) kernel.
     """
     if measure.measure_of != "kernel":
         raise SdeError("embedding needs the measure of the kernel, not of a phi(t^2) kernel's phi")
@@ -212,30 +219,63 @@ def markovian_embedding(params, measure):
     b[iv, 0] = math.sqrt(2.0 * p.lam * p.kbt) / p.m
     b[u, 1 + np.arange(n)] = np.sqrt(2.0 * x * p.beta * p.kbt * w)
     labels = ("x", "v")[1 - iv :] + tuple(f"u{k + 1}" for k in range(n))
-    return LinearSde(drift=a, noise=b, labels=labels)
+    gibbs = [p.kbt / p.gamma] if p.trapped else []
+    gibbs = np.concatenate([gibbs, [p.kbt / p.m], p.beta * p.kbt * w])
+    return LinearSde(drift=a, noise=b, labels=labels, stationary_var=gibbs)
 
 
 def lyapunov_stationary_cov(sde):
-    """Stationary covariance S solving A S + S A^T + B B^T = 0.
+    """Stationary covariance S = diag(sde.stationary_var), the solution of
+    A S + S A^T + B B^T = 0.
 
-    Raises SdeError when the drift is not stable; the returned matrix is
-    symmetrized and verified to residual <= 1e-10 relative to |B B^T|.
+    Raises SdeError when the drift is not stable (an undamped trap without
+    atoms solves the equation too, yet has no stationary law) and when S
+    misses the equation by more than 1e-10 relative to |B B^T|.
     """
     if not sde.is_stable():
         raise SdeError(
             f"no stationary covariance: drift spectral abscissa "
             f"{sde.spectral_abscissa():.3e} is not negative"
         )
-    from scipy import linalg
-
+    cov = np.diag(sde.stationary_var)
     q = sde.noise @ sde.noise.T
-    cov = linalg.solve_continuous_lyapunov(sde.drift, -q)
-    cov = 0.5 * (cov + cov.T)
     resid = np.abs(sde.drift @ cov + cov @ sde.drift.T + q).max()
     scale = max(np.abs(q).max(), np.abs(cov).max(), 1e-300)
     if resid > 1e-10 * scale:
-        raise SdeError(f"lyapunov solve residual {resid:.3e} exceeds tolerance")
+        raise SdeError(f"stationary covariance residual {resid:.3e} exceeds tolerance")
     return cov
+
+
+# Higham's degree-13 Pade coefficients of exp, and the largest 1-norm they
+# hold to double precision (SIAM J. Matrix Anal. Appl. 26:1179, 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a):
+    """exp(a) by degree-13 Pade scaling and squaring: a is halved s times
+    until its 1-norm is at most _THETA13, and the approximant squared s
+    times.  No eigenvectors, so it holds at critical damping."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    c = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    eye = np.eye(a.shape[0])
+    u = a @ (
+        a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2) + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye
+    )
+    v = a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2) + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 @dataclass(frozen=True)
@@ -401,11 +441,13 @@ class PathStatistics:
 def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     """Sample stationary paths of the embedded system.
 
-    Initial states are drawn from the Lyapunov stationary covariance, so the
-    ensemble is stationary from t = 0 (no burn-in).  Each step is the exact
-    one-step Gaussian transition of the linear SDE, unbiased in law for any
-    dt.  The paths hold the x (when trapped) and v columns at the times
-    sample_times(dt, t_max).
+    Initial states are drawn from the stationary covariance S, Gibbs'
+    diagonal of lyapunov_stationary_cov, so the ensemble is stationary from
+    t = 0 (no burn-in).  Each step is the exact one-step Gaussian transition
+    of the linear SDE, unbiased in law for any dt: the propagator
+    P = exp(A dt) by Pade scaling and squaring, and noise of covariance
+    S - P S P^T.  The paths hold the x (when trapped) and v columns at the
+    times sample_times(dt, t_max).
 
     The draws are one SFC64 stream of the seed: the first n_paths * dim
     normals give the initial states, then each step takes the next
@@ -417,13 +459,10 @@ def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     paths of every path at time 0 and at each block of steps in turn as
     sink.add(paths, first_path, first_time), and is returned.
     """
-    from scipy import linalg
-
     times = sample_times(dt, t_max)
     n_steps = len(times) - 1
     cov0 = lyapunov_stationary_cov(sde)
-    l0 = _sqrt_psd(cov0)
-    prop = linalg.expm(sde.drift * dt)
+    prop = _expm(sde.drift * dt)
     lstep = _sqrt_psd(cov0 - prop @ cov0 @ prop.T)
     n_noise = lstep.shape[1]
 
@@ -433,11 +472,14 @@ def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     target.open(times, obs_labels, n_paths)
 
     rng = _stream(seed)
-    states = rng.standard_normal((n_paths, sde.dim())) @ l0.T
+    states = rng.standard_normal((n_paths, sde.dim())) * np.sqrt(sde.stationary_var)
     target.add(states[:, obs_idx][:, None], 0, 0)
     # the noise is drawn a block of steps at a time; the split draws are the
-    # same numbers as one draw of all the steps
-    steps_per_block = max(1, _BLOCK_BYTES // max(1, 8 * n_paths * n_noise))
+    # same numbers as one draw of all the steps.  A step of a block holds a
+    # path's n_noise normals, its n_obs values and at most n_obs + 1 more in
+    # the sink's work arrays
+    step_bytes = 8 * n_paths * (n_noise + 2 * len(obs_idx) + 1)
+    steps_per_block = max(1, _BLOCK_BYTES // max(1, step_bytes))
     noise = np.empty((min(steps_per_block, n_steps), n_paths, n_noise))
     paths = np.empty((n_paths, noise.shape[0], len(obs_idx)))
     for lo in range(0, n_steps, steps_per_block):

@@ -262,6 +262,36 @@ def test_lyapunov_equipartition_structure():
         assert params.m * cov[1, 1] / params.kbt == pytest.approx(1.0, abs=1e-8)
 
 
+# trapped, free, at zero temperature and under-damped (lam 0, gamma 50),
+# where scipy's Lyapunov solver is off by 3e-12 and the closed form is exact
+GIBBS_CASES = {
+    "trapped": (GleParams(m=1.4, lam=0.6, beta=3.7, gamma=2.3, kbt=1.9), "rouse:[0.3,2,7,11]"),
+    "free": (GleParams(m=1.0, lam=1.0, beta=1.0, gamma=0.0, kbt=1.0), "rouse:[1,2,4]"),
+    "kbt-0": (GleParams(m=1.0, lam=1.0, beta=1.0, gamma=2.0, kbt=0.0), "rouse:[1,2]"),
+    "under-damped": (GleParams(m=1.0, lam=0.0, beta=1.0, gamma=50.0, kbt=1.0), "rouse:[1,2,4]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIBBS_CASES))
+def test_gibbs_covariance_solves_the_lyapunov_equation(case):
+    from scipy import linalg
+
+    params, spec = GIBBS_CASES[case]
+    kernel = parse_kernel_spec(spec)
+    sde = markovian_embedding(params, kernel.bernstein())
+    cov = lyapunov_stationary_cov(sde)
+    _, weights = kernel.bernstein().nodes()
+    gibbs = [params.kbt / params.m, *(params.beta * params.kbt * weights)]
+    if params.trapped:
+        gibbs.insert(0, params.kbt / params.gamma)
+    assert np.array_equal(cov, np.diag(gibbs))
+    q = sde.noise @ sde.noise.T
+    scale = max(np.abs(q).max(), np.abs(cov).max(), 1e-300)
+    assert np.abs(sde.drift @ cov + cov @ sde.drift.T + q).max() <= 1e-15 * scale
+    solved = linalg.solve_continuous_lyapunov(sde.drift, -q)
+    assert np.abs(solved - cov).max() <= 1e-11 * scale
+
+
 def test_lyapunov_unstable_rejected():
     # undamped oscillator: lam = 0, no memory atoms
     params = GleParams(m=1.0, lam=0.0, beta=1.0, gamma=2.0, kbt=1.0)
@@ -286,21 +316,60 @@ def test_simulate_deterministic():
 def test_simulate_paths_stream_layout():
     # one SFC64 stream: the initial states take the first n_paths * dim
     # normals, then each step the next n_paths * n_noise, path-major
-    from scipy import linalg
-
     sde = markovian_embedding(TRAPPED, parse_kernel_spec("rouse:[1,2]").bernstein())
     ens = simulate_paths(sde, dt=0.1, t_max=2.0, n_paths=5, seed=11)
     cov0 = lyapunov_stationary_cov(sde)
-    prop = linalg.expm(sde.drift * 0.1)
+    prop = simulate._expm(sde.drift * 0.1)
     lstep = simulate._sqrt_psd(cov0 - prop @ cov0 @ prop.T)
     rng = simulate._stream(11)
-    states = rng.standard_normal((5, sde.dim())) @ simulate._sqrt_psd(cov0).T
+    states = rng.standard_normal((5, sde.dim())) * np.sqrt(np.diag(cov0))
     want = [states[:, :2]]
     for _ in range(20):
         states = states @ prop.T + rng.standard_normal((5, lstep.shape[1])) @ lstep.T
         want.append(states[:, :2])
     assert ens.labels == ("x", "v") and ens.times.size == 21
     assert np.array_equal(ens.data, np.stack(want, axis=1))
+
+
+def test_expm_of_a_critically_damped_trap():
+    # gamma/m = lam^2/(4 m^2): one defective eigenvalue mu, where the
+    # propagator is exp(mu t) (I + (A - mu I) t) and eigenvectors fail
+    params = GleParams(m=1.0, lam=2.0, beta=1.0, gamma=1.0, kbt=1.0)
+    drift = markovian_embedding(params, BernsteinMeasure(atoms=())).drift
+    for dt in (0.01, 0.5, 20.0):
+        want = math.exp(-dt) * (np.eye(2) + (drift + np.eye(2)) * dt)
+        got = simulate._expm(drift * dt)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), dt
+
+
+@st.composite
+def _scaled_drifts(draw):
+    """Embedding drifts times dt, trapped (critically damped among them),
+    free or without friction, at 1-norms from 1e-3 to 1e3."""
+    n = draw(st.integers(1, 12))
+    logs = st.floats(-2.0, 2.0)
+    atoms = tuple((10.0 ** draw(logs), 10.0 ** draw(logs) / 10.0) for _ in range(n))
+    m = 10.0 ** draw(st.floats(-0.7, 0.7))
+    lam = draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-1.0, 1.0))]))
+    gamma = draw(st.sampled_from(["free", "critical", "trapped"]))
+    gamma = {"free": 0.0, "critical": lam * lam / (4.0 * m)}.get(gamma, 10.0 ** draw(logs))
+    params = GleParams(m=m, lam=lam, beta=10.0 ** draw(st.floats(-1.0, 0.6)), gamma=gamma, kbt=1.0)
+    drift = markovian_embedding(params, BernsteinMeasure(atoms=atoms)).drift
+    norm = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return drift * (norm / np.abs(drift).sum(axis=0).max()), norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_drifts())
+def test_expm_matches_scipy(case):
+    # up to 1e3/_THETA13, 8 squarings; past a 1-norm of 1 both lose digits
+    # in proportion to it (the worst of 20000 draws was 7e-14 of it)
+    from scipy import linalg
+
+    a, norm = case
+    want = linalg.expm(a)
+    got = simulate._expm(a)
+    assert np.abs(got - want).max() <= 5e-13 * max(1.0, norm) * np.abs(want).max()
 
 
 def test_simulate_empty_ensemble():
@@ -437,7 +506,8 @@ def test_simulate_time_blocks_bitwise(monkeypatch):
     # noise drawn a few steps at a time is the same stream as one draw
     sde = _one_atom_sde()
     whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 3)  # 3 steps x 12 paths x 3 noises
+    # 3 steps x 12 paths x (3 noises + 2 x 2 observables + 1)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 8)
     split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
     assert np.array_equal(whole.data, split.data)
 
@@ -691,8 +761,9 @@ def test_streamed_markovian_statistics_are_the_ensembles(config, steps, tmp_path
     # column of 64 paths pairwise, not row by row)
     want, var = _library_simulate(config, "markovian", 64, 0.1, 5.0, seed=6)
     if steps:
-        dim = 3 if config == "trapped_rouse.json" else 4
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", steps * 8 * 64 * dim)
+        # a step holds dim noises, the observables and the sink's work
+        dim, obs = (3, 2) if config == "trapped_rouse.json" else (4, 1)
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", steps * 8 * 64 * (dim + 2 * obs + 1))
     got, summary = _cli_simulate(tmp_path, capsys, config, "markovian", 64, 0.1, 5.0, seed=6)
     assert got.shape == (3, 50) and np.array_equal(got, want)
     assert summary["var_v"] == var["v"] and summary["var_x"] == var.get("x")
@@ -789,19 +860,22 @@ def test_transform_of_the_gaussian_loads_only_special():
 
 @pytest.mark.parametrize(
     "kernel, method",
-    [("rouse:1", "markovian"), ("rouse:1", "spectral"), ("powerlaw:0.5", "markovian")],
-    ids=["markovian", "spectral", "markovian-powerlaw"],
+    [
+        ("rouse:1", "markovian"),
+        ("rouse:1", "spectral"),
+        ("powerlaw:0.5", "markovian"),
+        ("powerlaw:0.5", "spectral"),
+    ],
+    ids=["markovian", "spectral", "markovian-powerlaw", "spectral-powerlaw"],
 )
 def test_simulate_of_exact_atoms_skips_optimize(tmp_path, kernel, method):
     # a kernel that is its own Prony fit needs no linear program, and the
-    # Prony fit of any other is solved in numpy
+    # Prony fit of any other is solved in numpy; the Markovian sampler takes
+    # Gibbs' covariance and a numpy expm, and powerlaw's Gamma is math's
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"m": 1, "lambda": 1, "beta": 1, "gamma": 2, "kbt": 1, "kernel": kernel}))
     modules = _scipy_modules(
         "simulate", "--config", str(cfg), "--method", method,
         "--n-paths", "4", "--dt", "0.5", "--t-max", "2",
     )
-    assert "scipy.optimize" not in modules
-    if method == "spectral":
-        # scipy.sparse no longer, and rouse needs no special functions
-        assert modules == set()
+    assert modules == set()

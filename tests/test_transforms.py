@@ -163,17 +163,17 @@ def test_route_mismatch_rejected():
                     transform(kernel, 1.0, route=route)
 
 
-# (Kcos, Ksin) of the Gamma closed form at w = 1e-3, 1, 1e3, bit for bit;
-# the default route must not build the Laplace measure, whose cutoffs are
-# not doubles at these alphas
+# (Kcos, Ksin) of the Gamma closed form at w = 1e-3, 1, 1e3, bit for bit,
+# with math.gamma's Gamma(1 - alpha); the default route must not build the
+# Laplace measure, whose cutoffs are not doubles at these alphas
 POWERLAW_CLOSED = {
     0.01: (
-        ("0x1.d7d706b961e1bp+3", "0x1.02dc1e056e764p-6", "0x1.1c07bfa33a490p-16"),
-        ("0x1.d54f2c6013dc6p+9", "0x1.0178b18dc0ed6p+0", "0x1.1a81c3d6281b5p-10"),
+        ("0x1.d7d706b961e16p+3", "0x1.02dc1e056e761p-6", "0x1.1c07bfa33a48cp-16"),
+        ("0x1.d54f2c6013dc1p+9", "0x1.0178b18dc0ed3p+0", "0x1.1a81c3d6281b2p-10"),
     ),
     0.99: (
-        ("0x1.aa1f87891093cp+6", "0x1.8dae67f02fd99p+6", "0x1.732344295fb38p+6"),
-        ("0x1.ac6bc43d61cd3p+0", "0x1.8fd3617e85d57p+0", "0x1.75239970af698p+0"),
+        ("0x1.aa1f87891093dp+6", "0x1.8dae67f02fd9ap+6", "0x1.732344295fb39p+6"),
+        ("0x1.ac6bc43d61cd4p+0", "0x1.8fd3617e85d58p+0", "0x1.75239970af699p+0"),
     ),
 }
 
