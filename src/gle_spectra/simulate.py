@@ -29,12 +29,16 @@ circulant embedding, Wood & Chan, J. Comput. Graph. Stat. 3:409, 1994), or the
 bins themselves where none does: each block is factored in closed form, and
 one inverse FFT per path pair and coordinate sums them.
 
-Each sampler call draws its normals from one SFC64 stream seeded by ``seed``.
+Each sampler call draws its normals from one SFC64 stream seeded by ``seed``,
+a block at a time: one helper thread draws the next block while the caller
+works on the current one, and ends with the call.  It alone touches the
+stream, in the stream's order, so the draws do not depend on the thread.
 Both samplers hand their paths block by block to a sink: by default one
 Ensemble of every path, or PathStatistics, which folds them into the MSD
 statistics and last-time variances and so holds no n_paths x N array.
 """
 
+from contextlib import closing
 from dataclasses import dataclass
 import math
 import os
@@ -304,6 +308,33 @@ def _stream(seed):
     return np.random.Generator(np.random.SFC64(seed))
 
 
+def _prefetched(rng, shape, sizes):
+    """Yield rng's normals block by block in stream order, block i the
+    first sizes[i] rows of one of two buffers of ``shape``, while one helper
+    thread draws block i + 1 into the other.
+
+    ``standard_normal`` releases the interpreter lock, so the draws overlap
+    the caller's work on the block before.  Only the helper touches rng.
+    Close the generator (``contextlib.closing``) to end the thread where
+    the caller stops early or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    def draw(i):
+        return rng.standard_normal(out=buffers[i % 2, : sizes[i]])
+
+    if not sizes:
+        return
+    buffers = np.empty((2, *shape))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for i in range(1, len(sizes)):
+            block = pending.result()
+            pending = helper.submit(draw, i)
+            yield block
+        yield pending.result()
+
+
 def _sqrt_psd(mat):
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     vals = np.clip(vals, 0.0, None)
@@ -453,6 +484,9 @@ def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     normals give the initial states, then each step takes the next
     n_paths * n_noise normals, path by path.  The paths are so a function of
     (sde, dt, t_max, n_paths, seed), whatever the block of steps drawn at once.
+    The next block of steps' normals is drawn on one helper thread while the
+    current block is stepped; the thread ends before the call returns or
+    raises, and a t_max below dt, with no step, draws no block.
 
     Without a sink the paths are returned as one Ensemble.  A sink (such as
     PathStatistics) is opened with (times, labels, n_paths), then takes the
@@ -466,28 +500,30 @@ def simulate_paths(sde, dt, t_max, n_paths, seed, sink=None):
     lstep = _sqrt_psd(cov0 - prop @ cov0 @ prop.T)
     n_noise = lstep.shape[1]
 
+    # x and v lead the state (markovian_embedding's layout)
     obs_labels = tuple(lab for lab in ("x", "v") if lab in sde.labels)
-    obs_idx = [sde.labels.index(lab) for lab in obs_labels]
+    n_obs = len(obs_labels)
     target = _EnsembleSink() if sink is None else sink
     target.open(times, obs_labels, n_paths)
 
     rng = _stream(seed)
     states = rng.standard_normal((n_paths, sde.dim())) * np.sqrt(sde.stationary_var)
-    target.add(states[:, obs_idx][:, None], 0, 0)
+    target.add(states[:, None, :n_obs], 0, 0)
     # the noise is drawn a block of steps at a time; the split draws are the
     # same numbers as one draw of all the steps.  A step of a block holds a
-    # path's n_noise normals, its n_obs values and at most n_obs + 1 more in
-    # the sink's work arrays
-    step_bytes = 8 * n_paths * (n_noise + 2 * len(obs_idx) + 1)
+    # path's n_noise normals in each of the two noise buffers, its n_obs
+    # values and at most n_obs + 1 more in the sink's work arrays
+    step_bytes = 8 * n_paths * (2 * n_noise + 2 * n_obs + 1)
     steps_per_block = max(1, _BLOCK_BYTES // max(1, step_bytes))
-    noise = np.empty((min(steps_per_block, n_steps), n_paths, n_noise))
-    paths = np.empty((n_paths, noise.shape[0], len(obs_idx)))
-    for lo in range(0, n_steps, steps_per_block):
-        block = rng.standard_normal(out=noise[: n_steps - lo])
-        for step, z in enumerate(block):
-            states = states @ prop.T + z @ lstep.T
-            paths[:, step] = states[:, obs_idx]
-        target.add(paths[:, : len(block)], 0, lo + 1)
+    starts = range(0, n_steps, steps_per_block)
+    sizes = [min(steps_per_block, n_steps - lo) for lo in starts]
+    paths = np.empty((n_paths, min(steps_per_block, n_steps), n_obs))
+    with closing(_prefetched(rng, (paths.shape[1], n_paths, n_noise), sizes)) as blocks:
+        for lo, block in zip(starts, blocks):
+            for step, z in enumerate(block):
+                states = states @ prop.T + z @ lstep.T
+                paths[:, step] = states[:, :n_obs]
+            target.add(paths[:, : len(block)], 0, lo + 1)
     return target.ensemble if sink is None else sink
 
 
@@ -523,8 +559,10 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed, sink=None):
     the bins with one inverse FFT per coordinate: the real part is one path,
     the imaginary part an independent other.  Pair p takes normals 4 L p to
     4 L (p + 1) of the SFC64 stream of ``seed``, whatever the block of
-    pairs.  Cost O(n_paths L log L) plus O(M log M) once for the M FFT bins,
-    memory O(M) and a block of pairs besides the sink's.
+    pairs; the next block's normals are drawn on one helper thread while the
+    current block is summed, and the thread ends before the call returns or
+    raises.  Cost O(n_paths L log L) plus O(M log M) once for the M FFT
+    bins, memory O(M) and two blocks of normals besides the sink's.
 
     Without a sink the paths are returned as one Ensemble.  A sink (such as
     PathStatistics) is opened with (times, ("x", "v"), n_paths), then takes
@@ -542,25 +580,28 @@ def spectral_sample(ctx, dt, t_max, n_paths, seed, sink=None):
     lxx = np.sqrt(a)
     lvx = np.divide(b, lxx, out=np.zeros(b.shape), where=lxx > 0)
     lvv, ivx = np.sqrt(np.maximum(d - lvx * lvx, 0.0)), 1j * lvx
-    # a pair works on 48 L bytes, its 4 L normals and a complex temporary of
-    # L, and its two paths and their fold in the sink take less than that
+    # a pair works on 80 L bytes, its 4 L normals in each of the two draw
+    # buffers and a complex temporary of L, and its two paths and their fold
+    # in the sink take less than that
     pairs, size = -(-n_paths // 2), a.size
-    block = max(1, min(pairs, _BLOCK_BYTES // (2 * 48 * size)))
-    rng = _stream(seed)
-    draws = np.empty((block, 2, 2 * size))
+    block = max(1, min(pairs, _BLOCK_BYTES // (2 * 80 * size)))
+    starts = range(0, pairs, block)
+    sizes = [min(block, pairs - start) for start in starts]
     paths = np.empty((block, 2, t.size, 2))
-    for start in range(0, pairs, block):
-        rows = min(block, pairs - start)
-        # two complex normals a bin: the x factor's and v's own
-        z = rng.standard_normal(out=draws[:rows]).view(complex)
-        z[:, 1] *= lvv
-        z[:, 1] += ivx * z[:, 0]
-        z[:, 0] *= lxx
-        # a single bin broadcasts over repeated times
-        sums = np.moveaxis(np.fft.ifft(z, norm="forward", out=z)[..., : t.size], 1, 2)
-        out = paths[:rows]
-        out[:, 0], out[:, 1] = sums.real, sums.imag
-        target.add(out.reshape(2 * rows, t.size, 2)[: n_paths - 2 * start], 2 * start, 0)
+    rng = _stream(seed)
+    with closing(_prefetched(rng, (block, 2, 2 * size), sizes)) as draws:
+        for start, normals in zip(starts, draws):
+            rows = len(normals)
+            # two complex normals a bin: the x factor's and v's own
+            z = normals.view(complex)
+            z[:, 1] *= lvv
+            z[:, 1] += ivx * z[:, 0]
+            z[:, 0] *= lxx
+            # a single bin broadcasts over repeated times
+            sums = np.moveaxis(np.fft.ifft(z, norm="forward", out=z)[..., : t.size], 1, 2)
+            out = paths[:rows]
+            out[:, 0], out[:, 1] = sums.real, sums.imag
+            target.add(out.reshape(2 * rows, t.size, 2)[: n_paths - 2 * start], 2 * start, 0)
     return target.ensemble if sink is None else sink
 
 

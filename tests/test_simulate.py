@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -502,14 +503,78 @@ def test_spectral_sampler_free_particle_rejected():
             spectral_sample(ctx, dt, t_max, 5, seed=0)
 
 
+def _drawn_blocks(monkeypatch):
+    """The block sizes of each sampler call from here on, one list a call."""
+    calls, prefetched = [], simulate._prefetched
+
+    def spy(rng, shape, sizes):
+        calls.append(list(sizes))
+        return prefetched(rng, shape, sizes)
+
+    monkeypatch.setattr(simulate, "_prefetched", spy)
+    return calls
+
+
 def test_simulate_time_blocks_bitwise(monkeypatch):
     # noise drawn a few steps at a time is the same stream as one draw
     sde = _one_atom_sde()
+    blocks = _drawn_blocks(monkeypatch)
     whole = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
-    # 3 steps x 12 paths x (3 noises + 2 x 2 observables + 1)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 8)
+    # 3 steps x 12 paths x (2 noise buffers x 3 noises + 2 x 2 observables + 1)
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 8 * 12 * 11)
     split = simulate_paths(sde, dt=0.1, t_max=5.0, n_paths=12, seed=4)
+    assert blocks == [[50], [3] * 16 + [2]]
     assert np.array_equal(whole.data, split.data)
+
+
+class _SinkError(Exception):
+    pass
+
+
+class _FailingSink:
+    """A sink whose second add raises its ``error``."""
+
+    def open(self, times, labels, n_paths):
+        self.adds, self.error = 0, _SinkError()
+
+    def add(self, paths, first_path, first_time):
+        self.adds += 1
+        if self.adds == 2:
+            raise self.error
+
+
+@pytest.mark.parametrize("method", ["markovian", "spectral"])
+def test_sampler_error_leaves_no_thread(method, monkeypatch):
+    # one step or pair a block: the raise comes with the next block's draw
+    # under way, and the helper thread ends before the error propagates
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 1)
+    before, sink = set(threading.enumerate()), _FailingSink()
+    with pytest.raises(_SinkError) as caught:
+        if method == "markovian":
+            simulate_paths(_one_atom_sde(), 0.1, 5.0, 6, seed=2, sink=sink)
+        else:
+            spectral_sample(trapped_ctx("rouse:1"), *GRID, 9, seed=2, sink=sink)
+    assert caught.value is sink.error and caught.value.__context__ is None
+    assert set(threading.enumerate()) == before
+
+
+def test_one_time_grids_start_no_idle_thread(monkeypatch):
+    # t_max < dt: the Markovian sampler takes no step and draws no block;
+    # the spectral sampler draws its one block of pairs
+    from concurrent.futures import ThreadPoolExecutor
+
+    submits, submit = [], ThreadPoolExecutor.submit
+    monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                        lambda pool, *args: submits.append(args) or submit(pool, *args))
+    before = threading.active_count()
+    sde = _one_atom_sde()
+    ens = simulate_paths(sde, dt=1.0, t_max=0.5, n_paths=5, seed=3)
+    initial = simulate._stream(3).standard_normal((5, sde.dim())) * np.sqrt(sde.stationary_var)
+    assert ens.times.tolist() == [0.0] and np.array_equal(ens.data[:, 0], initial[:, :2])
+    assert not submits and threading.active_count() == before
+    ens = spectral_sample(trapped_ctx("rouse:1"), 1.0, 0.5, 5, seed=3)
+    assert ens.data.shape == (5, 1, 2) and len(submits) == 1
+    assert threading.active_count() == before
 
 
 def _dense_spectral_paths(ctx, dt, t_max, n_paths, seed):
@@ -538,11 +603,14 @@ GRID = (0.1, 19.9)
 
 @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
 def test_spectral_sampler_matches_dense_sum(block_bytes, monkeypatch):
-    # the small budget draws one pair of the 9 paths a block
+    # the small budget, under two pairs of 160 bytes a bin on 400 bins,
+    # draws one pair of the 9 paths a block
     if block_bytes:
         monkeypatch.setattr(simulate, "_BLOCK_BYTES", block_bytes)
     ctx = trapped_ctx("powerlaw:0.5")
+    blocks = _drawn_blocks(monkeypatch)
     ens = spectral_sample(ctx, *GRID, 9, seed=17)
+    assert blocks == [[1] * 5 if block_bytes else [5]]
     assert ens.times.size == 200
     x_ref, v_ref = _dense_spectral_paths(ctx, *GRID, 9, seed=17)
     for got, ref in ((ens.column("x"), x_ref), (ens.column("v"), v_ref)):
@@ -568,9 +636,12 @@ def test_spectral_sampler_grids_match_dense_sum(dt, t_max):
 def test_spectral_sampler_blocks_bitwise(monkeypatch):
     # pair p takes its own slice of the stream, whatever the block
     ctx = trapped_ctx("rouse:1")
+    blocks = _drawn_blocks(monkeypatch)
     whole = spectral_sample(ctx, *GRID, 9, seed=4)
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 96 * 400)  # 3 pairs a block
+    # 3 pairs x 2 x 80 bytes a bin on 400 bins
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 3 * 160 * 400)
     split = spectral_sample(ctx, *GRID, 9, seed=4)
+    assert blocks == [[5], [3, 2]]
     assert np.array_equal(whole.data, split.data)
     assert np.array_equal(spectral_sample(ctx, *GRID, 4, seed=4).data, whole.data[:4])
 
@@ -761,10 +832,13 @@ def test_streamed_markovian_statistics_are_the_ensembles(config, steps, tmp_path
     # column of 64 paths pairwise, not row by row)
     want, var = _library_simulate(config, "markovian", 64, 0.1, 5.0, seed=6)
     if steps:
-        # a step holds dim noises, the observables and the sink's work
+        # a step holds dim noises in each of two buffers, the observables
+        # and the sink's work
         dim, obs = (3, 2) if config == "trapped_rouse.json" else (4, 1)
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", steps * 8 * 64 * (dim + 2 * obs + 1))
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", steps * 8 * 64 * (2 * dim + 2 * obs + 1))
+    blocks = _drawn_blocks(monkeypatch)
     got, summary = _cli_simulate(tmp_path, capsys, config, "markovian", 64, 0.1, 5.0, seed=6)
+    assert blocks == [{None: [50], 3: [3] * 16 + [2], 7: [7] * 7 + [1], 1: [1] * 50}[steps]]
     assert got.shape == (3, 50) and np.array_equal(got, want)
     assert summary["var_v"] == var["v"] and summary["var_x"] == var.get("x")
 
@@ -775,9 +849,11 @@ def test_streamed_spectral_statistics_are_the_ensembles(pairs, tmp_path, capsys,
     # blocks of pairs merge by Chan, Golub & LeVeque; one block is bitwise
     want, var = _library_simulate("trapped_rouse.json", "spectral", 9, 0.1, 19.9, seed=5)
     if pairs:
-        monkeypatch.setattr(simulate, "_BLOCK_BYTES", pairs * 96 * 400)
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", pairs * 160 * 400)
+    blocks = _drawn_blocks(monkeypatch)
     got, summary = _cli_simulate(tmp_path, capsys, "trapped_rouse.json", "spectral", 9, 0.1,
                                  19.9, seed=5)
+    assert blocks == [{None: [5], 2: [2, 2, 1], 1: [1] * 5}[pairs]]
     assert got.shape == (3, 199)
     if pairs:
         assert np.array_equal(got[0], want[0])
