@@ -37,13 +37,12 @@ def _origin_hint(ctx):
 
 
 def _density_integral(ctx, density, left_exponent=None):
-    """Int_0^oo density(ctx, w) dw with its error estimate."""
+    """Int_0^oo density(ctx, w) dw with its error estimate: geometric panels
+    on [0, s] and the fold past s, one engine run."""
     f = lambda w: density(ctx, w)
-    # keep the oscillator resonance inside the finite panel
+    # keep the oscillator resonance inside the finite panels
     s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
-    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad, left_exponent=left_exponent)
-    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
-    return v1 + v2, e1 + e2
+    return integrate_to_infinity(f, 0.0, ctx.quad, split=s, left_exponent=left_exponent)
 
 
 @lru_cache(maxsize=256)

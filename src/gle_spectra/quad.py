@@ -23,15 +23,18 @@ routes of the transforms module take them in blocks of bounded size
 (``transforms._BLOCK_BYTES``).
 
 Semi-infinite ranges are folded onto (0, 1) with the rational substitution
-w = a + u/(1-u).  Improper Fourier-type integrals with a slowly decaying
-envelope are summed over half-periods of the oscillator and accelerated by
-iterated averaging of the alternating partial sums: the engine takes 12
-half-periods of every open row a round, the open rows in lockstep, and the
-accelerated sum of all the half-periods of each open row so far, one array
-of cells for all of them, is tested against the tolerance once per round.
-Integrands that decay only in oscillatory mean, such as (1 - cos u)/u^2, are
-split by the caller into an oscillatory part and an absolutely integrable
-rest.
+w = a + u/(1-u).  The fold is a per-segment substitution, as the power
+substitution at a singular left endpoint is, so a finite head on geometric
+panels and the folded tail past it are one batch.  Improper Fourier-type
+integrals with a slowly decaying envelope are summed over half-periods of the
+oscillator and accelerated by iterated averaging of the alternating partial
+sums: the engine takes 12 half-periods of every open row a round, the open
+rows in lockstep, and the accelerated sum of all the half-periods of each
+open row so far, one array of cells for all of them, is tested against the
+tolerance once per round.  Each row has its own phase, so the cosine and
+sine transforms of a frequency grid are one run.  Integrands that decay only
+in oscillatory mean, such as (1 - cos u)/u^2, are split by the caller into an
+oscillatory part and an absolutely integrable rest.
 """
 
 from dataclasses import dataclass
@@ -91,6 +94,8 @@ _GEOMETRIC_LEVELS = 10
 # cuts of a geometric partition at 10**-k of its width, k = 10 ... 1, by
 # Python's float power: numpy's vectorised one can round differently
 _DECADES = np.array([10.0 ** -k for k in range(_GEOMETRIC_LEVELS, 0, -1)])
+# the last double below 1: the fold w = a + u/(1-u) stops at w - a = 2**53 - 1
+_U_CAP = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -226,46 +231,65 @@ def _adapt(f, a, b, rows, left_exponent, cfg):
     """Globally adaptive G7/K15 on a batch of segments, one call of f a round.
 
     Segment i is [a[i], b[i]], a[i] < b[i], in row rows[i], which f sees as
-    the ``rows`` of its Nodes; a left exponent in (-1, 0) selects
-    integrate_adaptive's endpoint substitution, NaN none.  The intervals of
-    the open segments live in flat arrays: segment, ends, value, error and
-    rank, which is -error, or 0 once the interval is at roundoff width.  A
-    round bisects the interval of least (rank, a, b) of every open segment
-    and evaluates all the new halves together; each segment has its own
+    the ``rows`` of its Nodes.  Each segment may carry one substitution: a
+    left exponent in (-1, 0) selects integrate_adaptive's endpoint
+    substitution (NaN none), and b[i] = inf folds [a[i], oo) onto (0, 1) by
+    integrate_to_infinity's w = a + u/(1-u).  The intervals of the open
+    segments live in flat arrays: segment, ends, value, error and rank,
+    which is -error, or 0 once the interval is at roundoff width.  A round
+    bisects the interval of least (rank, a, b) of every open segment and
+    evaluates all the new halves together; each segment has its own
     tolerance and ``cfg.max_subdivisions`` budget, so it is subdivided as it
     would be alone.  Returns (values, errors) in segment order; the first
     segment that uses up its budget raises ToleranceNotMet with its own
     value and error.
     """
     n = a.size
-    sub = (-1.0 < left_exponent) & (left_exponent < 0.0)
-    power = np.zeros(n)  # 0 marks a segment without substitution
+    fold = b == np.inf
+    sub = (-1.0 < left_exponent) & (left_exponent < 0.0) & ~fold
+    power = np.zeros(n)  # p of the segments with the endpoint substitution
     power[sub] = 1.0 / (1.0 + left_exponent[sub])
-    lo, hi = np.where(sub, 0.0, a), b.copy()
+    lo, hi = np.where(sub | fold, 0.0, a), np.where(fold, 1.0, b)
     # Python's float power: numpy's vectorised one can round an element
     # differently by its place in the array
     hi[sub] = (b[sub] - a[sub]).astype(object) ** (1.0 + left_exponent[sub]).astype(object)
 
+    # each segment's substitution: 0 none, 1 the endpoint power, 2 the fold
+    kind = np.where(fold, 2, sub.astype(int))
+
     def integrand(x, seg):
         # f at the nodes x of intervals of segments `seg`, substituting
-        # w = a + u**p on the segments that have a power p
+        # w = a + u**p on the segments that have a power p and
+        # w = a + u/(1-u) on the folded ones
         node_rows = np.repeat(rows[seg], x.shape[1]).reshape(x.shape)
-        sub = power[seg] > 0.0
-        if not sub.any():
+        kinds = kind[seg]
+        n_sub, n_fold = np.bincount(kinds, minlength=3)[1:]
+        if n_fold == seg.size:
+            w, du_dw = _unfold(x, a[seg, None])
+            return _values(f, w, node_rows) / du_dw
+        if not (n_sub or n_fold):
             return _values(f, x, node_rows)
-        p, a0, u = power[seg[sub], None], a[seg[sub], None], x[sub]
-        s = u ** p
         w = x.copy()
-        w[sub] = a0 + s
-        lost = (w[sub] == a0).any(axis=1)
-        if lost.any():
-            k = seg[sub][lost][0]
-            raise UnrepresentableError(
-                f"endpoint substitution underflows for left exponent "
-                f"{left_exponent[k]:g}: a + u**{power[k]:g} rounds to a = {a[k]:g}"
-            )
+        if n_sub:
+            sub = kinds == 1
+            p, a0, u = power[seg[sub], None], a[seg[sub], None], x[sub]
+            s = u ** p
+            w[sub] = a0 + s
+            lost = (w[sub] == a0).any(axis=1)
+            if lost.any():
+                k = seg[sub][lost][0]
+                raise UnrepresentableError(
+                    f"endpoint substitution underflows for left exponent "
+                    f"{left_exponent[k]:g}: a + u**{power[k]:g} rounds to a = {a[k]:g}"
+                )
+        if n_fold:
+            folded = kinds == 2
+            w[folded], du_dw = _unfold(x[folded], a[seg[folded], None])
         y = _values(f, w, node_rows).copy()
-        y[sub] = y[sub] * p * s / u
+        if n_sub:
+            y[sub] = y[sub] * p * s / u
+        if n_fold:
+            y[folded] = y[folded] / du_dw
         return y
 
     seg = np.arange(n)
@@ -313,39 +337,70 @@ def _adapt(f, a, b, rows, left_exponent, cfg):
         table = np.concatenate((table, (s, mid, b0, v2, e2, -e2)), axis=1)
 
 
-def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD):
+def _unfold(u, a):
+    """(w, du/dw) of the fold w = a + u/(1-u) at the nodes u, with u capped
+    at the last double below 1."""
+    u = np.minimum(u, _U_CAP)
+    return a + u / (1.0 - u), (1.0 - u) ** 2
+
+
+def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, split=None, left_exponent=None):
     """Integrate f over [a, oo) assuming |f| = O(w**-p), p > 1, at infinity.
 
     ``a`` may be an array, one integral per element.  The substitution
     w = a + u/(1-u) maps the range onto (0, 1), up to the last double below
-    u = 1, where w - a = 2**53 - 1.  The range past that cap is estimated
-    from the decay exponent p of |f| over the three decades below it, all
-    rows in one call of f before any subdivision: p <= 1 in some row raises
-    DivergentTail, and otherwise the tail estimate joins the row's error,
-    which must still meet the tolerance.  An integrand that decays only in
-    oscillatory mean is out of reach: split it, as moments.msd_x does, into
-    an integrate_oscillatory part and an absolutely integrable rest.
+    u = 1, where w - a = 2**53 - 1; the engine applies it segment by
+    segment, as it does the endpoint substitution.  The range past that cap
+    is estimated from the decay exponent p of |f| over the three decades
+    below it, all rows in one call of f before the engine evaluates f
+    anywhere else: p <= 1 in some row raises DivergentTail, and otherwise
+    the tail estimate joins the error of the row's fold, which must still
+    meet the tolerance.  An integrand that decays only in oscillatory mean
+    is out of reach: split it, as moments.msd_x does, into an
+    integrate_oscillatory part and an absolutely integrable rest.
+
+    ``split``, a cut b > a (an array broadcasts with ``a``), gives each row a
+    finite head [a, b] laid out on integrate_geometric's panels, with the
+    left exponent on the first, and folds only [b, oo).  Head and fold are
+    one engine run, and each row's value and error are bit for bit the sum
+    of integrate_geometric's over [a, b] and this function's over [b, oo).
+    The head's endpoint substitution is checked before the tail is probed.
     """
-    shape, (origin,) = _broadcast(a)
+    if split is None:
+        shape, (origin,) = _broadcast(a)
+        head = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
+    else:
+        shape, (a, origin) = _broadcast(a, split)
+        if not (a < origin).all():
+            raise ValueError("need finite a < split")
+        head = _geometric_segments(a, origin, _GEOMETRIC_LEVELS, left_exponent)
     n = origin.size
-    u_cap = np.nextafter(1.0, 0.0)  # keep the mapped abscissa finite
-    tail = _dropped_tail(f, origin, u_cap / (1.0 - u_cap))
+    tail = None
 
-    def g(u):
-        rows = u.rows
-        u = np.minimum(u.view(np.ndarray), u_cap)
-        w = origin[rows] + u / (1.0 - u)
-        return f(_nodes(w, rows)) / (1.0 - u) ** 2
+    def probed(w):
+        # the first integrand call probes the tail first: after the engine
+        # has checked the head's substitution, before it evaluates f
+        nonlocal tail
+        if tail is None:
+            tail = _dropped_tail(f, origin, _U_CAP / (1.0 - _U_CAP))
+        return f(w)
 
-    vals, errs = _adapt(g, np.zeros(n), np.ones(n), np.arange(n), np.full(n, np.nan), cfg)
-    errs = errs + tail
-    failed = np.flatnonzero(errs > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals)))
+    # every head panel, then every fold, so each row adds its head in order
+    # and its fold last
+    fold = (origin, np.full(n, np.inf), np.arange(n), np.full(n, np.nan))
+    vals, errs = _adapt(probed, *(np.concatenate(x) for x in zip(head, fold)), cfg)
+    k = head[0].size
+    errs[k:] += tail
+    failed = np.flatnonzero(errs[k:] > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals[k:])))
     if failed.size:
-        v, e = float(vals[failed[0]]), float(errs[failed[0]])
+        v, e = float(vals[k + failed[0]]), float(errs[k + failed[0]])
         raise ToleranceNotMet(
             "tolerance not met with the estimated tail past the fold cap "
             f"(value={v}, err={e})", value=v, error=e
         )
+    if k:  # bincount adds the segments of each row in segment order
+        rows = np.concatenate((head[2], fold[2]))
+        vals, errs = (np.bincount(rows, weights=x, minlength=n) for x in (vals, errs))
     return _shaped(vals, shape), _shaped(errs, shape)
 
 
@@ -375,9 +430,11 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     f is the (non-oscillatory) envelope and must eventually decrease to zero;
     the integral is summed over half-periods of the oscillator and the
     alternating partial sums are accelerated by iterated averaging, so only
-    conditional convergence is required.  ``freq`` and ``a`` may be arrays,
-    which broadcast to one integral (row) per element; f may read a node's
-    row from the ``rows`` of its Nodes.
+    conditional convergence is required.  ``freq``, ``phase`` ("cos" or
+    "sin") and ``a`` may be arrays, which broadcast to one integral (row)
+    per element; f may read a node's row from the ``rows`` of its Nodes.
+    A row's value and error do not depend on the other rows, whatever their
+    phases.
 
     The head of a row up to the first zero of its oscillator is a geometric
     partition refined toward a.  Each round hands the engine the next 12
@@ -389,20 +446,22 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
     Returns (value, error_estimate), floats for scalar arguments, else arrays
     of their broadcast shape.
     """
-    shape, (freq, a) = _broadcast(freq, a)
+    phase = np.asarray(phase)
+    is_sin = phase == "sin"
+    if not (is_sin | (phase == "cos")).all():
+        raise ValueError("phase must be 'cos' or 'sin'")
+    shape, (freq, a, is_sin) = _broadcast(freq, a, is_sin)
     if (freq == 0.0).any():
         raise ValueError("freq must be nonzero")
-    if phase not in ("cos", "sin"):
-        raise ValueError("phase must be 'cos' or 'sin'")
+    is_sin = is_sin > 0.0
     n = freq.size
     wfreq = np.abs(freq)
-    sign = np.where((freq > 0) | (phase == "cos"), 1.0, -1.0)
+    sign = np.where((freq > 0) | ~is_sin, 1.0, -1.0)
     half = math.pi / wfreq
-    # first zero of each row's oscillator at or beyond its a
-    if phase == "cos":
-        z = (np.floor(a * wfreq / math.pi - 0.5) + 1.5) * half
-    else:
-        z = (np.floor(a * wfreq / math.pi) + 1.0) * half
+    # first zero of each row's oscillator at or beyond its a: the zeros of
+    # cos lie half a half-period past those of sin
+    shift = np.where(is_sin, 0.0, 0.5)
+    z = (np.floor(a * wfreq / math.pi - shift) + (1.0 + shift)) * half
     z = np.where(z <= a, z + half, z)
     _check_envelope_decay(f, z, half)
 
@@ -411,10 +470,23 @@ def integrate_oscillatory(f, freq, phase, a, cfg=DEFAULT_QUAD, left_exponent=Non
         abs_tol=cfg.abs_tol * 1e-2,
         max_subdivisions=max(60, cfg.max_subdivisions // 10),
     )
-    osc = np.cos if phase == "cos" else np.sin
+    mixed = is_sin.any() and not is_sin.all()
+    osc = np.sin if is_sin.all() else np.cos
 
     def g(t):
-        return f(t) * osc(wfreq[t.rows] * t.view(np.ndarray))
+        # f(t) times the oscillators, taken in place over wfreq t; a call
+        # that mixes phases marks the nodes of its sin rows, a byte a node
+        envelope = f(t)
+        y = wfreq[t.rows]
+        y *= t.view(np.ndarray)
+        if mixed:
+            on_sin = is_sin[t.rows]
+            np.sin(y, out=y, where=on_sin)
+            np.cos(y, out=y, where=np.logical_not(on_sin, out=on_sin))
+        else:
+            osc(y, out=y)
+        y *= envelope
+        return y
 
     head = _geometric_segments(a, z, 8, left_exponent)  # the first round's panels
     value, error, head_val, head_err = np.zeros((4, n))

@@ -143,15 +143,14 @@ def _closed_pair(kernel, w):
 
 def _numeric_pair(kernel, w, quad):
     """Numeric route on the array of frequencies w > 0, one oscillatory
-    engine run per phase: (kcos, ksin, kcos_error, ksin_error)."""
-    f = lambda t: kernel_eval(kernel, t)
-    kcos, kcos_err = integrate_oscillatory(
-        f, w, "cos", 0.0, quad, left_exponent=kernel.origin_exponent
+    engine run for both phases, the cosine rows then the sine rows:
+    (kcos, ksin, kcos_error, ksin_error)."""
+    n = np.size(w)
+    values, errors = integrate_oscillatory(
+        lambda t: kernel_eval(kernel, t), np.concatenate((w, w)),
+        np.repeat(["cos", "sin"], n), 0.0, quad, left_exponent=kernel.origin_exponent,
     )
-    ksin, ksin_err = integrate_oscillatory(
-        f, w, "sin", 0.0, quad, left_exponent=kernel.origin_exponent
-    )
-    return kcos, ksin, kcos_err, ksin_err
+    return values[:n], values[n:], errors[:n], errors[n:]
 
 
 def resolve_route(kernel, route):

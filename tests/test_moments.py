@@ -230,6 +230,56 @@ def test_msd_v_matches_tight_quadrature():
 BATCH_KERNELS = ("powerlaw:0.5", "rouse:[1,2]", "one-plus-t-inverse", "gaussian:1", "cauchy:1,1")
 
 
+def _head_and_tail(ctx, density, left_exponent=None):
+    """Int_0^oo density as two engine runs: geometric panels on [0, s], then
+    the fold past s."""
+    f = lambda w: density(ctx, w)
+    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
+    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad, left_exponent=left_exponent)
+    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
+    return v1 + v2, e1 + e2
+
+
+@pytest.mark.parametrize("spec", ["rouse:[1.3,2.9]", "powerlaw:0.45", "one-plus-t-inverse", "gaussian:0.6"])
+@pytest.mark.parametrize("trapped", [True, False], ids=["trapped", "free"])
+def test_variances_equal_head_plus_tail(spec, trapped):
+    # one engine run for head and tail gives the two runs' sum bit for bit
+    ctx = trapped_ctx(spec, m=1.1, lam=1.2, gamma=2.5) if trapped else free_ctx(spec, m=1.1)
+    moments._r11_integral.cache_clear()
+    moments._r22_integral.cache_clear()
+    scale = ctx.params.kbt / math.pi
+    v, e = _head_and_tail(ctx, moments.r22)
+    assert var_v0(ctx, with_error=True) == (scale * v, scale * e)
+    if trapped:
+        v, e = _head_and_tail(ctx, r11, ctx.kernel.tail_class().exponent)
+        assert var_x0(ctx, with_error=True) == (scale * v, scale * e)
+
+
+def test_r22_integral_shares_head_and_tail_rounds(monkeypatch):
+    # powerlaw:0.45 takes 4 Kronrod rounds on its head and 16 on its tail:
+    # together 16 r22 calls and the tail probe, not 4 + 16 + 1
+    ctx = trapped_ctx("powerlaw:0.45", m=1.1, lam=1.2, gamma=2.5)
+    calls = []
+    r22_alone = moments.r22
+
+    def counted(c, w):
+        calls.append(np.size(w))
+        return r22_alone(c, w)
+
+    monkeypatch.setattr(moments, "r22", counted)
+    f = lambda w: counted(ctx, w)
+    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
+    integrate_geometric(f, 0.0, s, ctx.quad)
+    head = len(calls)
+    integrate_to_infinity(f, s, ctx.quad)
+    tail = len(calls) - head - 1  # less the probe
+    calls.clear()
+    moments._r22_integral.cache_clear()
+    moments._r22_integral(ctx)
+    assert (head, tail) == (4, 16)
+    assert len(calls) == max(head, tail) + 1 == 17
+
+
 @pytest.mark.parametrize("spec", BATCH_KERNELS)
 @pytest.mark.parametrize("quantity,fn", [(POSITION_INTEGRAL, msd_x), (VELOCITY_INTEGRAL, msd_v)])
 def test_batched_curve_equals_one_row_calls(spec, quantity, fn):
@@ -258,12 +308,13 @@ def _count_r11(monkeypatch):
 
 @pytest.mark.parametrize(
     "quantity,grid,budget",
-    [(POSITION_INTEGRAL, (100.0, 1e4), 25), (VELOCITY_INTEGRAL, (1.0, 1e6), 18)],
+    [(POSITION_INTEGRAL, (100.0, 1e4), 25), (VELOCITY_INTEGRAL, (1.0, 1e6), 12)],
 )
 def test_curve_r11_call_budget(quantity, grid, budget, monkeypatch):
     # one engine round makes one r11 call for every open integral of the
-    # curve: 22 and 15 calls for 25 points, one of them the tail probe of
-    # integrate_to_infinity (437 and 76 one time at a time)
+    # curve: 22 and 12 calls for 25 points, one of them the tail probe of
+    # integrate_to_infinity (437 and 76 one time at a time); var_x0's head
+    # and tail share their rounds
     ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text())
     calls = _count_r11(monkeypatch)
     compute_msd_curve(ctx, np.geomspace(*grid, 25), quantity)

@@ -310,6 +310,7 @@ def test_accelerate_rows_equal_one_row_calls(m):
     lambda f: integrate_adaptive(f, np.array([0.0, np.nan]), 1.0),
     lambda f: integrate_to_infinity(f, np.inf),
     lambda f: integrate_to_infinity(f, np.array([1.0, np.nan])),
+    lambda f: integrate_to_infinity(f, 0.0, split=np.inf),
     lambda f: integrate_geometric(f, 0.0, np.inf),
     lambda f: integrate_geometric(f, np.nan, 1.0),
     lambda f: integrate_oscillatory(f, np.inf, "cos", 0.0),
@@ -447,3 +448,116 @@ def test_failing_row_raises_its_own_error():
         integrate_oscillatory(lambda t: np.cos(t) / (1.0 + t) ** 2, 1.0, "cos", 0.0)
     assert batch.value.value == alone.value.value
     assert batch.value.error == alone.value.error
+
+
+def _bits(*arrays):
+    return [np.asarray(x, dtype=float).tolist() for x in arrays]
+
+
+@pytest.mark.parametrize("exponent", [None, -0.3])
+def test_mixed_phases_equal_one_phase_calls(exponent):
+    # each row keeps its own zero, head, cells and averaging levels, so a
+    # call that mixes phases gives every row its one-phase value and error
+    scales = np.array([0.5, 1.0, 3.0, 0.8, 2.0])
+    freqs = np.array([0.7, -2.0, 5.0, -0.3, 1.1])
+    phases = np.array(["cos", "sin", "sin", "cos", "sin"])
+    starts = np.array([0.0, 0.0, 0.4, 0.0, 2.5])
+
+    def batched(t):
+        return np.exp(-scales[t.rows] * t) * t ** -0.3
+
+    vals, errs = integrate_oscillatory(batched, freqs, phases, starts, left_exponent=exponent)
+    alone = [
+        integrate_oscillatory(
+            lambda t, s=s: np.exp(-s * t) * t ** -0.3, w, ph, a, left_exponent=exponent
+        )
+        for s, w, ph, a in zip(scales, freqs, phases, starts)
+    ]
+    assert _bits(vals, errs) == _bits([v for v, _ in alone], [e for _, e in alone])
+
+
+def test_phases_broadcast_with_the_rows():
+    # one phase a column of a 2-D grid, as the frequencies broadcast
+    env = lambda t: (1.0 + t) ** -2.0
+    freqs = np.array([[0.5], [-4.0]])
+    vals, errs = integrate_oscillatory(env, freqs, np.array(["sin", "cos", "sin"]), 0.0)
+    assert vals.shape == errs.shape == (2, 3)
+    for i, w in enumerate(freqs[:, 0]):
+        for j, ph in enumerate(("sin", "cos", "sin")):
+            v, e = integrate_oscillatory(env, w, ph, 0.0)
+            assert (vals[i, j], errs[i, j]) == (v, e)
+
+
+@pytest.mark.parametrize("phase", ["tan", np.array(["cos", "tan"]), None])
+def test_unknown_phase_rejected(phase):
+    with pytest.raises(ValueError, match="phase must be"):
+        integrate_oscillatory(lambda t: np.exp(-t), np.ones(2), phase, 0.0)
+
+
+@pytest.mark.parametrize("starts, exponent", [([0.0, 1.0, 0.0], None), ([0.0, 0.0, 0.0], -0.4)])
+def test_split_equals_head_plus_folded_tail(starts, exponent):
+    # geometric panels on [a, b] and the fold past b in one engine run: each
+    # row's value and error are those of the two calls added, bit for bit
+    scales, starts = np.array([0.5, 1.0, 3.0]), np.array(starts)
+    shift = 1.0 if exponent is None else 0.0  # singular at a under the substitution
+
+    def batched(x):
+        return (x - starts[x.rows] + shift) ** -0.4 / (1.0 + scales[x.rows] * x) ** 2
+
+    cuts = np.array([2.0, 3.5, 0.25])
+    vals, errs = integrate_to_infinity(batched, starts, split=cuts, left_exponent=exponent)
+    head, e_head = integrate_geometric(batched, starts, cuts, left_exponent=exponent)
+    tail, e_tail = integrate_to_infinity(batched, cuts)
+    assert _bits(vals, errs) == _bits(head + tail, e_head + e_tail)
+    val, err = integrate_to_infinity(lambda x: np.exp(-x), 0.0, split=1.5)
+    head, e_head = integrate_geometric(lambda x: np.exp(-x), 0.0, 1.5)
+    tail, e_tail = integrate_to_infinity(lambda x: np.exp(-x), 1.5)
+    assert (val, err) == (head + tail, e_head + e_tail)
+
+
+def test_split_runs_head_and_tail_together():
+    # the engine rounds of head and fold are shared: one call of f a round,
+    # after the tail probe, as many as the longer of the two alone needs
+    def counted(seen):
+        def f(x):
+            seen.append(x.size)
+            return x ** -0.5 / (1.0 + x) ** 2
+        return f
+
+    together, head, tail = [], [], []
+    integrate_to_infinity(counted(together), 0.0, split=3.0, left_exponent=-0.5)
+    integrate_geometric(counted(head), 0.0, 3.0, left_exponent=-0.5)
+    integrate_to_infinity(counted(tail), 3.0)
+    assert together[0] == tail[0] == 2  # the tail probe comes first
+    assert len(together) == max(len(head), len(tail) - 1) + 1
+    assert sum(together) == sum(head) + sum(tail)
+
+
+def test_head_substitution_checked_before_the_tail_probe():
+    # w = u**1000 underflows at the head's first nodes: that is reported
+    # before the tail is probed, even where the tail diverges
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return 1.0 / (1.0 + x)
+
+    with pytest.raises(UnrepresentableError, match="-0.999"):
+        integrate_to_infinity(f, 0.0, split=1.0, left_exponent=-0.999)
+    assert seen == []
+    with pytest.raises(DivergentTail):
+        integrate_to_infinity(f, 0.0, split=1.0, left_exponent=-0.5)
+    assert seen == [2]  # the tail probe alone
+
+
+def test_split_must_lie_past_the_start():
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.exp(-x)
+
+    for split in (1.0, 0.5, np.array([2.0, 1.0])):
+        with pytest.raises(ValueError, match="need finite a < split"):
+            integrate_to_infinity(f, 1.0, split=split)
+    assert seen == []

@@ -392,6 +392,34 @@ def test_numeric_pair_returns_its_errors():
     assert np.all(kcos_err < 1e-7) and np.all(ksin_err < 1e-7)
 
 
+@pytest.mark.parametrize("spec,calls", [("rouse:[1,2]", 8), ("gaussian:0.6", 8), ("powerlaw:0.45", 6)])
+def test_numeric_grid_runs_both_phases_together(spec, calls, monkeypatch):
+    # the cosine and sine rows of a 16-frequency grid share their engine
+    # rounds: kernel_eval is called as often as the longer phase alone needs
+    kernel = parse_kernel_spec(spec)
+    w = np.geomspace(0.01, 100.0, 16)
+    seen = []
+    eval_alone = transforms.kernel_eval
+
+    def counted(k, t):
+        seen.append(np.size(t))
+        return eval_alone(k, t)
+
+    monkeypatch.setattr(transforms, "kernel_eval", counted)
+    alone = []
+    for phase in ("cos", "sin"):
+        seen.clear()
+        transforms.integrate_oscillatory(
+            lambda t: counted(kernel, t), w, phase, 0.0, DEFAULT_QUAD,
+            left_exponent=kernel.origin_exponent,
+        )
+        alone.append(len(seen))
+    seen.clear()
+    kcos_ksin_grid(kernel, w, route="numeric")
+    assert len(seen) <= max(alone) + 1
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("omega", [1e10, 1e155, 1e300])
 def test_faddeeva_route_at_huge_frequency(omega):
     # w/(2 sqrt(x)) overflows for the smallest nodes of cauchy:0.25,1; those
