@@ -8,8 +8,14 @@ Everything here reduces to weighted frequency integrals of r11:
     E|Int_0^t x ds|^2  = (2 kbt/pi) Int_0^oo (1 - cos t w)/w^2 r11(w) dw
     E|Int_0^t v ds|^2  = 2 E[x(0)^2] - (2 kbt/pi) Int_0^oo cos(t w) r11 dw
 
-The MSD integral is computed in the rescaled variable u = t*w so the
-oscillation frequency is one and the quadrature cost does not grow with t.
+The mass of r11 and r22 in a trap sits at its resonance w_r ~ sqrt(gamma/m),
+in a peak of half-width delta = (lam + beta Kcos(w_r))/(2m), and for the
+MSD also down to w ~ 1/t.  Every integral out to infinity in w therefore
+starts on one partition with cuts at w_r/2, w_r -+ delta 10**k and
+1 + 2 w_r (``_cuts``): the variances, and the flat tail of the position
+MSD.  The head [0, pi/2] of the position MSD and the cosine parts of both
+MSDs are oscillatory in t w; they run in the rescaled variable u = t w, so
+the oscillation frequency is one and their cost does not grow with t.
 """
 
 from dataclasses import dataclass
@@ -18,31 +24,80 @@ import math
 
 import numpy as np
 
-from .errors import FitRejectedError, QuadratureError, TransformDomainError
+from .errors import (
+    FitRejectedError,
+    GleError,
+    QuadratureError,
+    TransformDomainError,
+    UnrepresentableError,
+)
+from .kernels import TailClass
 from .quad import (
     integrate_geometric,
     integrate_oscillatory,
     integrate_to_infinity,
 )
-from .spectra import r11, r22
+from .spectra import r11, r22, resonance
 
 POSITION_INTEGRAL = "position_integral"
 VELOCITY_INTEGRAL = "velocity_integral"
+_EPS = np.finfo(float).eps
+# the least half-width of a resonance, relative to w_r, whose cuts
+# w_r -+ delta are distinct doubles
+_RESOLVABLE = 8.0 * _EPS
 
 
 def _origin_hint(ctx):
-    """Left-endpoint exponent of r11 at w = 0: its tail class's, where an
-    exponent of 0 asks the engine for no endpoint substitution."""
-    return ctx.kernel.tail_class().exponent
+    """Left-endpoint exponent of r11 at w = 0, where an exponent of 0 asks
+    the engine for no endpoint substitution: the tail class's, and -1/2 for
+    the critical class, whose r11 grows like |log w|, so that the engine
+    substitutes w = u**2 on the origin panel."""
+    tc = ctx.kernel.tail_class()
+    return -0.5 if tc.kind == TailClass.CRITICAL else tc.exponent
+
+
+@lru_cache(maxsize=256)
+def _cuts(ctx):
+    """(cuts, blur) of the trapped frequency integrals out to infinity.
+
+    The cuts are shared by all rows: w_r/2, w_r -+ delta 10**k for
+    k = 0, 1, ... inside (w_r/2, 1 + 2 w_r), and 1 + 2 w_r, at the
+    resonance w_r of half-width delta.  Doubles place a frequency near w_r,
+    and the terms gamma/w and m w that cancel in r11's denominator there,
+    only to eps w_r, so the peak, which varies on the scale delta, is known
+    to blur = eps w_r/delta relative: an integral over it carries that
+    share of its value as error, added after the engine's tolerance check,
+    since no subdivision removes it.  UnrepresentableError where
+    delta <= 8 eps w_r, a peak narrower than doubles resolve.
+    """
+    try:
+        w_r, delta = resonance(ctx)
+    except GleError:
+        # the density fails as the kernel's transform does: the single cut
+        # 1 + 2 sqrt(gamma/m) lets the engine's own checks report first
+        return np.array([1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)]), 0.0
+    if not delta > _RESOLVABLE * w_r:
+        raise UnrepresentableError(
+            f"resonance at w_r = {w_r:g} has half-width {delta:g}, "
+            "narrower than doubles resolve there"
+        )
+    top = 1.0 + 2.0 * w_r
+    cuts = [0.5 * w_r, top]
+    k = 0
+    while (d := delta * 10.0 ** k) < top - w_r:
+        cuts += [w_r - d, w_r + d] if d < 0.5 * w_r else [w_r + d]
+        k += 1
+    return np.unique(cuts), _EPS * w_r / delta
 
 
 def _density_integral(ctx, density, left_exponent=None):
-    """Int_0^oo density(ctx, w) dw with its error estimate: geometric panels
-    on [0, s] and the fold past s, one engine run."""
+    """Int_0^oo density(ctx, w) dw with its error estimate, one engine run:
+    geometric panels up to the first cut, a panel between each two cuts and
+    the fold past the last; the free particle's one cut is w = 1."""
     f = lambda w: density(ctx, w)
-    # keep the oscillator resonance inside the finite panels
-    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
-    return integrate_to_infinity(f, 0.0, ctx.quad, split=s, left_exponent=left_exponent)
+    cuts, blur = _cuts(ctx) if ctx.params.trapped else (1.0, 0.0)
+    q, e = integrate_to_infinity(f, 0.0, ctx.quad, split=cuts, left_exponent=left_exponent)
+    return q, e + blur * abs(q)
 
 
 @lru_cache(maxsize=256)
@@ -76,10 +131,12 @@ def var_v0(ctx, with_error=False):
 
 def _position_integral(ctx, times):
     """(values, errors) of E|Int_0^t x ds|^2 at the positive times: one
-    engine run per part for the whole curve, a row per time."""
-    hint = _origin_hint(ctx)
-    u0 = 0.5 * math.pi
-    edge = np.full(times.shape, u0)
+    engine run per part for the whole curve, a row per time.  The head
+    [0, pi/2] and the oscillatory part run in u = t w; the flat tail runs
+    in w, Int_{pi/2}^oo r11(u/t)/u^2 du = t^-1 Int_{pi/(2t)}^oo r11/w^2 dw,
+    on the resonance cuts."""
+    (cuts, blur), hint = _cuts(ctx), _origin_hint(ctx)
+    edge = np.full(times.shape, 0.5 * math.pi)
 
     def r11_over_u2(u):
         # r11 at the frequency u/t of the node's own time, over u^2
@@ -91,12 +148,17 @@ def _position_integral(ctx, times):
     head, e_head = integrate_geometric(
         one_minus_cos_over_u2, np.zeros(times.shape), edge, ctx.quad, left_exponent=hint
     )
-    flat, e_flat = integrate_to_infinity(r11_over_u2, edge, ctx.quad)
+    flat, e_flat = integrate_to_infinity(
+        lambda w: r11(ctx, w) / (w * w), edge / times, ctx.quad, split=cuts
+    )
     osc, e_osc = integrate_oscillatory(
         r11_over_u2, np.ones(times.shape), "cos", edge, ctx.quad
     )
-    scale = 2.0 * ctx.params.kbt * times / math.pi
-    return scale * (head + flat - osc), scale * (e_head + e_flat + e_osc)
+    scale = 2.0 * ctx.params.kbt / math.pi
+    return (
+        scale * (times * (head - osc) + flat),
+        scale * (times * (e_head + e_osc) + e_flat + blur * flat),
+    )
 
 
 def _velocity_integral(ctx, times):

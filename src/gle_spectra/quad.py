@@ -25,16 +25,17 @@ routes of the transforms module take them in blocks of bounded size
 Semi-infinite ranges are folded onto (0, 1) with the rational substitution
 w = a + u/(1-u).  The fold is a per-segment substitution, as the power
 substitution at a singular left endpoint is, so a finite head on geometric
-panels and the folded tail past it are one batch.  Improper Fourier-type
-integrals with a slowly decaying envelope are summed over half-periods of the
-oscillator and accelerated by iterated averaging of the alternating partial
-sums: the engine takes 12 half-periods of every open row a round, the open
-rows in lockstep, and the accelerated sum of all the half-periods of each
-open row so far, one array of cells for all of them, is tested against the
-tolerance once per round.  Each row has its own phase, so the cosine and
-sine transforms of a frequency grid are one run.  Integrands that decay only
-in oscillatory mean, such as (1 - cos u)/u^2, are split by the caller into an
-oscillatory part and an absolutely integrable rest.
+panels, the panels between the caller's cuts and the folded tail past them
+are one batch.  Improper Fourier-type integrals with a slowly decaying
+envelope are summed over half-periods of the oscillator and accelerated by
+iterated averaging of the alternating partial sums: the engine takes 12
+half-periods of every open row a round, the open rows in lockstep, and the
+accelerated sum of all the half-periods of each open row so far, one array of
+cells for all of them, is tested against the tolerance once per round.  Each
+row has its own phase, so the cosine and sine transforms of a frequency grid
+are one run.  Integrands that decay only in oscillatory mean, such as
+(1 - cos u)/u^2, are split by the caller into an oscillatory part and an
+absolutely integrable rest.
 """
 
 from dataclasses import dataclass
@@ -359,22 +360,35 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, split=None, left_exponent=None
     is out of reach: split it, as moments.msd_x does, into an
     integrate_oscillatory part and an absolutely integrable rest.
 
-    ``split``, a cut b > a (an array broadcasts with ``a``), gives each row a
-    finite head [a, b] laid out on integrate_geometric's panels, with the
-    left exponent on the first, and folds only [b, oo).  Head and fold are
-    one engine run, and each row's value and error are bit for bit the sum
-    of integrate_geometric's over [a, b] and this function's over [b, oo).
-    The head's endpoint substitution is checked before the tail is probed.
+    ``split``, a cut or an ascending array of cuts shared by all rows, lays
+    out the finite part of each row that lies below its last cut: a row
+    keeps the cuts above its own a, takes its head [a, c1] up to the first
+    of them on integrate_geometric's panels, with the left exponent on the
+    first, then one panel between each two cuts it keeps, and folds only
+    [ck, oo) past the last.  A row with no cut above a is folded from a, the
+    left exponent unused.  Head, panels and fold are one engine run, so
+    each row's value and error are bit for bit the sum of
+    integrate_geometric's over its head, integrate_adaptive's over each
+    panel and this function's over [ck, oo), added in that order.  The
+    head's endpoint substitution is checked before the tail is probed.
     """
-    if split is None:
-        shape, (origin,) = _broadcast(a)
-        head = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))
-    else:
-        shape, (a, origin) = _broadcast(a, split)
-        if not (a < origin).all():
-            raise ValueError("need finite a < split")
-        head = _geometric_segments(a, origin, _GEOMETRIC_LEVELS, left_exponent)
-    n = origin.size
+    shape, (a,) = _broadcast(a)
+    cuts = np.atleast_1d(np.asarray([] if split is None else split, dtype=float))
+    if cuts.ndim != 1 or not np.isfinite(cuts).all() or (np.diff(cuts) <= 0.0).any():
+        raise ValueError("split must be finite cuts in ascending order")
+    n = a.size
+    # kept[r, j]: cut j lies above row r's a; the cuts ascend, so a row
+    # keeps the last ones
+    kept = cuts > a[:, None]
+    cut_rows = np.flatnonzero(kept.any(axis=1))
+    head = _geometric_segments(
+        a[cut_rows], cuts[cuts.size - kept[cut_rows].sum(axis=1)], _GEOMETRIC_LEVELS,
+        left_exponent,
+    )
+    head = (*head[:2], cut_rows[head[2]], head[3])
+    panel_rows, j = np.nonzero(kept[:, :-1])  # row-major: a row's panels in order
+    panels = (cuts[j], cuts[j + 1], panel_rows, np.full(j.size, np.nan))
+    origin = np.maximum(a, cuts.max(initial=-np.inf))  # where each row's fold starts
     tail = None
 
     def probed(w):
@@ -385,11 +399,12 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, split=None, left_exponent=None
             tail = _dropped_tail(f, origin, _U_CAP / (1.0 - _U_CAP))
         return f(w)
 
-    # every head panel, then every fold, so each row adds its head in order
-    # and its fold last
+    # every head panel, then every panel between cuts, then every fold, so
+    # each row adds its head in order, then its panels, and its fold last
     fold = (origin, np.full(n, np.inf), np.arange(n), np.full(n, np.nan))
-    vals, errs = _adapt(probed, *(np.concatenate(x) for x in zip(head, fold)), cfg)
-    k = head[0].size
+    segments = [np.concatenate(x) for x in zip(head, panels, fold)]
+    vals, errs = _adapt(probed, *segments, cfg)
+    k = vals.size - n
     errs[k:] += tail
     failed = np.flatnonzero(errs[k:] > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(vals[k:])))
     if failed.size:
@@ -399,8 +414,7 @@ def integrate_to_infinity(f, a, cfg=DEFAULT_QUAD, split=None, left_exponent=None
             f"(value={v}, err={e})", value=v, error=e
         )
     if k:  # bincount adds the segments of each row in segment order
-        rows = np.concatenate((head[2], fold[2]))
-        vals, errs = (np.bincount(rows, weights=x, minlength=n) for x in (vals, errs))
+        vals, errs = (np.bincount(segments[2], weights=x, minlength=n) for x in (vals, errs))
     return _shaped(vals, shape), _shaped(errs, shape)
 
 
@@ -555,7 +569,7 @@ def _geometric_segments(a, b, levels, left_exponent):
     keep[:, 0] = keep[:, -1] = True
     pts, rows = pts[keep], np.repeat(np.arange(a.size), keep.sum(axis=1))
     panel = rows[:-1] == rows[1:]  # consecutive points of one row
-    first = np.r_[True, rows[1:-1] != rows[:-2]]
+    first = np.r_[True, rows[1:] != rows[:-1]][:-1]
     exponent = np.where(first, np.nan if left_exponent is None else left_exponent, np.nan)
     return pts[:-1][panel], pts[1:][panel], rows[:-1][panel], exponent[panel]
 

@@ -19,6 +19,7 @@ of ``kcos_ksin_grid``, which alone decides whether Kcos(0) exists.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -123,6 +124,36 @@ def trapped_densities(ctx, omega):
     if not ctx.params.trapped:
         raise TransformDomainError("trapped densities need gamma > 0")
     return _evaluate(ctx, omega, _trapped_at)
+
+
+# most fixed-point steps toward the resonance; the steps stop once one
+# moves w by no more than a hundredth of the peak's half-width
+_RESONANCE_STEPS = 8
+
+
+def resonance(ctx):
+    """(w_r, delta): the trap's resonance and the half-width of r11's peak
+    there (gamma > 0).
+
+    w_r solves b(w) = 0, that is w^2 = (gamma + beta w Ksin(w))/m, by
+    fixed-point steps from sqrt(gamma/m), one kcos_ksin_grid point a step;
+    near it r11 is a Lorentzian in w of half-width
+    delta = (lam + beta Kcos(w))/(2m), taken at the last point.  The steps
+    stop when one moves w by at most delta/100: two or three on a stiff
+    trap, where Ksin barely moves w.  Ksin >= 0 for every kernel the
+    package offers, so every step is a real root.
+    """
+    p = ctx.params
+    if not p.trapped:
+        raise TransformDomainError("resonance needs gamma > 0")
+    w = math.sqrt(p.gamma / p.m)
+    for _ in range(_RESONANCE_STEPS):
+        kc, ks = (float(x[0]) for x in kcos_ksin_grid(ctx.kernel, np.array([w]), quad=ctx.quad))
+        delta = (p.lam + p.beta * kc) / (2.0 * p.m)
+        w, last = math.sqrt((p.gamma + p.beta * w * ks) / p.m), w
+        if abs(w - last) <= 1e-2 * delta:
+            break
+    return w, delta
 
 
 @dataclass(frozen=True)

@@ -627,6 +627,19 @@ def test_equipartition_substitution_underflow_is_typed(kernel, named, tmp_path, 
     assert err["type"] == "UnrepresentableError" and named in err["message"]
 
 
+def test_equipartition_unresolvable_resonance_is_typed(tmp_path, capsys):
+    # undamped, exp(-t^2) leaves the peak at w_r = 100 no width in doubles
+    doc = json.loads(TRAPPED_DOC)
+    doc.update(kernel="gaussian:1", gamma=1e4, **{"lambda": 0.0})
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["equipartition", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    err = json.loads(err)["error"]
+    assert out == "" and err["type"] == "UnrepresentableError"
+    assert "w_r = 100.005 has half-width 0," in err["message"]
+
+
 @pytest.mark.parametrize(
     "command,kernel,alpha",
     [
@@ -693,14 +706,14 @@ def test_equipartition_failure_is_valid_json(tmp_path, capsys):
 
 
 def test_msd_curve_with_one_failing_row_exit_code(tmp_path, capsys):
-    # only the t = 1e5 row runs out of its 12 subdivisions; the curve fails
+    # only the t = 0.1 row runs out of its 3 subdivisions; the curve fails
     # with the typed error and writes nothing
     cfg = tmp_path / "budget.json"
     cfg.write_text(
         '{"m":1,"lambda":1,"beta":1,"gamma":2,"kbt":1,"kernel":"rouse:1",'
-        '"quad":{"max_subdivisions":12}}'
+        '"quad":{"max_subdivisions":3}}'
     )
-    code = main(["msd", "--config", str(cfg), "--quantity", "x", "--t-grid", "1,10,1e5"])
+    code = main(["msd", "--config", str(cfg), "--quantity", "x", "--t-grid", "0.1,1,10"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "ToleranceNotMet"

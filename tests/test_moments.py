@@ -14,11 +14,13 @@ from gle_spectra import (
     QuadratureError,
     SpectralDensityCtx,
     TransformDomainError,
+    UnrepresentableError,
     VELOCITY_INTEGRAL,
     compute_msd_curve,
     cross_cov,
     equipartition_report,
     fit_growth_exponent,
+    integrate_adaptive,
     integrate_geometric,
     integrate_oscillatory,
     integrate_to_infinity,
@@ -151,6 +153,34 @@ def test_equipartition_critical_kernel():
     assert rep.m_v_ratio == pytest.approx(1.0, abs=1e-3)
 
 
+# undamped and weakly damped stiff traps: the resonance at sqrt(gamma/m)
+# holds nearly all the mass of r11 and r22 in a peak of half-width
+# (lam + beta Kcos)/(2m), down to 3e-10 of w_r
+UNDAMPED_TRAPS = [
+    (spec, lam, gamma)
+    for spec in ("rouse:[1,2,4]", "powerlaw:0.5", "one-plus-t-inverse")
+    for lam in (0.0, 1e-3)
+    for gamma in (1e2, 1e4, 1e6)
+] + [("powerlaw:0.5", lam, 1e8) for lam in (0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("spec,lam,gamma", UNDAMPED_TRAPS)
+def test_undamped_trap_equipartition(spec, lam, gamma):
+    # the paper's equipartition theorem for completely monotone kernels:
+    # gamma E[x^2]/kbt = m E[v^2]/kbt = 1, each within its reported error
+    rep = equipartition_report(trapped_ctx(spec, lam=lam, gamma=gamma))
+    assert rep.notes == ()
+    for ratio, err in ((rep.gamma_x_ratio, rep.err_x), (rep.m_v_ratio, rep.err_v)):
+        assert abs(ratio - 1.0) <= err + 1e-12
+
+
+def test_unresolvable_resonance_is_typed():
+    # Kcos(100) of exp(-t^2) underflows to 0: undamped, the peak at
+    # w_r = 100 has no width that doubles hold
+    with pytest.raises(UnrepresentableError, match=r"w_r = 100\.005 has half-width 0,"):
+        equipartition_report(trapped_ctx("gaussian:1", lam=0.0, gamma=1e4))
+
+
 def test_fit_exact_power_data():
     t = np.geomspace(1.0, 100.0, 30)
     curve = MsdCurve(times=tuple(t), values=tuple(t ** 2), quantity=POSITION_INTEGRAL)
@@ -197,7 +227,7 @@ def test_exponent_monotone_in_alpha():
     assert fitted[0] > fitted[1] > fitted[2]
 
 
-@pytest.mark.parametrize("fn,budget", [(msd_x, 20), (msd_v, 15)])
+@pytest.mark.parametrize("fn,budget", [(msd_x, 10), (msd_v, 6)])
 def test_msd_r11_call_budget(fn, budget, monkeypatch):
     # each adaptive round over all panels and oscillation cells is one r11
     # call, so an MSD point costs a handful of calls, not one per interval
@@ -230,34 +260,50 @@ def test_msd_v_matches_tight_quadrature():
 BATCH_KERNELS = ("powerlaw:0.5", "rouse:[1,2]", "one-plus-t-inverse", "gaussian:1", "cauchy:1,1")
 
 
-def _head_and_tail(ctx, density, left_exponent=None):
-    """Int_0^oo density as two engine runs: geometric panels on [0, s], then
-    the fold past s."""
-    f = lambda w: density(ctx, w)
-    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
-    v1, e1 = integrate_geometric(f, 0.0, s, ctx.quad, left_exponent=left_exponent)
-    v2, e2 = integrate_to_infinity(f, s, ctx.quad)
-    return v1 + v2, e1 + e2
+def _pieces(ctx, density, left_exponent=None):
+    """(value, error, calls) of Int_0^oo density as one engine run per
+    piece: geometric panels up to the first cut, each panel between two
+    cuts, then the fold past the last, added in that order; ``calls``
+    counts the density calls of each piece."""
+    calls = []
+
+    def f(w):
+        calls[-1] += 1
+        return density(ctx, w)
+
+    cuts = moments._cuts(ctx)[0] if ctx.params.trapped else np.array([1.0])
+    calls.append(0)
+    v, e = integrate_geometric(f, 0.0, cuts[0], ctx.quad, left_exponent=left_exponent)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        calls.append(0)
+        dv, de = integrate_adaptive(f, lo, hi, ctx.quad)
+        v, e = v + dv, e + de
+    calls.append(0)
+    dv, de = integrate_to_infinity(f, cuts[-1], ctx.quad)
+    return v + dv, e + de, calls
 
 
 @pytest.mark.parametrize("spec", ["rouse:[1.3,2.9]", "powerlaw:0.45", "one-plus-t-inverse", "gaussian:0.6"])
 @pytest.mark.parametrize("trapped", [True, False], ids=["trapped", "free"])
 def test_variances_equal_head_plus_tail(spec, trapped):
-    # one engine run for head and tail gives the two runs' sum bit for bit
+    # one engine run for head, panels and tail gives the pieces' sum bit for
+    # bit; the error adds the resonance's blur of the value
     ctx = trapped_ctx(spec, m=1.1, lam=1.2, gamma=2.5) if trapped else free_ctx(spec, m=1.1)
     moments._r11_integral.cache_clear()
     moments._r22_integral.cache_clear()
     scale = ctx.params.kbt / math.pi
-    v, e = _head_and_tail(ctx, moments.r22)
-    assert var_v0(ctx, with_error=True) == (scale * v, scale * e)
+    blur = moments._cuts(ctx)[1] if trapped else 0.0
+    v, e, _ = _pieces(ctx, moments.r22)
+    assert var_v0(ctx, with_error=True) == (scale * v, scale * (e + blur * abs(v)))
     if trapped:
-        v, e = _head_and_tail(ctx, r11, ctx.kernel.tail_class().exponent)
-        assert var_x0(ctx, with_error=True) == (scale * v, scale * e)
+        v, e, _ = _pieces(ctx, r11, moments._origin_hint(ctx))
+        assert var_x0(ctx, with_error=True) == (scale * v, scale * (e + blur * abs(v)))
 
 
 def test_r22_integral_shares_head_and_tail_rounds(monkeypatch):
-    # powerlaw:0.45 takes 4 Kronrod rounds on its head and 16 on its tail:
-    # together 16 r22 calls and the tail probe, not 4 + 16 + 1
+    # powerlaw:0.45 takes 2 Kronrod rounds on its head, 1, 2 and 1 on the
+    # panels between its cuts and 16 on its tail: together 16 r22 calls and
+    # the tail probe, not 2 + 1 + 2 + 1 + 16 + 1
     ctx = trapped_ctx("powerlaw:0.45", m=1.1, lam=1.2, gamma=2.5)
     calls = []
     r22_alone = moments.r22
@@ -267,17 +313,13 @@ def test_r22_integral_shares_head_and_tail_rounds(monkeypatch):
         return r22_alone(c, w)
 
     monkeypatch.setattr(moments, "r22", counted)
-    f = lambda w: counted(ctx, w)
-    s = 1.0 + 2.0 * math.sqrt(ctx.params.gamma / ctx.params.m)
-    integrate_geometric(f, 0.0, s, ctx.quad)
-    head = len(calls)
-    integrate_to_infinity(f, s, ctx.quad)
-    tail = len(calls) - head - 1  # less the probe
+    pieces = _pieces(ctx, counted)[2]
+    pieces[-1] -= 1  # less the probe
     calls.clear()
     moments._r22_integral.cache_clear()
     moments._r22_integral(ctx)
-    assert (head, tail) == (4, 16)
-    assert len(calls) == max(head, tail) + 1 == 17
+    assert pieces == [2, 1, 2, 1, 16]
+    assert len(calls) == max(pieces) + 1 == 17
 
 
 @pytest.mark.parametrize("spec", BATCH_KERNELS)
@@ -308,13 +350,13 @@ def _count_r11(monkeypatch):
 
 @pytest.mark.parametrize(
     "quantity,grid,budget",
-    [(POSITION_INTEGRAL, (100.0, 1e4), 25), (VELOCITY_INTEGRAL, (1.0, 1e6), 12)],
+    [(POSITION_INTEGRAL, (100.0, 1e4), 10), (VELOCITY_INTEGRAL, (1.0, 1e6), 11)],
 )
 def test_curve_r11_call_budget(quantity, grid, budget, monkeypatch):
     # one engine round makes one r11 call for every open integral of the
-    # curve: 22 and 12 calls for 25 points, one of them the tail probe of
-    # integrate_to_infinity (437 and 76 one time at a time); var_x0's head
-    # and tail share their rounds
+    # curve: 10 and 11 calls for 25 points, one of them the tail probe of
+    # integrate_to_infinity (250 and 73 one time at a time); var_x0's head,
+    # panels and tail share their rounds
     ctx = parse_config((CONFIGS / "trapped_rouse.json").read_text())
     calls = _count_r11(monkeypatch)
     compute_msd_curve(ctx, np.geomspace(*grid, 25), quantity)
@@ -354,15 +396,16 @@ def test_curve_carries_quadrature_errors():
 
 
 def test_curve_with_one_failing_row_raises():
-    # at 12 subdivisions a segment of the t = 1e5 row runs out, as it does
-    # when that time is evaluated alone; the rest of the curve converges
+    # at 3 subdivisions the head panel of the t = 0.1 row that holds the
+    # resonance, u = 0.1 w_r, runs out, as it does when that time is
+    # evaluated alone; the rest of the curve converges
     base = parse_config((CONFIGS / "trapped_rouse.json").read_text())
-    ctx = SpectralDensityCtx(base.params, base.kernel, QuadConfig(max_subdivisions=12))
+    ctx = SpectralDensityCtx(base.params, base.kernel, QuadConfig(max_subdivisions=3))
     assert msd_x(ctx, 1.0) > 0 and msd_x(ctx, 10.0) > 0
     with pytest.raises(QuadratureError) as alone:
-        msd_x(ctx, 1e5)
+        msd_x(ctx, 0.1)
     with pytest.raises(QuadratureError) as batch:
-        compute_msd_curve(ctx, [1.0, 10.0, 1e5])
+        compute_msd_curve(ctx, [0.1, 1.0, 10.0])
     assert type(batch.value) is type(alone.value)
     assert batch.value.value == alone.value.value
 

@@ -494,21 +494,34 @@ def test_unknown_phase_rejected(phase):
         integrate_oscillatory(lambda t: np.exp(-t), np.ones(2), phase, 0.0)
 
 
-@pytest.mark.parametrize("starts, exponent", [([0.0, 1.0, 0.0], None), ([0.0, 0.0, 0.0], -0.4)])
+@pytest.mark.parametrize("starts, exponent", [([0.0, 1.0, 5.0], None), ([0.0, 0.0, 0.0], -0.4)])
 def test_split_equals_head_plus_folded_tail(starts, exponent):
-    # geometric panels on [a, b] and the fold past b in one engine run: each
-    # row's value and error are those of the two calls added, bit for bit
+    # geometric panels on [a, c1], a panel between each two cuts above a and
+    # the fold past the last cut in one engine run: each row's value and
+    # error are those of the separate calls added in that order, bit for
+    # bit; a row above every cut is folded from its own a
     scales, starts = np.array([0.5, 1.0, 3.0]), np.array(starts)
     shift = 1.0 if exponent is None else 0.0  # singular at a under the substitution
 
-    def batched(x):
-        return (x - starts[x.rows] + shift) ** -0.4 / (1.0 + scales[x.rows] * x) ** 2
+    def g(x, r):
+        return (x - starts[r] + shift) ** -0.4 / (1.0 + scales[r] * x) ** 2
 
-    cuts = np.array([2.0, 3.5, 0.25])
-    vals, errs = integrate_to_infinity(batched, starts, split=cuts, left_exponent=exponent)
-    head, e_head = integrate_geometric(batched, starts, cuts, left_exponent=exponent)
-    tail, e_tail = integrate_to_infinity(batched, cuts)
-    assert _bits(vals, errs) == _bits(head + tail, e_head + e_tail)
+    cuts = np.array([0.25, 2.0, 3.5])
+    vals, errs = integrate_to_infinity(
+        lambda x: g(x, x.rows), starts, split=cuts, left_exponent=exponent
+    )
+    for r, a in enumerate(starts):
+        f = lambda x: g(x, r)
+        kept = cuts[cuts > a]
+        pieces = []
+        if kept.size:
+            pieces.append(integrate_geometric(f, a, kept[0], left_exponent=exponent))
+            pieces += [integrate_adaptive(f, lo, hi) for lo, hi in zip(kept[:-1], kept[1:])]
+        pieces.append(integrate_to_infinity(f, max(a, cuts[-1])))
+        v = e = 0.0
+        for dv, de in pieces:
+            v, e = v + dv, e + de
+        assert _bits(vals[r], errs[r]) == _bits(v, e)
     val, err = integrate_to_infinity(lambda x: np.exp(-x), 0.0, split=1.5)
     head, e_head = integrate_geometric(lambda x: np.exp(-x), 0.0, 1.5)
     tail, e_tail = integrate_to_infinity(lambda x: np.exp(-x), 1.5)
@@ -516,21 +529,22 @@ def test_split_equals_head_plus_folded_tail(starts, exponent):
 
 
 def test_split_runs_head_and_tail_together():
-    # the engine rounds of head and fold are shared: one call of f a round,
-    # after the tail probe, as many as the longer of the two alone needs
+    # the engine rounds of head, panels and fold are shared: one call of f a
+    # round, after the tail probe, as many as the longest piece alone needs
     def counted(seen):
         def f(x):
             seen.append(x.size)
             return x ** -0.5 / (1.0 + x) ** 2
         return f
 
-    together, head, tail = [], [], []
-    integrate_to_infinity(counted(together), 0.0, split=3.0, left_exponent=-0.5)
-    integrate_geometric(counted(head), 0.0, 3.0, left_exponent=-0.5)
+    together, head, panel, tail = [], [], [], []
+    integrate_to_infinity(counted(together), 0.0, split=[1.0, 3.0], left_exponent=-0.5)
+    integrate_geometric(counted(head), 0.0, 1.0, left_exponent=-0.5)
+    integrate_adaptive(counted(panel), 1.0, 3.0)
     integrate_to_infinity(counted(tail), 3.0)
     assert together[0] == tail[0] == 2  # the tail probe comes first
-    assert len(together) == max(len(head), len(tail) - 1) + 1
-    assert sum(together) == sum(head) + sum(tail)
+    assert len(together) == max(len(head), len(panel), len(tail) - 1) + 1
+    assert sum(together) == sum(head) + sum(panel) + sum(tail)
 
 
 def test_head_substitution_checked_before_the_tail_probe():
@@ -551,13 +565,18 @@ def test_head_substitution_checked_before_the_tail_probe():
 
 
 def test_split_must_lie_past_the_start():
+    # a cut counts for a row only past the row's start: with none past it
+    # the row is its fold alone; cuts must be finite and ascend
+    f = lambda x: np.exp(-x)
+    for split in (1.0, [0.5, 1.0]):
+        assert integrate_to_infinity(f, 1.0, split=split) == integrate_to_infinity(f, 1.0)
     seen = []
 
-    def f(x):
+    def counted(x):
         seen.append(x.size)
         return np.exp(-x)
 
-    for split in (1.0, 0.5, np.array([2.0, 1.0])):
-        with pytest.raises(ValueError, match="need finite a < split"):
-            integrate_to_infinity(f, 1.0, split=split)
+    for split in ([2.0, 1.0], [1.0, 1.0], [2.0, math.inf], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="split must be finite cuts in ascending order"):
+            integrate_to_infinity(counted, 0.0, split=split)
     assert seen == []

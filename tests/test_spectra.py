@@ -14,7 +14,7 @@ from gle_spectra import (
     r12,
     r22,
 )
-from gle_spectra.spectra import trapped_densities
+from gle_spectra.spectra import resonance, trapped_densities
 from conftest import EQUIPARTITION_PRESETS, free_ctx, trapped_ctx
 
 
@@ -258,3 +258,24 @@ def test_densities_reject_non_finite_frequencies(bad):
                 with pytest.raises(ValueError, match="finite"):
                     density(ctx, omega)
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "spec,lam,gamma",
+    [("rouse:1", 1.0, 2.0), ("powerlaw:0.5", 1.0, 0.01), ("rouse:[1,2,4]", 0.0, 1e6),
+     ("gaussian:1", 0.0, 100.0)],
+)
+def test_resonance_is_the_root_of_b(spec, lam, gamma):
+    # w_r is the root of b(w) = gamma - m w^2 + beta w Ksin(w) to a fiftieth
+    # of the peak's half-width delta = (lam + beta Kcos(w_r))/(2m), the
+    # slope of b being -2 m w_r there
+    ctx = trapped_ctx(spec, lam=lam, gamma=gamma)
+    w_r, delta = resonance(ctx)
+    kc, ks = kcos_ksin_grid(ctx.kernel, [w_r])
+    assert abs(gamma - w_r ** 2 + w_r * ks[0]) / (2.0 * w_r) <= 2e-2 * delta
+    assert delta == pytest.approx((lam + kc[0]) / 2.0, rel=1e-2)
+
+
+def test_resonance_needs_trap():
+    with pytest.raises(TransformDomainError):
+        resonance(free_ctx("rouse:1"))
